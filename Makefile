@@ -32,9 +32,13 @@ test-race:
 
 # Repeated race-detector runs over the lock-free query path's
 # concurrency and equivalence suites — the flake-hunting profile CI
-# runs on every push (see docs/QUERYPATH.md).
+# runs on every push (see docs/QUERYPATH.md) — then the reshard suites
+# twenty times with and without the race detector: their bugs are
+# schedule-dependent, and one green run proves nothing.
 stress:
 	$(GO) test -race -run 'Concurrent|Cache|Equivalence' -count=5 ./internal/core/ ./internal/varindex/
+	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
+	$(GO) test -race -run 'Reshard' -count=20 -timeout 60m ./internal/cluster/
 
 # Every package must carry a package comment (// Package x ... for
 # libraries, // Command x ... for binaries) — the revive-style
@@ -97,7 +101,7 @@ pgo:
 	rm -rf $(PGO_DIR) && mkdir -p $(PGO_DIR)
 	$(GO) run ./cmd/synthgen -out $(PGO_DIR)/corpus -set examples
 	$(GO) build -o $(PGO_DIR)/vdbserver ./cmd/vdbserver
-	$(PGO_DIR)/vdbserver -db $(PGO_DIR)/db.snap -addr $(PGO_ADDR) -pprof & \
+	$(PGO_DIR)/vdbserver -data $(PGO_DIR)/data -addr $(PGO_ADDR) -pprof & \
 		srv=$$!; trap 'kill $$srv 2>/dev/null' EXIT; \
 		until curl -sf http://$(PGO_ADDR)/api/metrics >/dev/null; do sleep 0.2; done; \
 		for f in $(PGO_DIR)/corpus/*.vdbf; do \
@@ -113,13 +117,13 @@ pgo:
 	@echo "pgo: wrote cmd/vdbserver/default.pgo"
 
 # Load-test a running vdbserver (start one with `go run ./cmd/vdbserver
-# -db db.snap`); writes BENCH_server_<timestamp>.json.
+# -data data`); writes BENCH_server_<timestamp>.json.
 bench-server:
 	@mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/vdbbench -mode server -target http://localhost:8080 -concurrency 16 -duration 10s -out $(BENCH_DIR)
 
-# End-to-end cluster exercise on loopback: three shard primaries with
-# WALs, one read replica, a coordinator in front; ingest through the
+# End-to-end cluster exercise on loopback: three shard primaries on
+# segment stores, one read replica, a coordinator in front; ingest through the
 # coordinator, load it with vdbbench -cluster while killing a shard
 # mid-run, then assert partial accounting, replica catch-up, and a
 # valid BENCH_cluster artifact (see docs/CLUSTER.md for the topology).
@@ -154,7 +158,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadClip -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzReadY4M -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/impression/
-	$(GO) test -fuzz FuzzLoad -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzApplyIngestRecord$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzApplySnapshot$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzSearchEquivalence -fuzztime 30s ./internal/varindex/
 
@@ -192,4 +197,4 @@ corpus:
 	$(GO) run ./cmd/synthgen -out corpus -set examples -truth
 
 clean:
-	rm -rf corpus db.snap $(BENCH_DIR) coverage.out
+	rm -rf corpus data $(BENCH_DIR) coverage.out

@@ -1,32 +1,25 @@
 // Command vdbctl is the operator CLI of the video database: it ingests
-// VDBF clips, persists the analysis as a snapshot, prints scene trees,
-// and answers variance-based similarity queries.
+// VDBF clips into a segment store, prints scene trees, and answers
+// variance-based similarity queries.
 //
 // Usage:
 //
-//	vdbctl ingest -db db.snap clip1.vdbf clip2.vdbf ...
-//	vdbctl ingest -db db.snap -dir ./corpus [-j workers] [-wal db.snap.wal] [-sync always]
+//	vdbctl ingest -data ./data clip1.vdbf clip2.vdbf ...
 //	vdbctl ingest -data ./data -dir ./corpus [-j workers] [-sync always]
-//	vdbctl info   -db db.snap [-wal db.snap.wal]
 //	vdbctl info   -data ./data
 //	vdbctl compact -data ./data [-fanout 4]
-//	vdbctl tree   -db db.snap -clip "Wag the Dog"
-//	vdbctl query  -db db.snap -varba 25 -varoa 4 [-alpha 1 -beta 1]
-//	vdbctl similar -db db.snap -clip "Wag the Dog" -shot 12 -k 3
+//	vdbctl tree   -data ./data -clip "Wag the Dog"
+//	vdbctl query  -data ./data -varba 25 -varoa 4 [-alpha 1 -beta 1]
+//	vdbctl similar -data ./data -clip "Wag the Dog" -shot 12 -k 3
 //	vdbctl export -in clip.vdbf -frame 17 -png out.png
 //
-// ingest write-ahead journals every clip (default <db>.wal, -wal none
-// disables): a crash mid-batch loses nothing already analyzed, and the
-// next ingest or a vdbserver start replays the journal over the old
-// snapshot. After the snapshot saves, the journal is rotated empty.
-// info replays the journal read-only to show what recovery would
-// serve; tree, query, and similar read the snapshot alone.
-//
-// With -data DIR, ingest and info operate on a segment store (see
-// docs/STORAGE.md) instead of a monolithic snapshot: ingest analyzes
-// into the memtable under the store's WAL and flushes an immutable
-// segment at the end; info mmaps the segments and prints the manifest;
-// compact merges small segments into larger generations offline.
+// -data DIR names a segment store (default ./data; see docs/STORAGE.md),
+// the same directory vdbserver serves. ingest analyzes into the memtable
+// under the store's write-ahead journal — a crash mid-batch loses
+// nothing already analyzed, the next open replays it — and flushes an
+// immutable segment at the end; info mmaps the segments and prints the
+// manifest; compact merges small segments into larger generations
+// offline; tree, query and similar open the store and read.
 package main
 
 import (
@@ -40,7 +33,6 @@ import (
 
 	"videodb/internal/core"
 	"videodb/internal/feature"
-	"videodb/internal/fsx"
 	"videodb/internal/impression"
 	"videodb/internal/motion"
 	"videodb/internal/sbd"
@@ -97,8 +89,8 @@ func usage() {
 
 commands:
   import   convert Y4M or image-sequence video to a VDBF clip
-  ingest   analyze VDBF clips and save a database snapshot (or -data segment store)
-  info     summarise a snapshot or a -data segment store
+  ingest   analyze VDBF clips into a -data segment store
+  info     summarise a -data segment store
   compact  merge a -data segment store's small segments into larger generations
   tree     print a clip's scene tree
   query    variance-based similarity search
@@ -109,39 +101,26 @@ commands:
   export   write one frame of a VDBF clip as PNG`)
 }
 
-// loadDB opens an existing snapshot, or a fresh database if the file
-// does not exist yet. OpenOptions (e.g. a -j flag's WithParallelism)
-// apply either way.
-func loadDB(path string, extra ...core.OpenOption) (*core.Database, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return core.Open(core.DefaultOptions(), extra...)
-	}
+// dataFlag declares the -data flag every store-reading command takes.
+func dataFlag(fs *flag.FlagSet) *string {
+	return fs.String("data", "data", "segment-store directory")
+}
+
+// openStore opens the segment store in dir and reports what journal
+// recovery did.
+func openStore(dir string, opts segstore.Options) (*segstore.Store, error) {
+	opts.Core = core.DefaultOptions()
+	st, err := segstore.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.Load(f, extra...)
-}
-
-// saveDB writes the snapshot atomically and durably: a crash leaves
-// either the old snapshot or the new one, never a torn mix.
-func saveDB(path string, db *core.Database) error {
-	_, err := fsx.AtomicWrite(path, db.Save)
-	return err
-}
-
-// journalPath resolves a -wal flag: empty derives <db>.wal, the
-// sentinel "none" disables the journal.
-func journalPath(walFlag, dbPath string) string {
-	switch walFlag {
-	case "":
-		return dbPath + ".wal"
-	case "none":
-		return ""
-	default:
-		return walFlag
+	if res := st.Replay(); res.Damaged {
+		fmt.Fprintf(os.Stderr, "vdbctl: store journal had a torn tail; kept %d records, cut %d bytes (%s)\n",
+			res.Records, res.TruncatedBytes(), res.Reason)
+	} else if res.Records > 0 {
+		fmt.Printf("replayed %d journaled records over %s\n", res.Records, dir)
 	}
+	return st, nil
 }
 
 // cmdImport converts external video (YUV4MPEG2 streams or numbered
@@ -203,46 +182,29 @@ func cmdImport(args []string) error {
 	return nil
 }
 
+// cmdIngest analyzes clips into the store's memtable (each clip durable
+// in the store WAL the moment its ingest returns) and flushes one
+// immutable segment at the end.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
-	dbPath := fs.String("db", "db.snap", "snapshot file")
-	dataDir := fs.String("data", "", "segment-store directory (supersedes -db/-wal)")
+	dataDir := dataFlag(fs)
 	dir := fs.String("dir", "", "ingest every VDBF clip in this directory")
 	jobs := fs.Int("j", 0, "per-frame analysis workers (0 = GOMAXPROCS, 1 = serial)")
-	walFlag := fs.String("wal", "", "write-ahead journal (default <db>.wal, \"none\" disables)")
 	syncMode := fs.String("sync", "always", "journal sync policy: always | interval | none")
 	fs.Parse(args)
 
-	if *dataDir != "" {
-		return ingestStore(*dataDir, *syncMode, *dir, fs.Args(), *jobs)
-	}
-	db, err := loadDB(*dbPath, core.WithParallelism(*jobs))
+	policy, err := wal.ParsePolicy(*syncMode)
 	if err != nil {
 		return err
 	}
-	// With a journal, each clip is durable the moment its ingest
-	// returns — a crash mid-batch loses nothing already analyzed, and
-	// the next run replays the journal over the old snapshot.
-	var journal *wal.ClipJournal
-	if path := journalPath(*walFlag, *dbPath); path != "" {
-		policy, err := wal.ParsePolicy(*syncMode)
-		if err != nil {
-			return err
-		}
-		j, res, err := wal.RecoverAndOpen(db, path, policy, 0)
-		if err != nil {
-			return fmt.Errorf("recovering journal %s: %w", path, err)
-		}
-		journal = j
-		defer journal.Close()
-		if res.Damaged {
-			fmt.Fprintf(os.Stderr, "vdbctl: journal %s had a torn tail; kept %d records, cut %d bytes (%s)\n",
-				path, res.Records, res.TruncatedBytes(), res.Reason)
-		} else if res.Records > 0 {
-			fmt.Printf("replayed %d journaled records over %s\n", res.Records, *dbPath)
-		}
-		db.SetJournal(journal)
+	st, err := openStore(*dataDir, segstore.Options{
+		Extra:  []core.OpenOption{core.WithParallelism(*jobs)},
+		Policy: policy,
+	})
+	if err != nil {
+		return err
 	}
+	defer st.Close()
 	clips, err := collectClips(*dir, fs.Args())
 	if err != nil {
 		return err
@@ -250,17 +212,15 @@ func cmdIngest(args []string) error {
 	// IngestAll analyzes clips in order — each clip's per-frame
 	// pipeline fans out across -j workers — and joins every failure
 	// into one error; clips that succeeded stay ingested, so the
-	// snapshot is saved even on partial failure.
-	ingestErr := ingestAndReport(db, clips)
-	if err := saveDB(*dbPath, db); err != nil {
+	// segment is flushed even on partial failure.
+	ingestErr := ingestAndReport(st.DB(), clips)
+	res, err := st.Flush()
+	if err != nil {
 		return err
 	}
-	// The snapshot now holds everything the journal does, so the
-	// journal can start over.
-	if journal != nil {
-		if err := journal.Rotate(); err != nil {
-			fmt.Fprintf(os.Stderr, "vdbctl: rotating journal: %v (replay stays idempotent)\n", err)
-		}
+	if res.Flushed {
+		fmt.Printf("flushed segment %d: %d clips, %d tombstones, %d bytes\n",
+			res.SegmentID, res.Clips, res.Tombstones, res.Bytes)
 	}
 	return ingestErr
 }
@@ -313,114 +273,17 @@ func ingestAndReport(db *core.Database, clips []*video.Clip) error {
 	return ingestErr
 }
 
-// ingestStore is ingest's -data mode: analyze into a segment store's
-// memtable (each clip durable in the store WAL the moment its ingest
-// returns) and flush one immutable segment at the end.
-func ingestStore(dir, syncMode, clipDir string, paths []string, jobs int) error {
-	policy, err := wal.ParsePolicy(syncMode)
-	if err != nil {
-		return err
-	}
-	st, err := segstore.Open(dir, segstore.Options{
-		Core:   core.DefaultOptions(),
-		Extra:  []core.OpenOption{core.WithParallelism(jobs)},
-		Policy: policy,
-	})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if res := st.Replay(); res.Damaged {
-		fmt.Fprintf(os.Stderr, "vdbctl: store journal had a torn tail; kept %d records, cut %d bytes (%s)\n",
-			res.Records, res.TruncatedBytes(), res.Reason)
-	} else if res.Records > 0 {
-		fmt.Printf("replayed %d journaled records over %s\n", res.Records, dir)
-	}
-	clips, err := collectClips(clipDir, paths)
-	if err != nil {
-		return err
-	}
-	ingestErr := ingestAndReport(st.DB(), clips)
-	res, err := st.Flush()
-	if err != nil {
-		return err
-	}
-	if res.Flushed {
-		fmt.Printf("flushed segment %d: %d clips, %d tombstones, %d bytes\n",
-			res.SegmentID, res.Clips, res.Tombstones, res.Bytes)
-	}
-	return ingestErr
-}
-
+// cmdInfo summarises a segment store: the manifest's segments and the
+// two-tier clip split a server would serve from it.
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	dbPath := fs.String("db", "db.snap", "snapshot file")
-	dataDir := fs.String("data", "", "segment-store directory (supersedes -db/-wal)")
-	walFlag := fs.String("wal", "", "also replay this journal, read-only (default <db>.wal, \"none\" skips)")
+	dataDir := dataFlag(fs)
 	fs.Parse(args)
-	if *dataDir != "" {
-		return infoStore(*dataDir)
-	}
-	db, err := loadDB(*dbPath)
-	if err != nil {
-		return err
-	}
-	// Read-only replay: show what a recovering server would serve,
-	// without truncating a damaged tail (that is the writer's job).
-	if path := journalPath(*walFlag, *dbPath); path != "" {
-		if f, err := os.Open(path); err == nil {
-			res, rerr := wal.Replay(f, func(r wal.Record) error {
-				switch r.Op {
-				case wal.OpIngest:
-					_, err := db.ApplyIngestRecord(r.Data)
-					return err
-				case wal.OpDelete:
-					db.ApplyDelete(string(r.Data))
-				}
-				return nil
-			})
-			f.Close()
-			if rerr != nil {
-				fmt.Fprintf(os.Stderr, "vdbctl: journal %s: replay stopped: %v\n", path, rerr)
-			} else {
-				fmt.Printf("journal: %d records", res.Records)
-				if res.Damaged {
-					fmt.Printf(" (torn tail: %s, %d bytes would be truncated on recovery)", res.Reason, res.TruncatedBytes())
-				}
-				fmt.Println()
-			}
-		} else if !os.IsNotExist(err) {
-			return err
-		}
-	}
-	fmt.Printf("clips: %d, indexed shots: %d\n", len(db.Clips()), db.ShotCount())
-	for _, name := range db.Clips() {
-		rec, _ := db.Clip(name)
-		secs := 0
-		if rec.FPS > 0 {
-			secs = rec.Frames / rec.FPS
-		}
-		fmt.Printf("  %-40q %5d frames (%d:%02d) %4d shots, tree height %d\n",
-			name, rec.Frames, secs/60, secs%60, len(rec.Shots), rec.Tree.Height())
-	}
-	return nil
-}
-
-// infoStore summarises a segment store: the manifest's segments and
-// the two-tier clip split a server would serve from it.
-func infoStore(dir string) error {
-	st, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions()})
+	st, err := openStore(*dataDir, segstore.Options{})
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	if res := st.Replay(); res.Records > 0 || res.Damaged {
-		fmt.Printf("wal: %d records replayed", res.Records)
-		if res.Damaged {
-			fmt.Printf(" (torn tail: %s, %d bytes truncated)", res.Reason, res.TruncatedBytes())
-		}
-		fmt.Println()
-	}
 	man := st.Manifest()
 	fmt.Printf("segments: %d\n", len(man.Segments))
 	for _, seg := range man.Segments {
@@ -450,16 +313,10 @@ func infoStore(dir string) error {
 // runs, until no run is left to merge.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	dataDir := fs.String("data", "", "segment-store directory")
+	dataDir := dataFlag(fs)
 	fanout := fs.Int("fanout", segstore.DefaultFanout, "segments per generation before a merge triggers")
 	fs.Parse(args)
-	if *dataDir == "" {
-		return fmt.Errorf("compact: -data required")
-	}
-	st, err := segstore.Open(*dataDir, segstore.Options{
-		Core:   core.DefaultOptions(),
-		Fanout: *fanout,
-	})
+	st, err := openStore(*dataDir, segstore.Options{Fanout: *fanout})
 	if err != nil {
 		return err
 	}
@@ -477,17 +334,19 @@ func cmdCompact(args []string) error {
 
 func cmdTree(args []string) error {
 	fs := flag.NewFlagSet("tree", flag.ExitOnError)
-	dbPath := fs.String("db", "db.snap", "snapshot file")
+	dataDir := dataFlag(fs)
 	clip := fs.String("clip", "", "clip name")
 	dot := fs.Bool("dot", false, "emit Graphviz dot instead of ASCII")
 	fs.Parse(args)
 	if *clip == "" {
 		return fmt.Errorf("tree: -clip required")
 	}
-	db, err := loadDB(*dbPath)
+	st, err := openStore(*dataDir, segstore.Options{})
 	if err != nil {
 		return err
 	}
+	defer st.Close()
+	db := st.DB()
 	tree, err := db.Browse(*clip)
 	if err != nil {
 		return err
@@ -502,17 +361,19 @@ func cmdTree(args []string) error {
 
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	dbPath := fs.String("db", "db.snap", "snapshot file")
+	dataDir := dataFlag(fs)
 	varBA := fs.Float64("varba", 0, "query Var^BA (degree of background change)")
 	varOA := fs.Float64("varoa", 0, "query Var^OA (degree of object-area change)")
 	imp := fs.String("impression", "", `qualitative query, e.g. "background=high object=low"`)
 	alpha := fs.Float64("alpha", varindex.DefaultAlpha, "Dv tolerance α")
 	beta := fs.Float64("beta", varindex.DefaultBeta, "sqrt(VarBA) tolerance β")
 	fs.Parse(args)
-	db, err := loadDB(*dbPath)
+	st, err := openStore(*dataDir, segstore.Options{})
 	if err != nil {
 		return err
 	}
+	defer st.Close()
+	db := st.DB()
 	q := varindex.Query{VarBA: *varBA, VarOA: *varOA}
 	if *imp != "" {
 		parsed, err := impression.Parse(*imp)
@@ -532,7 +393,7 @@ func cmdQuery(args []string) error {
 
 func cmdSimilar(args []string) error {
 	fs := flag.NewFlagSet("similar", flag.ExitOnError)
-	dbPath := fs.String("db", "db.snap", "snapshot file")
+	dataDir := dataFlag(fs)
 	clip := fs.String("clip", "", "clip name")
 	shot := fs.Int("shot", 0, "shot index (0-based)")
 	k := fs.Int("k", 3, "number of matches")
@@ -540,10 +401,12 @@ func cmdSimilar(args []string) error {
 	if *clip == "" {
 		return fmt.Errorf("similar: -clip required")
 	}
-	db, err := loadDB(*dbPath)
+	st, err := openStore(*dataDir, segstore.Options{})
 	if err != nil {
 		return err
 	}
+	defer st.Close()
+	db := st.DB()
 	matches, err := db.QueryByShot(*clip, *shot, *k)
 	if err != nil {
 		return err

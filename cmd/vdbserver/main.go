@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	vdbserver -db db.snap -addr :8080 [-corpus ./corpus]
+//	vdbserver -data ./data -addr :8080 [-corpus ./corpus]
 //
 // Endpoints:
 //
@@ -14,7 +14,7 @@
 //	GET    /api/query?varba=25&varoa=4       variance-based similarity query
 //	GET    /api/query?impression=bg%3Dhigh+obj%3Dlow
 //	GET    /api/similar?clip=NAME&shot=3&k=3 query by example shot
-//	POST   /api/snapshot                     persist analysis state to -db
+//	POST   /api/snapshot                     flush the memtable into a new segment
 //	GET    /api/metrics                      Prometheus text-format metrics
 //	GET    /api/frame?clip=NAME&frame=17     one frame as PNG (needs -corpus)
 //	GET    /api/storyboard?clip=NAME&cols=4  per-shot storyboard PNG (needs -corpus)
@@ -24,20 +24,26 @@
 //	GET    /api/replication/wal?from=&gen=   WAL shipping (tail the journal)
 //	GET    /debug/pprof/                     runtime profiling (needs -pprof)
 //
+// The server runs on the segment store in -data DIR (default ./data,
+// created when missing; see docs/STORAGE.md): flushed clips live in
+// immutable mmap-ed segment files under DIR (opened without reading
+// them into heap, so the database can exceed RAM), recent writes in a
+// memtable guarded by the write-ahead journal DIR/wal.log under the
+// -sync policy (always | interval | none). On startup the journal is
+// replayed over the segments and any torn tail from a crash is
+// truncated with a logged warning; POST /api/snapshot flushes the
+// memtable into a new segment and rotates the journal; a background
+// compactor (-compact-interval) merges small segments into larger
+// generations.
+//
 // With -replica-of URL the process runs as a read replica: it
 // bootstraps from the primary's replication snapshot, tails its
-// journal, and answers 403 to every write. See docs/CLUSTER.md.
+// journal, and answers 403 to every write. A replica keeps its state in
+// memory and ignores -data. See docs/CLUSTER.md.
 //
-// The snapshot at -db is loaded on startup (a missing file starts an
-// empty database for live ingest) and written back by POST
-// /api/snapshot. A write-ahead journal at -wal (default <db>.wal,
-// "none" disables) records every ingest and delete under the -sync
-// policy (always | interval | none); on startup the journal is
-// replayed over the snapshot, any torn tail from a crash is truncated
-// with a logged warning, and a successful POST /api/snapshot rotates
-// the journal. The server recovers handler panics as 500 JSON, logs
-// every request, enforces per-request and connection-level timeouts,
-// and drains in-flight requests before exiting on SIGINT/SIGTERM.
+// The server recovers handler panics as 500 JSON, logs every request,
+// enforces per-request and connection-level timeouts, and drains
+// in-flight requests before exiting on SIGINT/SIGTERM.
 //
 // Overload protection: -rate-limit / -client-rate-limit add token
 // buckets (sheds answer 429 + Retry-After), -max-inflight /
@@ -47,16 +53,6 @@
 // (kind:pathprefix:probability:param, seeded by -chaos-seed) inject
 // latency, error or slow-body faults for chaos testing. See
 // docs/ROBUSTNESS.md.
-//
-// With -data DIR the server runs on a segment store instead of the
-// monolithic snapshot: flushed clips live in immutable mmap-ed
-// segment files under DIR (opened without reading them into heap, so
-// the database can exceed RAM), recent writes in a memtable guarded
-// by DIR/wal.log, and POST /api/snapshot flushes the memtable into a
-// new segment. A background compactor (-compact-interval) merges
-// small segments into larger generations. -data supersedes -db and
-// -wal and is mutually exclusive with -replica-of. See
-// docs/STORAGE.md.
 package main
 
 import (
@@ -86,7 +82,6 @@ import (
 
 func main() {
 	var (
-		dbPath     = flag.String("db", "db.snap", "database snapshot; loaded on start (missing = empty), written by POST /api/snapshot")
 		corpus     = flag.String("corpus", "", "directory of VDBF clips; enables /api/frame and /api/storyboard")
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxBody    = flag.Int64("maxbody", 256<<20, "POST /api/clips upload limit in bytes (0 = unlimited)")
@@ -98,15 +93,14 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (CPU, heap, goroutine, trace)")
 		jobs       = flag.Int("j", 0, "per-frame ingest analysis workers (0 = GOMAXPROCS, 1 = serial)")
 		qCache     = flag.Int("query-cache", 4096, "query-result cache capacity in entries (0 disables)")
-		walPath    = flag.String("wal", "", "write-ahead journal path (default <db>.wal, \"none\" disables durability)")
 		syncMode   = flag.String("sync", "interval", "journal sync policy: always | interval | none")
 		syncIvl    = flag.Duration("sync-interval", time.Second, "background fsync cadence for -sync interval")
-		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary's base URL (disables -db/-wal; writes answer 403)")
+		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary's base URL (in memory, ignores -data; writes answer 403)")
 		replIvl    = flag.Duration("replica-poll", 250*time.Millisecond, "WAL poll period when caught up (-replica-of mode)")
-		dataDir    = flag.String("data", "", "segment-store directory; serves mmap-ed immutable segments beyond RAM (supersedes -db/-wal)")
-		compactIvl = flag.Duration("compact-interval", 30*time.Second, "background segment-compaction cadence for -data (0 disables)")
-		fanout     = flag.Int("fanout", segstore.DefaultFanout, "segments per generation before the compactor merges them (-data)")
-		clipCache  = flag.Int("clip-cache", core.DefaultClipCache, "decoded-clip LRU capacity in clips for segment reads (-data, 0 = default)")
+		dataDir    = flag.String("data", "data", "segment-store directory (created when missing): immutable mmap-ed segments plus the write-ahead journal wal.log")
+		compactIvl = flag.Duration("compact-interval", 30*time.Second, "background segment-compaction cadence (0 disables)")
+		fanout     = flag.Int("fanout", segstore.DefaultFanout, "segments per generation before the compactor merges them")
+		clipCache  = flag.Int("clip-cache", core.DefaultClipCache, "decoded-clip LRU capacity in clips for segment reads (0 = default)")
 
 		rateLimit   = flag.Float64("rate-limit", 0, "global admission rate in requests/second (0 = unlimited)")
 		rateBurst   = flag.Float64("rate-burst", 0, "global admission bucket depth (0 = 2x rate)")
@@ -129,20 +123,15 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	if *dataDir != "" && *replicaOf != "" {
-		log.Fatal("vdbserver: -data and -replica-of are mutually exclusive (segment stores do not replicate)")
-	}
-
 	// A replica's state is owned by its replication stream: it starts
 	// empty (the bootstrap replaces everything), keeps no journal of its
 	// own, and refuses local writes.
 	var db *core.Database
 	var st *segstore.Store
 	var err error
-	switch {
-	case *replicaOf != "":
+	if *replicaOf != "" {
 		db, err = core.Open(core.DefaultOptions(), core.WithParallelism(*jobs), core.WithQueryCache(*qCache))
-	case *dataDir != "":
+	} else {
 		policy, perr := wal.ParsePolicy(*syncMode)
 		if perr != nil {
 			log.Fatalf("vdbserver: %v", perr)
@@ -158,8 +147,6 @@ func main() {
 		if st != nil {
 			db = st.DB()
 		}
-	default:
-		db, err = loadDB(*dbPath, core.WithParallelism(*jobs), core.WithQueryCache(*qCache))
 	}
 	if err != nil {
 		log.Fatalf("vdbserver: %v", err)
@@ -199,8 +186,7 @@ func main() {
 		logger.Warn("CHAOS FAULT INJECTION ENABLED", "faults", chaosSpecs, "seed", *chaosSeed)
 	}
 	var replica *cluster.Replica
-	switch {
-	case *replicaOf != "":
+	if st == nil {
 		replica = cluster.StartReplica(db, *replicaOf,
 			cluster.WithReplicaInterval(*replIvl),
 			cluster.WithReplicaLogger(logger))
@@ -208,10 +194,9 @@ func main() {
 			server.WithReadOnly("replica of "+*replicaOf),
 			server.WithHealthInfo(replica.HealthInfo),
 			server.WithExtraMetrics(replica.Metrics))
-	case st != nil:
-		// Segment store: POST /api/snapshot flushes a segment; the store
-		// already recovered and installed its WAL, so the server only
-		// needs the handles for metrics and health.
+	} else {
+		// The store already recovered and installed its WAL; the server
+		// needs the handles for flushing, replication, metrics and health.
 		res := st.Replay()
 		if res.Damaged {
 			logger.Warn("journal had a torn or corrupt tail; truncated to last valid record",
@@ -221,38 +206,12 @@ func main() {
 			logger.Info("segment store opened", "dir", *dataDir,
 				"segments", st.Stats().Segments, "replayed", res.Records)
 		}
-		opts = append(opts, server.WithStorage(st), server.WithRecoveryInfo(res))
-		if st.Journal() != nil {
-			opts = append(opts, server.WithJournal(st.Journal()))
-		}
+		opts = append(opts, server.WithStorage(st), server.WithJournal(st.Journal()), server.WithRecoveryInfo(res))
 		if *compactIvl > 0 {
 			st.StartCompactor(*compactIvl, func(err error) {
 				logger.Error("segment compaction failed", "err", err)
 			})
 		}
-	default:
-		opts = append(opts, server.WithSnapshotPath(*dbPath))
-	}
-	var journal *wal.ClipJournal
-	if path := journalPath(*walPath, *dbPath); path != "" && *replicaOf == "" && st == nil {
-		policy, err := wal.ParsePolicy(*syncMode)
-		if err != nil {
-			log.Fatalf("vdbserver: %v", err)
-		}
-		j, res, err := wal.RecoverAndOpen(db, path, policy, *syncIvl)
-		if err != nil {
-			log.Fatalf("vdbserver: recovering journal %s: %v", path, err)
-		}
-		journal = j
-		if res.Damaged {
-			logger.Warn("journal had a torn or corrupt tail; truncated to last valid record",
-				"path", path, "replayed", res.Records,
-				"truncatedBytes", res.TruncatedBytes(), "reason", res.Reason)
-		} else {
-			logger.Info("journal replayed", "path", path, "records", res.Records, "sync", policy)
-		}
-		db.SetJournal(journal)
-		opts = append(opts, server.WithJournal(journal), server.WithRecoveryInfo(res))
 	}
 	srv := server.New(db, opts...)
 	if *corpus != "" {
@@ -328,15 +287,9 @@ func main() {
 	if replica != nil {
 		replica.Close()
 	}
-	// All mutating requests have drained; the journal's final fsync puts
-	// every record on disk before the process exits. A segment store's
-	// Close stops the compactor and closes its journal the same way.
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			logger.Error("closing journal", "err", err)
-			os.Exit(1)
-		}
-	}
+	// All mutating requests have drained; the store's Close stops the
+	// compactor and closes the journal, whose final fsync puts every
+	// record on disk before the process exits.
 	if st != nil {
 		if err := st.Close(); err != nil {
 			logger.Error("closing segment store", "err", err)
@@ -344,36 +297,4 @@ func main() {
 		}
 	}
 	logger.Info("exited cleanly")
-}
-
-// journalPath resolves the -wal flag: empty derives <db>.wal, the
-// sentinel "none" disables journaling entirely.
-func journalPath(walFlag, dbPath string) string {
-	switch walFlag {
-	case "":
-		return dbPath + ".wal"
-	case "none":
-		return ""
-	default:
-		return walFlag
-	}
-}
-
-// loadDB opens the snapshot, or an empty database when the file does
-// not exist yet (a fresh server ingesting live over POST /api/clips).
-// OpenOptions (e.g. -j's WithParallelism) apply either way.
-func loadDB(path string, extra ...core.OpenOption) (*core.Database, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return core.Open(core.DefaultOptions(), extra...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	db, err := core.Load(f, extra...)
-	if err != nil {
-		return nil, fmt.Errorf("loading snapshot %s: %w", path, err)
-	}
-	return db, nil
 }

@@ -1,16 +1,17 @@
-// Newsarchive: batch-ingest a simulated broadcast-news archive, persist
-// the analysis as a snapshot, reload it, and answer "find me shots like
+// Newsarchive: batch-ingest a simulated broadcast-news archive into a
+// segment store, reopen it, and answer "find me shots like
 // this anchor segment" queries — the workflow the paper's introduction
 // motivates for digital libraries and public information systems.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"videodb/internal/core"
+	"videodb/internal/segstore"
 	"videodb/internal/synth"
 	"videodb/internal/video"
 )
@@ -37,13 +38,20 @@ func main() {
 		clips = append(clips, clip)
 	}
 
-	// 2. Concurrent batch ingestion. IngestAll joins every per-clip
-	// failure into one error, so a partial batch failure names each
-	// failing clip.
-	db, err := core.Open(core.DefaultOptions())
+	// 2. Batch ingestion into a segment store (vdbserver -data serves
+	// the same directory). IngestAll joins every per-clip failure into
+	// one error, so a partial batch failure names each failing clip.
+	dir, err := os.MkdirTemp("", "newsarchive-")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	opts := segstore.Options{Core: core.DefaultOptions()}
+	st, err := segstore.Open(dir, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db := st.DB()
 	start := time.Now()
 	if err := db.IngestAll(clips); err != nil {
 		log.Fatal(err)
@@ -51,17 +59,23 @@ func main() {
 	fmt.Printf("ingested %d broadcasts (%d shots) in %v\n",
 		len(db.Clips()), db.ShotCount(), time.Since(start).Round(time.Millisecond))
 
-	// 3. Persist the analysis and reload it — the archive's index
-	//    survives restarts without re-analyzing any video.
-	var snapshot bytes.Buffer
-	if err := db.Save(&snapshot); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshot size: %d bytes (pixels are not stored)\n", snapshot.Len())
-	db2, err := core.Load(&snapshot)
+	// 3. Flush the analysis into an immutable segment and reopen the
+	//    store — the archive's index survives restarts without
+	//    re-analyzing any video.
+	res, err := st.Flush()
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("segment size: %d bytes (pixels are not stored)\n", res.Bytes)
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+	st2, err := segstore.Open(dir, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st2.Close()
+	db2 := st2.DB()
 
 	// 4. An archivist picks a reference shot from Monday's broadcast
 	//    (say, the anchor-desk segment: the first shot) and asks for

@@ -116,6 +116,45 @@ type Coordinator struct {
 type topology struct {
 	ring   *Ring
 	shards []*shard
+
+	// readers counts the reads routed by this topology that are still in
+	// flight, plus one for being the current topology. A reshard retires
+	// the old topology after the swap and waits on drained before its
+	// first source delete, so a read that pinned the old shard list can
+	// never reach a source the cleanup already emptied.
+	readers   atomic.Int64
+	drainOnce sync.Once
+	drained   chan struct{}
+}
+
+func newTopology(ring *Ring, shards []*shard) *topology {
+	t := &topology{ring: ring, shards: shards, drained: make(chan struct{})}
+	t.readers.Store(1)
+	return t
+}
+
+// release ends one read pinned by pinTopology; retiring a swapped-out
+// topology is the same call on the reference New and Reshard gave it.
+func (t *topology) release() {
+	if t.readers.Add(-1) == 0 {
+		t.drainOnce.Do(func() { close(t.drained) })
+	}
+}
+
+// pinTopology returns the current topology with a reader reference
+// held; the caller releases it when its gather ends. The re-check closes
+// the window between loading the pointer and registering as a reader: a
+// reshard that swapped in between has stopped counting on this reader,
+// so the pin is retried against the new topology.
+func (c *Coordinator) pinTopology() *topology {
+	for {
+		t := c.topo.Load()
+		t.readers.Add(1)
+		if c.topo.Load() == t {
+			return t
+		}
+		t.release()
+	}
 }
 
 // New builds a coordinator and starts its health prober.
@@ -166,7 +205,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, sc := range cfg.Shards {
 		shards = append(shards, newShard(i, sc))
 	}
-	c.topo.Store(&topology{ring: NewRing(len(shards), c.vnodes), shards: shards})
+	c.topo.Store(newTopology(NewRing(len(shards), c.vnodes), shards))
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
@@ -445,10 +484,13 @@ func (c *Coordinator) nodeGet(ctx context.Context, n *node, pathq string, sh *sh
 // scatter fans fetch to every shard of the current topology
 // concurrently. A shard whose fetch fails contributes nothing and flips
 // partial; a 4xx from any shard aborts the gather (the same request
-// would 4xx everywhere). The shard list is captured once from the
-// topology pointer, so a reshard landing mid-gather cannot tear it.
+// would 4xx everywhere). The topology is pinned for the whole gather, so
+// a reshard landing mid-gather can neither tear the shard list nor start
+// deleting moved clips from the sources this gather is still reading.
 func scatter[T any](c *Coordinator, ctx context.Context, fetch func(sh *shard) (T, error)) (parts []T, partial bool, reject *shardError) {
-	shards := c.topo.Load().shards
+	t := c.pinTopology()
+	defer t.release()
+	shards := t.shards
 	results := make([]T, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -723,7 +765,8 @@ func (c *Coordinator) handleClipWrite(w http.ResponseWriter, r *http.Request) {
 // handleClipRead routes a per-clip read to the owning shard with
 // replica failover.
 func (c *Coordinator) handleClipRead(w http.ResponseWriter, r *http.Request) {
-	t := c.topo.Load()
+	t := c.pinTopology()
+	defer t.release()
 	sh := t.shards[t.ring.Owner(r.PathValue("name"))]
 	c.proxyRead(w, r, sh)
 }
@@ -738,7 +781,8 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
-	t := c.topo.Load()
+	t := c.pinTopology()
+	defer t.release()
 	sh := t.shards[t.ring.Owner(name)]
 	c.proxyRead(w, r, sh)
 }

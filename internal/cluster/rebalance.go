@@ -6,9 +6,10 @@
 //     diff, stream each moved clip from its current owner to its new
 //     owner through the per-clip replication endpoints, and verify
 //     every copy record for record (the destination's re-export must be
-//     byte-identical to the pushed payload — the gob encoding is
-//     deterministic, so byte equality is record equality). Reads and
-//     writes flow normally; writes are still routed by the old ring.
+//     byte-identical to the pushed payload — a record is a one-clip
+//     segment, a pure function of the clip's state, so byte equality is
+//     record equality). Reads and writes flow normally; writes are
+//     still routed by the old ring.
 //  2. Cutover (write barrier): take the reshard write lock — in-flight
 //     writes drain, new writes queue — re-list the corpus, delta-sync
 //     clips that were written or deleted during the copy phase, then
@@ -20,7 +21,9 @@
 //     so scatter answers briefly contain both copies — the merger
 //     already dedupes identical records, which is precisely the
 //     dual-read semantics — until the moved clips are deleted from the
-//     surviving sources. The window's length is reported.
+//     surviving sources. The first delete waits for every read that
+//     pinned the old topology to finish (topology.readers): such a read
+//     asks only the old owners. The window's length is reported.
 //
 // Any failure before the swap rolls back: the old topology stays, and
 // every clip already imported to a destination is best-effort deleted,
@@ -390,7 +393,7 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 		}
 		run.rep.MovedClips = finalMoved
 		c.reshard.progress(finalMoved, run.rep.CopiedClips)
-		c.topo.Store(&topology{ring: newRing, shards: target})
+		c.topo.Store(newTopology(newRing, target))
 		return nil
 	}()
 	run.rep.CutoverSeconds = time.Since(cutStart).Seconds()
@@ -398,6 +401,19 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 		run.rollback(ctx)
 		return err
 	}
+
+	// Reads that pinned the old topology ask only the old owners, so the
+	// sources must keep the moved clips until those reads have gathered.
+	// The wait is bounded by the fan-out timeout every such read runs
+	// under; past it, cleanup proceeds.
+	old.release()
+	grace := time.NewTimer(c.timeout)
+	select {
+	case <-old.drained:
+	case <-grace.C:
+		c.log.Warn("reshard: reads on the old topology outlived the fan-out timeout; cleaning up anyway")
+	}
+	grace.Stop()
 
 	// Phase 3 — cleanup: close the dual-read window by deleting the
 	// moved clips from their old owners. Only surviving sources need it

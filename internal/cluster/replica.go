@@ -239,7 +239,13 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if gen == "" {
 		return fmt.Errorf("bootstrap: primary sent no %s header", server.HeaderWalGen)
 	}
-	if err := r.db.ApplySnapshot(resp.Body); err != nil {
+	// The primary declares the body's length, so a transfer cut short
+	// fails here instead of reaching the decoder.
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("bootstrap: reading snapshot: %w", err)
+	}
+	if err := r.db.ApplySnapshot(body); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
 	r.mu.Lock()

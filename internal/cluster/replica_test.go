@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"videodb/internal/core"
+	"videodb/internal/segstore"
 	"videodb/internal/server"
+	"videodb/internal/varindex"
 	"videodb/internal/wal"
 )
 
@@ -244,5 +246,113 @@ func TestReplicaPromotionOnPrimaryDeath(t *testing.T) {
 	}
 	if len(after.Matches) != len(before.Matches) {
 		t.Fatalf("replica answered %d matches, primary answered %d", len(after.Matches), len(before.Matches))
+	}
+}
+
+// sameAnswers queries both databases at every shot's own feature point
+// and compares the answers entry for entry: clip, shot, frame range,
+// variances, and the scene each match resolves to.
+func sameAnswers(a, b *core.Database) error {
+	for _, rec := range a.Records() {
+		for k, sr := range rec.Shots {
+			q := varindex.Query{VarBA: sr.Feature.VarBA, VarOA: sr.Feature.VarOA}
+			ma, err := a.QueryUncached(q, a.Options().Query)
+			if err != nil {
+				return err
+			}
+			mb, err := b.QueryUncached(q, b.Options().Query)
+			if err != nil {
+				return err
+			}
+			if len(ma) != len(mb) {
+				return fmt.Errorf("%s/%d: %d matches vs %d", rec.Name, k, len(ma), len(mb))
+			}
+			for i := range ma {
+				if ma[i].Entry != mb[i].Entry {
+					return fmt.Errorf("%s/%d match %d: %+v vs %+v", rec.Name, k, i, ma[i].Entry, mb[i].Entry)
+				}
+				if (ma[i].Scene == nil) != (mb[i].Scene == nil) ||
+					ma[i].Scene != nil && ma[i].Scene.Name() != mb[i].Scene.Name() {
+					return fmt.Errorf("%s/%d match %d: scenes differ", rec.Name, k, i)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestReplicaOfSegmentStorePrimary bootstraps a replica from a primary
+// running the segment store with clips in every state a store holds
+// them: cold in a flushed segment, tombstoned since, and fresh in the
+// memtable. The bootstrap body is written column-wise from the segment
+// readers, so it must leave the primary's cold-clip cache exactly as it
+// found it; and a flush on the primary mid-tail — which rotates the
+// journal and turns the replica's next poll into a 409 — must end in a
+// second bootstrap that converges.
+func TestReplicaOfSegmentStorePrimary(t *testing.T) {
+	st, err := segstore.Open(t.TempDir(), segstore.Options{
+		Core: core.DefaultOptions(), Policy: wal.PolicyAlways, ClipCache: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	db := st.DB()
+	clips := makeClips(t, 6)
+	for _, c := range clips[:4] {
+		if _, err := db.Ingest(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Remove(clips[1].Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest(clips[4]); err != nil {
+		t.Fatal(err)
+	}
+	if db.ColdClips() != 3 || db.MemtableClips() != 1 || db.PendingTombstones() != 1 {
+		t.Fatalf("fixture: %d cold, %d memtable, %d tombstones",
+			db.ColdClips(), db.MemtableClips(), db.PendingTombstones())
+	}
+	ts := httptest.NewServer(server.New(db,
+		server.WithStorage(st), server.WithJournal(st.Journal())).Handler())
+	t.Cleanup(ts.Close)
+
+	cacheBefore := db.ClipCacheStats()
+	rdb := newDB(t)
+	rep := StartReplica(rdb, ts.URL, WithReplicaInterval(20*time.Millisecond))
+	defer rep.Close()
+	waitFor(t, "bootstrap from the store", func() bool {
+		return rep.Stats().Bootstraps == 1 && len(rdb.Clips()) == 4
+	})
+	if after := db.ClipCacheStats(); after.Hits != cacheBefore.Hits || after.Misses != cacheBefore.Misses {
+		t.Fatalf("bootstrap went through the primary's clip cache: %+v -> %+v", cacheBefore, after)
+	}
+	if _, ok := rdb.Clip(clips[1].Name); ok {
+		t.Fatal("tombstoned clip reached the replica")
+	}
+	if err := sameAnswers(db, rdb); err != nil {
+		t.Fatalf("after bootstrap: %v", err)
+	}
+
+	// Tail one write, then flush under the replica's feet.
+	if _, err := db.Ingest(clips[5]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "tail the memtable write", func() bool { return len(rdb.Clips()) == 5 })
+	if res, err := st.Flush(); err != nil || !res.Rotated {
+		t.Fatalf("mid-tail flush: %+v, %v", res, err)
+	}
+	waitFor(t, "re-bootstrap after the flush rotated the journal", func() bool {
+		return rep.Stats().Bootstraps >= 2 && rep.Stats().LagBytes == 0 && len(rdb.Clips()) == 5
+	})
+	if err := sameAnswers(db, rdb); err != nil {
+		t.Fatalf("after re-bootstrap: %v", err)
+	}
+	if err := sameRecords(db, rdb); err != nil {
+		t.Fatalf("after re-bootstrap: %v", err)
 	}
 }

@@ -113,15 +113,20 @@ func (db *Database) ClipCacheStats() ClipCacheStats {
 	return db.store.cache.stats()
 }
 
-// materializeClip decodes one segment clip into a live ClipRecord:
-// columns back into shot records, the flattened tree back into the
-// browsing hierarchy. Pipeline telemetry is zero, exactly like a
-// snapshot-loaded record.
+// materializeClip decodes one segment clip into a live ClipRecord.
 func materializeClip(seg *segment.Reader, idx int) (*ClipRecord, error) {
 	c, err := seg.Clip(idx)
 	if err != nil {
 		return nil, err
 	}
+	return recordOf(c)
+}
+
+// recordOf rebuilds a live ClipRecord from its columnar form: columns
+// back into shot records, the flattened tree back into the browsing
+// hierarchy (which validates it against the shots). Pipeline telemetry
+// is zero: it is not persisted.
+func recordOf(c segment.ClipColumns) (*ClipRecord, error) {
 	tree, err := scenetree.Unflatten(c.Tree, c.Shots)
 	if err != nil {
 		return nil, err
@@ -137,7 +142,7 @@ func materializeClip(seg *segment.Reader, idx int) (*ClipRecord, error) {
 	return rec, nil
 }
 
-// clipColumns is the inverse of materializeClip: one record's
+// clipColumns is the inverse of recordOf: one record's
 // persistent state in the segment writer's columnar form.
 func clipColumns(rec *ClipRecord) segment.ClipColumns {
 	c := segment.ClipColumns{

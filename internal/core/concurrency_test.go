@@ -90,8 +90,8 @@ func TestConcurrentIngestRemoveQuerySave(t *testing.T) {
 						return
 					}
 				}
-				if err := db.Save(io.Discard); err != nil {
-					t.Errorf("save: %v", err)
+				if err := db.BeginSnapshot().WriteSegment(io.Discard, 0); err != nil {
+					t.Errorf("snapshot: %v", err)
 					return
 				}
 			}

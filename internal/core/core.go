@@ -54,17 +54,16 @@ type Options struct {
 	// Query holds the default α/β similarity tolerances.
 	Query varindex.Options
 	// Workers bounds the per-frame worker pool of the ingest pipeline;
-	// 0 means GOMAXPROCS. Set it through WithParallelism when opening
-	// or loading a database.
+	// 0 means GOMAXPROCS. Set it through WithParallelism when opening a
+	// database.
 	Workers int
 	// QueryCache bounds the query-result cache in entries; 0 disables
-	// caching. Set it through WithQueryCache when opening or loading.
+	// caching. Set it through WithQueryCache when opening.
 	QueryCache int
 }
 
 // OpenOption adjusts a database's Options beyond what a caller built
-// the struct with — the hook CLI flags (vdbctl/vdbserver -j) use to
-// override knobs a snapshot carries.
+// the struct with — the hook CLI flags (vdbctl/vdbserver -j) use.
 type OpenOption func(*Options)
 
 // WithParallelism bounds the ingest pipeline's per-frame worker pool:
@@ -105,7 +104,7 @@ type ShotRecord struct {
 
 // IngestStats is the pipeline telemetry of one clip's ingest: which
 // phases the wall-clock went to and how wide the per-frame pool ran.
-// It is not persisted in snapshots — a loaded record reports zeros.
+// It is not persisted — a record decoded from a segment reports zeros.
 type IngestStats struct {
 	// Workers is the per-frame worker bound the pipeline ran with
 	// (resolved, never 0).
@@ -137,8 +136,8 @@ type ClipRecord struct {
 	Tree *scenetree.Tree
 	// Stats is the SBD stage telemetry.
 	Stats sbd.Stats
-	// Pipeline is the ingest-pipeline telemetry (zero on records loaded
-	// from a snapshot).
+	// Pipeline is the ingest-pipeline telemetry (zero on records decoded
+	// from a segment).
 	Pipeline IngestStats
 }
 

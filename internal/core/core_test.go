@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -221,7 +220,7 @@ func TestBrowse(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+func TestSnapshotRoundTrip(t *testing.T) {
 	db := openDB(t)
 	for i := 0; i < 2; i++ {
 		clip, _ := corpusClip(t, fmt.Sprintf("s-%d", i), uint64(30+i))
@@ -229,12 +228,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
+	got := openDB(t)
+	if err := got.ApplySnapshot(snapshotBytes(t, db)); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Clips()) != 2 {
@@ -278,8 +273,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+func TestApplySnapshotRejectsGarbage(t *testing.T) {
+	if err := openDB(t).ApplySnapshot([]byte("not a snapshot")); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 }

@@ -1,333 +1,32 @@
-// Durability: the framed, checksummed snapshot format and the
-// write-ahead journal hooks. A database's persistent life is
-//
-//	snapshot (Save, atomic replace)  +  journal of later mutations
-//
-// and recovery is Load(snapshot) followed by replaying the journal's
-// records through ApplyIngestRecord/ApplyDelete — both idempotent, so
-// a crash between "snapshot written" and "journal rotated" only makes
-// replay re-apply state the snapshot already holds.
+// Durability: the write-ahead journal hooks and the one serialization
+// of a clip. A clip's persistent state — shots, feature vectors,
+// flattened scene tree, detector stats; never pixels — is always a
+// segment (internal/segment): a one-clip segment is the journal's
+// OpIngest payload and the migration payload, a segment of every live
+// clip is the replica bootstrap body, and segstore's flushed files are
+// the same thing on disk. Replay goes through ApplyIngestRecord and
+// ApplyDelete, both idempotent, so a crash between "segment committed"
+// and "journal rotated" only makes replay re-apply state the segment
+// already holds. docs/STORAGE.md has the whole lifecycle.
 
 package core
 
 import (
-	stdbufio "bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
-	"videodb/internal/sbd"
-	"videodb/internal/scenetree"
+	"videodb/internal/segment"
 	"videodb/internal/varindex"
 )
 
-// SnapshotMagic identifies a framed snapshot file. Snapshots written
-// before the framing (bare gob) load transparently; Save always writes
-// the framed form.
-const SnapshotMagic = "VDBS"
-
-// SnapshotVersion is the current framed-snapshot format version.
-// Version 1 is, notionally, the legacy unframed gob stream.
-const SnapshotVersion = 2
-
-// snapshotHeaderSize: magic(4) + version(2) + clip count(4) +
-// payload length(8) + payload CRC32C(4).
-const snapshotHeaderSize = 22
-
-// maxSnapshotPayload caps what Load will read for a framed payload; a
-// header claiming more is corruption, not a database.
-const maxSnapshotPayload = int64(1) << 40
-
-// snapshotCastagnoli is the snapshot/journal checksum polynomial.
-var snapshotCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrCorruptSnapshot reports a framed snapshot whose checksum, length
-// or structure does not hold together; match it with errors.Is.
-var ErrCorruptSnapshot = errors.New("corrupt snapshot")
-
-// snapshot is the gob-encoded persistent form of a database.
-type snapshot struct {
-	Options Options
-	Clips   []clipSnapshot
-}
-
-// clipSnapshot is the persistent form of one clip's analysis state —
-// shots, flattened tree, detector stats; never pixels. It is also the
-// journal's OpIngest payload.
-type clipSnapshot struct {
-	Name        string
-	Frames, FPS int
-	Shots       []ShotRecord
-	Tree        []scenetree.FlatNode
-	Stats       sbd.Stats
-}
-
-// snapshotOf captures one record's persistent state.
-func snapshotOf(rec *ClipRecord) clipSnapshot {
-	return clipSnapshot{
-		Name: rec.Name, Frames: rec.Frames, FPS: rec.FPS,
-		Shots: rec.Shots, Tree: rec.Tree.Flatten(), Stats: rec.Stats,
-	}
-}
-
-// record validates the snapshot and rebuilds the live ClipRecord plus
-// its index entries.
-func (cs *clipSnapshot) record() (*ClipRecord, []varindex.Entry, error) {
-	shots := make([]sbd.Shot, len(cs.Shots))
-	for i, sr := range cs.Shots {
-		shots[i] = sr.Shot
-	}
-	tree, err := scenetree.Unflatten(cs.Tree, shots)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: clip %q: %w", cs.Name, err)
-	}
-	rec := &ClipRecord{
-		Name: cs.Name, Frames: cs.Frames, FPS: cs.FPS,
-		Shots: cs.Shots, Tree: tree, Stats: cs.Stats,
-	}
-	entries := make([]varindex.Entry, 0, len(cs.Shots))
-	for k, sr := range cs.Shots {
-		entries = append(entries, varindex.Entry{
-			Clip: cs.Name, Shot: k,
-			Start: sr.Shot.Start, End: sr.Shot.End,
-			VarBA: sr.Feature.VarBA, VarOA: sr.Feature.VarOA,
-			MeanBA: sr.Feature.MeanBA,
-		})
-	}
-	return rec, entries, nil
-}
-
-// Save writes the database's analysis state (not the pixels) to w in
-// the framed format: magic, format version, clip count, payload length
-// and CRC32C, then the gob payload. The snapshot can be reloaded with
-// Load, skipping re-analysis. Save holds only a read lock while it
-// captures state, so queries keep flowing; callers wanting crash-safe
-// placement on disk should write through fsx.AtomicWrite. Callers that
-// will rotate a journal afterwards must use BeginSnapshot instead, so
-// the rotation cut point is captured atomically with the state.
-func (db *Database) Save(w io.Writer) error {
-	return db.BeginSnapshot().Encode(w)
-}
-
-// SnapshotCutter is the optional Journal refinement BeginSnapshot
-// consults: CutPoint reports the journal's current end offset. Read
-// under the database lock — which serializes all journal appends — it
-// marks the exact boundary between records a snapshot captures and
-// records it does not, so rotation can discard precisely the former.
+// SnapshotCutter is the optional Journal refinement BeginFlush and
+// BeginSnapshot consult: CutPoint reports the journal's current end
+// offset. Read under the database lock — which serializes all journal
+// appends — it marks the exact boundary between records a capture holds
+// and records it does not, so rotation can discard precisely the former.
 type SnapshotCutter interface {
 	CutPoint() int64
-}
-
-// PendingSnapshot is a consistent point-in-time capture of the
-// database: the state Encode will write, plus the journal cut point
-// that state corresponds to. Because both are read under one hold of
-// the database lock, a record is at or below the cut if and only if
-// the snapshot contains its effect — rotating the journal to the cut
-// (wal.Writer.RotateTo) after Encode succeeds can therefore never
-// erase an acknowledged mutation the snapshot missed.
-type PendingSnapshot struct {
-	snap   snapshot
-	cut    int64
-	hasCut bool
-}
-
-// BeginSnapshot captures the database state and, if a journal
-// implementing SnapshotCutter is installed, its cut point — both under
-// a single read-lock acquisition. Holding the read lock excludes
-// writers, so the captured view and the journal offset describe the
-// same instant; queries, which never take the lock, keep flowing. The
-// expensive encoding happens later in Encode, outside any lock.
-func (db *Database) BeginSnapshot() *PendingSnapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v := db.view.Load()
-	ps := &PendingSnapshot{snap: snapshot{Options: db.opts}}
-	for _, name := range v.names {
-		if rec, ok := v.record(name); ok {
-			ps.snap.Clips = append(ps.snap.Clips, snapshotOf(rec))
-		}
-	}
-	if sc, ok := db.journal.(SnapshotCutter); ok {
-		ps.cut, ps.hasCut = sc.CutPoint(), true
-	}
-	return ps
-}
-
-// Clips reports how many clips the capture holds.
-func (ps *PendingSnapshot) Clips() int { return len(ps.snap.Clips) }
-
-// JournalCut returns the journal offset captured with the state, and
-// whether one was available (a journal was installed and supports
-// SnapshotCutter).
-func (ps *PendingSnapshot) JournalCut() (int64, bool) { return ps.cut, ps.hasCut }
-
-// Encode writes the captured state in the framed snapshot format; its
-// signature fits fsx.AtomicWrite.
-func (ps *PendingSnapshot) Encode(w io.Writer) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ps.snap); err != nil {
-		return fmt.Errorf("core: encoding snapshot: %w", err)
-	}
-	hdr := make([]byte, 0, snapshotHeaderSize)
-	hdr = append(hdr, SnapshotMagic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, SnapshotVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(ps.snap.Clips)))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(payload.Len()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload.Bytes(), snapshotCastagnoli))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
-}
-
-// Load reads a snapshot written by Save — or a legacy bare-gob
-// snapshot from before the framing — and returns the reconstructed
-// database. A framed snapshot is verified end to end (length, CRC32C,
-// clip count) before any of it is trusted; corruption reports
-// ErrCorruptSnapshot. OpenOptions override knobs the snapshot carries
-// (e.g. WithParallelism for a CLI -j flag).
-func Load(r io.Reader, extra ...OpenOption) (*Database, error) {
-	br := peekable(r)
-	head, err := br.Peek(len(SnapshotMagic))
-	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("core: reading snapshot: %w: %v", ErrCorruptSnapshot, err)
-	}
-	var snap snapshot
-	if string(head) == SnapshotMagic {
-		if err := decodeFramed(br, &snap); err != nil {
-			return nil, err
-		}
-	} else {
-		// Legacy pre-framing snapshot: a bare gob stream, loadable but
-		// unchecksummed; the next Save writes the framed form.
-		if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-		}
-	}
-
-	db, err := Open(snap.Options, extra...)
-	if err != nil {
-		return nil, err
-	}
-	// Build the loaded state as one view and publish it once: the
-	// database is not shared yet, so no per-clip swaps are needed.
-	v, err := snap.view(0)
-	if err != nil {
-		return nil, err
-	}
-	db.view.Store(v)
-	return db, nil
-}
-
-// view rebuilds a snapshot's clips as one immutable view at the given
-// epoch.
-func (s *snapshot) view(epoch uint64) (*view, error) {
-	v := emptyView()
-	v.epoch = epoch
-	ix := varindex.New()
-	for i := range s.Clips {
-		rec, entries, err := s.Clips[i].record()
-		if err != nil {
-			return nil, err
-		}
-		v.clips[rec.Name] = rec
-		for _, e := range entries {
-			ix.Add(e)
-		}
-	}
-	ix.Build()
-	v.index = ix
-	v.finish()
-	return v, nil
-}
-
-// ApplySnapshot decodes a framed snapshot from r and replaces the
-// database's entire queryable state with it, bypassing the journal —
-// the bulk counterpart of ApplyIngestRecord. It is the replica
-// bootstrap (and re-sync) entry point: a read replica loads a
-// primary's streamed snapshot wholesale, then tails its WAL from the
-// cut point the snapshot was captured at. The snapshot is fully
-// decoded and validated before any state changes, and the swap is one
-// copy-on-write view publication, so concurrent readers see either the
-// old corpus or the new one, never a mix. The database's own Options
-// are kept — only clip state is replaced.
-func (db *Database) ApplySnapshot(r io.Reader) error {
-	br := peekable(r)
-	head, err := br.Peek(len(SnapshotMagic))
-	if err != nil && len(head) == 0 {
-		return fmt.Errorf("core: reading snapshot: %w: %v", ErrCorruptSnapshot, err)
-	}
-	if string(head) != SnapshotMagic {
-		return fmt.Errorf("core: %w: not a framed snapshot", ErrCorruptSnapshot)
-	}
-	var snap snapshot
-	if err := decodeFramed(br, &snap); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	v, err := snap.view(db.view.Load().epoch + 1)
-	if err != nil {
-		return err
-	}
-	db.publishLocked(v)
-	return nil
-}
-
-// decodeFramed verifies and decodes a framed snapshot from br.
-func decodeFramed(br peekReader, snap *snapshot) error {
-	hdr := make([]byte, snapshotHeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return fmt.Errorf("core: snapshot header: %w: %v", ErrCorruptSnapshot, err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != SnapshotVersion {
-		return fmt.Errorf("core: %w: unsupported snapshot version %d", ErrCorruptSnapshot, v)
-	}
-	clipCount := binary.LittleEndian.Uint32(hdr[6:10])
-	payloadLen := binary.LittleEndian.Uint64(hdr[10:18])
-	wantCRC := binary.LittleEndian.Uint32(hdr[18:22])
-	if payloadLen > uint64(maxSnapshotPayload) {
-		return fmt.Errorf("core: %w: implausible payload length %d", ErrCorruptSnapshot, payloadLen)
-	}
-	// Read through a LimitReader into a growing buffer: a corrupt header
-	// claiming terabytes costs only the bytes actually present.
-	var payload bytes.Buffer
-	n, err := io.Copy(&payload, io.LimitReader(br, int64(payloadLen)))
-	if err != nil {
-		return fmt.Errorf("core: snapshot payload: %w: %v", ErrCorruptSnapshot, err)
-	}
-	if uint64(n) != payloadLen {
-		return fmt.Errorf("core: %w: snapshot payload truncated (%d of %d bytes)", ErrCorruptSnapshot, n, payloadLen)
-	}
-	if got := crc32.Checksum(payload.Bytes(), snapshotCastagnoli); got != wantCRC {
-		return fmt.Errorf("core: %w: snapshot checksum mismatch (file %08x, computed %08x)", ErrCorruptSnapshot, wantCRC, got)
-	}
-	if err := gob.NewDecoder(&payload).Decode(snap); err != nil {
-		return fmt.Errorf("core: %w: decoding snapshot payload: %v", ErrCorruptSnapshot, err)
-	}
-	if uint32(len(snap.Clips)) != clipCount {
-		return fmt.Errorf("core: %w: header says %d clips, payload has %d", ErrCorruptSnapshot, clipCount, len(snap.Clips))
-	}
-	return nil
-}
-
-// peekReader is the bufio.Reader slice Load needs.
-type peekReader interface {
-	io.Reader
-	Peek(n int) ([]byte, error)
-}
-
-// peekable wraps r for peeking, reusing an existing buffered reader.
-func peekable(r io.Reader) peekReader {
-	if br, ok := r.(peekReader); ok {
-		return br
-	}
-	return stdbufio.NewReader(r)
 }
 
 // Journal receives every mutation before it commits. Implementations
@@ -343,7 +42,7 @@ type Journal interface {
 }
 
 // SetJournal installs (or, with nil, removes) the database's
-// write-ahead journal. Install it after Load/replay and before serving
+// write-ahead journal. Install it after replay and before serving
 // traffic: records applied during recovery are not re-journaled.
 func (db *Database) SetJournal(j Journal) {
 	db.mu.Lock()
@@ -351,55 +50,77 @@ func (db *Database) SetJournal(j Journal) {
 	db.journal = j
 }
 
-// Gob assigns wire type IDs from a process-global registry in order of
-// first use, and those IDs appear in every stream's type descriptors —
-// so two processes that first touched gob through different paths (say,
-// serving a replication snapshot versus ingesting a clip) emit
-// different bytes for the same clip record. Online resharding verifies
-// copies by comparing a destination's re-export byte for byte against
-// the source's export, which is only sound if the encoding is canonical
-// across processes. Registering the clip-record type graph here, before
-// any other encode can run, pins the ID assignment to one order in
-// every process of this build.
-func init() {
-	pin := clipSnapshot{
-		Shots: []ShotRecord{{}},
-		Tree:  []scenetree.FlatNode{{}},
+// writeSegment encodes cols and tombs as segment id. The index run is
+// built and sorted here with the same varindex procedure every other
+// index construction uses, so a reopened segment yields bit-identical
+// query results.
+func writeSegment(w io.Writer, id uint64, cols []segment.ClipColumns, tombs []string) error {
+	ix := varindex.New()
+	var all []varindex.Entry
+	for i := range cols {
+		all = cols[i].Entries(all)
 	}
-	if err := gob.NewEncoder(io.Discard).Encode(&pin); err != nil {
-		panic(fmt.Sprintf("core: pinning gob clip-record types: %v", err))
+	for _, e := range all {
+		ix.Add(e)
 	}
+	ix.Build()
+	return segment.Write(w, id, cols, ix.Entries(), tombs)
 }
 
-// EncodeClipRecord serializes one clip's analysis state as a journal
-// payload (the same gob clip snapshot Save embeds). The encoding is
-// canonical for a given build: the init above pins gob's type-ID
-// assignment, so the same record encodes to the same bytes in every
-// process, whatever else that process has encoded first.
+// EncodeClipRecord serializes one clip's analysis state as a one-clip
+// segment (id 0, no tombstones): the journal's OpIngest payload and the
+// migration payload. The encoding is a pure function of the record, so
+// a destination's re-export of an imported clip is byte-identical to
+// what was pushed — the comparison online resharding verifies copies by.
 func EncodeClipRecord(rec *ClipRecord) ([]byte, error) {
 	var buf bytes.Buffer
-	cs := snapshotOf(rec)
-	if err := gob.NewEncoder(&buf).Encode(&cs); err != nil {
+	if err := writeSegment(&buf, 0, []segment.ClipColumns{clipColumns(rec)}, nil); err != nil {
 		return nil, fmt.Errorf("core: encoding clip record: %w", err)
 	}
-	return buf.Bytes(), nil
+	// Sized to the record: callers hold payloads (a migration's working
+	// set, a load generator's corpus), and a grown buffer's spare
+	// capacity would stay pinned with each one.
+	return bytes.Clone(buf.Bytes()), nil
+}
+
+// decodeClipRecord verifies an EncodeClipRecord payload end to end and
+// rebuilds the live record and its index entries. Nothing returned
+// references payload.
+func decodeClipRecord(payload []byte) (*ClipRecord, []varindex.Entry, error) {
+	seg, err := segment.OpenBytes(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: decoding clip record: %w", err)
+	}
+	if seg.NumClips() != 1 || len(seg.Tombstones()) != 0 {
+		return nil, nil, fmt.Errorf("core: clip record holds %d clips and %d tombstones, want one clip: %w",
+			seg.NumClips(), len(seg.Tombstones()), segment.ErrCorrupt)
+	}
+	return decodeClip(seg, 0)
+}
+
+// decodeClip materializes clip idx of seg together with its index
+// entries, derived from the shot columns the record itself is built
+// from.
+func decodeClip(seg *segment.Reader, idx int) (*ClipRecord, []varindex.Entry, error) {
+	c, err := seg.Clip(idx)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, err := recordOf(c)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: clip %q: %w", c.Name, err)
+	}
+	return rec, c.Entries(nil), nil
 }
 
 // ApplyIngestRecord decodes an EncodeClipRecord payload and installs
 // the clip, bypassing the journal — this is the replay side of
 // recovery. It is idempotent: re-applying a clip the database already
-// holds (a crash between snapshot and journal rotation) replaces it
-// and its index entries wholesale. The payload is fully validated
-// before any state changes, so a corrupt record never half-applies.
+// holds (a crash between flush and journal rotation) replaces it and
+// its index entries wholesale. The payload is fully validated before
+// any state changes, so a corrupt record never half-applies.
 func (db *Database) ApplyIngestRecord(payload []byte) (string, error) {
-	var cs clipSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cs); err != nil {
-		return "", fmt.Errorf("core: decoding ingest record: %w", err)
-	}
-	if cs.Name == "" {
-		return "", fmt.Errorf("core: ingest record has no clip name")
-	}
-	rec, entries, err := cs.record()
+	rec, entries, err := decodeClipRecord(payload)
 	if err != nil {
 		return "", err
 	}
@@ -421,14 +142,7 @@ func (db *Database) ApplyIngestRecord(payload []byte) (string, error) {
 // already holds replaces it and its index entries wholesale, which is
 // what lets a migration retry after a half-applied copy.
 func (db *Database) ImportClipRecord(payload []byte) (string, error) {
-	var cs clipSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cs); err != nil {
-		return "", fmt.Errorf("core: decoding clip record: %w", err)
-	}
-	if cs.Name == "" {
-		return "", fmt.Errorf("core: clip record has no clip name")
-	}
-	rec, entries, err := cs.record()
+	rec, entries, err := decodeClipRecord(payload)
 	if err != nil {
 		return "", err
 	}
@@ -457,4 +171,70 @@ func (db *Database) ApplyDelete(name string) {
 	}
 	db.recordTombstoneLocked(name)
 	db.publishLocked(v.withoutClip(name))
+}
+
+// BeginSnapshot captures every live clip — memtable records and cold
+// references alike — and, if a journal implementing SnapshotCutter is
+// installed, its cut point, under a single read-lock hold: the capture
+// a replica bootstraps from. Holding the read lock excludes writers, so
+// the captured clips and the journal offset describe the same instant;
+// queries, which never take the lock, keep flowing. WriteSegment encodes
+// it outside any lock, copying cold clips column-wise from their
+// segments: nothing is materialized, and the clip cache is not touched.
+func (db *Database) BeginSnapshot() *PendingFlush {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	v := db.view.Load()
+	pf := &PendingFlush{}
+	for _, name := range v.names {
+		if rec, ok := v.clips[name]; ok {
+			pf.clips = append(pf.clips, rec)
+		} else {
+			pf.cold = append(pf.cold, v.cold[name])
+		}
+	}
+	if sc, ok := db.journal.(SnapshotCutter); ok {
+		pf.cut, pf.hasCut = sc.CutPoint(), true
+	}
+	return pf
+}
+
+// ApplySnapshot replaces the database's entire queryable state with the
+// clips of a BeginSnapshot segment, bypassing the journal — the bulk
+// counterpart of ApplyIngestRecord. It is the replica bootstrap (and
+// re-sync) entry point: a read replica loads a primary's snapshot
+// wholesale, then tails its WAL from the cut point the snapshot was
+// captured at. The payload is verified and every clip decoded before
+// any state changes, and the swap is one copy-on-write view
+// publication, so concurrent readers see either the old corpus or the
+// new one, never a mix. A zero-length payload is the empty database
+// (WriteSegment writes nothing for an empty capture).
+func (db *Database) ApplySnapshot(payload []byte) error {
+	v := emptyView()
+	ix := varindex.New()
+	if len(payload) > 0 {
+		seg, err := segment.OpenBytes(payload)
+		if err != nil {
+			return fmt.Errorf("core: decoding snapshot: %w", err)
+		}
+		for i := 0; i < seg.NumClips(); i++ {
+			rec, entries, err := decodeClip(seg, i)
+			if err != nil {
+				return err
+			}
+			v.clips[rec.Name] = rec
+			for _, e := range entries {
+				ix.Add(e)
+			}
+		}
+	}
+	ix.Build()
+	v.index = ix
+	v.finish()
+
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	v.epoch = db.view.Load().epoch + 1
+	db.publishLocked(v)
+	return nil
 }

@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"videodb/internal/segment"
 	"videodb/internal/vtest"
 )
 
@@ -25,73 +25,128 @@ func cheapDB(t testing.TB, n int) *Database {
 	return db
 }
 
-func savedBytes(t testing.TB, db *Database) []byte {
+// snapshotBytes captures db the way a replica bootstrap does.
+func snapshotBytes(t testing.TB, db *Database) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := db.BeginSnapshot().WriteSegment(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func TestSaveWritesFramedFormat(t *testing.T) {
-	data := savedBytes(t, cheapDB(t, 1))
-	if len(data) < snapshotHeaderSize {
-		t.Fatalf("snapshot too short: %d bytes", len(data))
+// exported returns name's EncodeClipRecord payload.
+func exported(t testing.TB, db *Database, name string) []byte {
+	t.Helper()
+	rec, ok := db.Clip(name)
+	if !ok {
+		t.Fatalf("clip %q missing", name)
 	}
-	if string(data[:4]) != SnapshotMagic {
-		t.Fatalf("snapshot starts with %q, want %q", data[:4], SnapshotMagic)
-	}
-}
-
-// Every single-byte corruption of a framed snapshot must be detected
-// and reported as ErrCorruptSnapshot — never loaded, never a panic.
-func TestLoadDetectsEveryByteFlip(t *testing.T) {
-	data := savedBytes(t, cheapDB(t, 2))
-	for i := 0; i < len(data); i++ {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0xff
-		db, err := Load(bytes.NewReader(mut))
-		if err == nil {
-			t.Fatalf("flip at byte %d loaded successfully", i)
-		}
-		if db != nil {
-			t.Fatalf("flip at byte %d returned a database alongside error %v", i, err)
-		}
-		// Flips inside the framed region must carry the sentinel; a flip
-		// in the magic makes it a (garbage) legacy stream instead.
-		if i >= len(SnapshotMagic) && !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("flip at byte %d: error %v is not ErrCorruptSnapshot", i, err)
-		}
-	}
-}
-
-func TestLoadDetectsTruncation(t *testing.T) {
-	data := savedBytes(t, cheapDB(t, 1))
-	for _, cut := range []int{0, 1, len(SnapshotMagic), snapshotHeaderSize - 1, snapshotHeaderSize, len(data) / 2, len(data) - 1} {
-		if _, err := Load(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("snapshot truncated to %d bytes loaded successfully", cut)
-		}
-	}
-}
-
-// A pre-framing snapshot is a bare gob stream; it must keep loading.
-func TestLegacySnapshotLoads(t *testing.T) {
-	db := cheapDB(t, 2)
-	snap := snapshot{Options: db.opts}
-	for _, rec := range db.Records() {
-		snap.Clips = append(snap.Clips, snapshotOf(rec))
-	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(snap); err != nil {
+	payload, err := EncodeClipRecord(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&legacy)
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+	return payload
+}
+
+// assertUntouched fails unless db still sits at epoch and still holds
+// exactly the clip "keep" — the state every rejected payload must leave.
+func assertUntouched(t *testing.T, label string, db *Database, epoch uint64) {
+	t.Helper()
+	if db.Epoch() != epoch {
+		t.Fatalf("%s: rejected payload moved the epoch %d -> %d", label, epoch, db.Epoch())
 	}
-	if len(got.Clips()) != 2 || got.ShotCount() != db.ShotCount() {
-		t.Fatalf("legacy load: %d clips / %d shots, want 2 / %d", len(got.Clips()), got.ShotCount(), db.ShotCount())
+	if names := db.Clips(); len(names) != 1 || names[0] != "keep" {
+		t.Fatalf("%s: rejected payload changed the clip set to %v", label, names)
+	}
+}
+
+// damagedSweep runs apply over every single-byte flip and every proper
+// prefix of payload against a database holding one unrelated clip. A
+// damaged payload is either rejected with segment.ErrCorrupt, leaving
+// the database exactly as it was, or — when the flip hit bytes no
+// checksum covers (alignment padding, the segment id) — accepted with
+// content identical to the undamaged payload's, which same reports.
+func damagedSweep(t *testing.T, payload []byte, apply func(*Database, []byte) error, same func(*Database) bool) {
+	t.Helper()
+	fresh := func() (*Database, uint64) {
+		db := openDB(t)
+		if _, err := db.Ingest(vtest.TwoShotClip("keep", 91, 92, 8, 16)); err != nil {
+			t.Fatal(err)
+		}
+		return db, db.Epoch()
+	}
+	db, epoch := fresh()
+	mut := make([]byte, len(payload))
+	for off := range payload {
+		copy(mut, payload)
+		mut[off] ^= 0xFF
+		label := fmt.Sprintf("flip@%d", off)
+		if err := apply(db, mut); err != nil {
+			if !errors.Is(err, segment.ErrCorrupt) {
+				t.Fatalf("%s: error is not segment.ErrCorrupt: %v", label, err)
+			}
+			assertUntouched(t, label, db, epoch)
+			continue
+		}
+		if !same(db) {
+			t.Fatalf("%s: damaged payload applied with different content", label)
+		}
+		db, epoch = fresh()
+	}
+	// Zero bytes is the (valid) empty snapshot, so prefixes start at 1.
+	for n := 1; n < len(payload); n++ {
+		label := fmt.Sprintf("truncate@%d", n)
+		if err := apply(db, payload[:n]); err == nil {
+			t.Fatalf("%s of %d bytes applied", label, len(payload))
+		}
+		assertUntouched(t, label, db, epoch)
+	}
+}
+
+// A clip record off a damaged journal or a torn transfer must never
+// half-apply: every flip and every truncation is rejected whole, or
+// changes nothing that is stored.
+func TestApplyIngestRecordRejectsDamage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("torture is not short")
+	}
+	payload := exported(t, cheapDB(t, 1), "tiny-0")
+	damagedSweep(t, payload,
+		func(db *Database, p []byte) error { _, err := db.ApplyIngestRecord(p); return err },
+		func(db *Database) bool { return bytes.Equal(exported(t, db, "tiny-0"), payload) })
+}
+
+// The same for a replica bootstrap body: rejected whole (the replica
+// keeps its previous corpus) or identical to the primary.
+func TestApplySnapshotRejectsDamage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("torture is not short")
+	}
+	src := cheapDB(t, 2)
+	payload := snapshotBytes(t, src)
+	damagedSweep(t, payload,
+		func(db *Database, p []byte) error { return db.ApplySnapshot(p) },
+		func(db *Database) bool {
+			return len(db.Clips()) == 2 &&
+				bytes.Equal(exported(t, db, "tiny-0"), exported(t, src, "tiny-0")) &&
+				bytes.Equal(exported(t, db, "tiny-1"), exported(t, src, "tiny-1"))
+		})
+}
+
+// An empty database snapshots to zero bytes, and zero bytes bootstrap
+// an empty database — replacing whatever the replica held.
+func TestSnapshotOfEmptyDatabase(t *testing.T) {
+	payload := snapshotBytes(t, openDB(t))
+	if len(payload) != 0 {
+		t.Fatalf("empty database snapshot is %d bytes", len(payload))
+	}
+	dst := cheapDB(t, 1)
+	if err := dst.ApplySnapshot(payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(dst.Clips()) != 0 || dst.ShotCount() != 0 {
+		t.Fatalf("empty snapshot left %d clips, %d shots", len(dst.Clips()), dst.ShotCount())
 	}
 }
 
@@ -132,7 +187,7 @@ func TestApplyIngestRecordIdempotent(t *testing.T) {
 
 func TestApplyIngestRecordRejectsGarbage(t *testing.T) {
 	db := openDB(t)
-	for _, payload := range [][]byte{nil, {}, []byte("not a gob stream")} {
+	for _, payload := range [][]byte{nil, {}, []byte("not a segment"), snapshotBytes(t, cheapDB(t, 2))} {
 		if _, err := db.ApplyIngestRecord(payload); err == nil {
 			t.Errorf("garbage payload %q applied", payload)
 		}
@@ -237,7 +292,7 @@ func TestJournalFailureAbortsMutation(t *testing.T) {
 }
 
 // Concurrent ingest, snapshot, query and journal traffic must be free
-// of data races (run under -race) and every Save must observe a
+// of data races (run under -race) and every snapshot must observe a
 // consistent state.
 func TestConcurrentIngestSnapshotJournal(t *testing.T) {
 	j := &recordingJournal{}
@@ -264,8 +319,7 @@ func TestConcurrentIngestSnapshotJournal(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			data := savedBytes(t, db)
-			if _, err := Load(bytes.NewReader(data)); err != nil {
+			if err := openDB(t).ApplySnapshot(snapshotBytes(t, db)); err != nil {
 				t.Errorf("snapshot %d inconsistent: %v", i, err)
 				return
 			}

@@ -2,8 +2,7 @@
 // to keep a database's cold tier in mmap'd immutable segments.
 //
 //	ApplySegmentBase   — install the composed segment state at open,
-//	                     before WAL replay (the bulk counterpart of
-//	                     ApplySnapshot for segment-backed stores);
+//	                     before WAL replay;
 //	BeginFlush         — capture the memtable, pending tombstones and
 //	                     the WAL cut point under one lock hold;
 //	PendingFlush.WriteSegment — encode the capture as a segment file;
@@ -52,10 +51,10 @@ type storeState struct {
 // each segment's tombstones deleting from strictly older segments,
 // then its clips shadowing older same-named ones — as the database's
 // cold tier, and enables the flush primitives. It must run on a fresh,
-// empty database before WAL replay and before SetJournal, mirroring
-// how Load precedes recovery in the snapshot world. cacheSize bounds
-// the materialized-clip cache (0 means DefaultClipCache). The readers
-// stay pinned by published views; the caller must not Close them.
+// empty database before WAL replay and before SetJournal. cacheSize
+// bounds the materialized-clip cache (0 means DefaultClipCache). The
+// readers stay pinned by published views; the caller must not Close
+// them.
 func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -110,14 +109,17 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 	return nil
 }
 
-// PendingFlush is a consistent capture of everything the next segment
-// must hold: the memtable records, the pending tombstones, and the WAL
-// cut point the capture corresponds to — all read under one hold of
-// the database lock, exactly like PendingSnapshot, so rotating the WAL
-// to the cut after the flush lands can never erase a mutation the
-// segment missed.
+// PendingFlush is a consistent capture of everything one segment must
+// hold, plus the WAL cut point the capture corresponds to — all read
+// under one hold of the database lock, so a record is at or below the
+// cut if and only if the segment contains its effect, and rotating the
+// WAL to the cut after the flush lands can never erase a mutation the
+// segment missed. BeginFlush captures the memtable records and the
+// pending tombstones (the next flushed segment); BeginSnapshot captures
+// every live clip, cold ones by reference (a replica bootstrap body).
 type PendingFlush struct {
 	clips  []*ClipRecord
+	cold   []coldRef
 	tombs  []string
 	cut    int64
 	hasCut bool
@@ -154,45 +156,37 @@ func (db *Database) BeginFlush() (*PendingFlush, error) {
 	return pf, nil
 }
 
-// Clips reports how many memtable records the capture holds.
-func (pf *PendingFlush) Clips() int { return len(pf.clips) }
+// Clips reports how many clips the capture holds.
+func (pf *PendingFlush) Clips() int { return len(pf.clips) + len(pf.cold) }
 
 // Tombstones reports how many pending deletions the capture holds.
 func (pf *PendingFlush) Tombstones() int { return len(pf.tombs) }
-
-// Shots reports the total shot count across the captured records.
-func (pf *PendingFlush) Shots() int {
-	n := 0
-	for _, rec := range pf.clips {
-		n += len(rec.Shots)
-	}
-	return n
-}
 
 // JournalCut returns the WAL offset captured with the state, and
 // whether one was available.
 func (pf *PendingFlush) JournalCut() (int64, bool) { return pf.cut, pf.hasCut }
 
 // WriteSegment encodes the capture as segment id into w; composed with
-// fsx.AtomicWrite it creates the segment file crash-atomically. The
-// index run is built and sorted here with the same varindex procedure
-// every other index construction uses, so a reopened segment yields
-// bit-identical query results.
+// fsx.AtomicWrite it creates the segment file crash-atomically. Cold
+// clips are copied column-wise out of their segments. An empty capture
+// (BeginSnapshot of an empty database) writes nothing, which
+// ApplySnapshot reads back as the empty state.
 func (pf *PendingFlush) WriteSegment(w io.Writer, id uint64) error {
-	cols := make([]segment.ClipColumns, len(pf.clips))
-	for i, rec := range pf.clips {
-		cols[i] = clipColumns(rec)
+	if pf.Clips() == 0 && len(pf.tombs) == 0 {
+		return nil
 	}
-	ix := varindex.New()
-	var all []varindex.Entry
-	for i := range cols {
-		all = cols[i].Entries(all)
+	cols := make([]segment.ClipColumns, 0, pf.Clips())
+	for _, rec := range pf.clips {
+		cols = append(cols, clipColumns(rec))
 	}
-	for _, e := range all {
-		ix.Add(e)
+	for _, ref := range pf.cold {
+		c, err := ref.seg.Clip(ref.idx)
+		if err != nil {
+			return err
+		}
+		cols = append(cols, c)
 	}
-	ix.Build()
-	return segment.Write(w, id, cols, ix.Entries(), pf.tombs)
+	return writeSegment(w, id, cols, pf.tombs)
 }
 
 // CompleteFlush publishes a finished flush: every captured record

@@ -1,10 +1,9 @@
 // Package integration exercises the whole system end to end: synthesis
-// → container round trip → ingestion → queries → snapshot persistence →
+// → container round trip → ingestion → queries → segment-store persistence →
 // HTTP serving, asserting the invariants that cross module boundaries.
 package integration
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,10 +14,12 @@ import (
 	"videodb/internal/core"
 	"videodb/internal/metrics"
 	"videodb/internal/rng"
+	"videodb/internal/segstore"
 	"videodb/internal/server"
 	"videodb/internal/store"
 	"videodb/internal/synth"
 	"videodb/internal/varindex"
+	"videodb/internal/wal"
 )
 
 // TestFullPipeline drives one clip through every layer.
@@ -99,17 +100,35 @@ func TestFullPipeline(t *testing.T) {
 		}
 	}
 
-	// 5. Snapshot round trip preserves query behaviour, then the HTTP
-	//    layer serves the same data.
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := core.Load(&snap)
+	// 5. A trip through the storage engine — exported record, journal,
+	//    flushed segment, reopen — preserves query behaviour, then the
+	//    HTTP layer serves the same data from the mmap-ed segment.
+	payload, err := core.EncodeClipRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(db2).Handler())
+	dir := t.TempDir()
+	opts := segstore.Options{Core: core.DefaultOptions(), Policy: wal.PolicyAlways}
+	st, err := segstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.DB().ImportClipRecord(payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := segstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	db2 := st2.DB()
+	ts := httptest.NewServer(server.New(db2, server.WithStorage(st2)).Handler())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/api/clips/pipeline")

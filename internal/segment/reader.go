@@ -59,8 +59,8 @@ func corrupt(path, format string, args ...any) error {
 // Open maps the segment at path read-only and verifies it end to end:
 // header and tail magic, footer checksum, section bounds, and every
 // section's CRC32C. Verification streams the file through the page
-// cache once (far cheaper than the gob decode it replaces); the pages
-// stay clean and reclaimable. Corruption anywhere reports ErrCorrupt.
+// cache once; the pages stay clean and reclaimable. Corruption anywhere
+// reports ErrCorrupt.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -71,11 +71,7 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := st.Size()
-	if size < headerSize+tailSize {
-		return nil, corrupt(path, "file too small (%d bytes)", size)
-	}
-	data, unmap, err := mapFile(f, size)
+	data, unmap, err := mapFile(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("segment: mapping %s: %w", path, err)
 	}
@@ -87,6 +83,19 @@ func Open(path string) (*Reader, error) {
 	// Safety net for readers superseded by compaction and dropped by
 	// the view chain without an explicit Close.
 	runtime.SetFinalizer(r, func(r *Reader) { r.Close() })
+	return r, nil
+}
+
+// OpenBytes verifies and opens a segment held in memory — a clip record
+// off the journal or the wire, a replica bootstrap body — exactly as
+// Open does a file. The Reader reads from data until it is dropped;
+// everything it hands out (names, Clip columns, index entries) is
+// copied, so data may be reused once the caller is done with the Reader.
+func OpenBytes(data []byte) (*Reader, error) {
+	r := &Reader{path: "(memory)", data: data}
+	if err := r.parse(); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -105,6 +114,9 @@ func (r *Reader) Close() error {
 // parse verifies the envelope and decodes the directory.
 func (r *Reader) parse() error {
 	d, path := r.data, r.path
+	if len(d) < headerSize+tailSize {
+		return corrupt(path, "too small (%d bytes)", len(d))
+	}
 	if string(d[0:4]) != Magic {
 		return corrupt(path, "bad header magic")
 	}

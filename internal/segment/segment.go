@@ -52,7 +52,7 @@ const FormatVersion = 1
 var ErrCorrupt = errors.New("segment: corrupt segment")
 
 // castagnoli is the segment checksum polynomial — the same CRC32C the
-// WAL and snapshot framing use.
+// WAL framing uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Section kinds, in their on-disk order.
@@ -94,8 +94,7 @@ const maxName = 1 << 20
 // ClipColumns is the analysis state of one clip in columnar form — the
 // unit a segment stores and returns. Shots, Feats and Reps are aligned
 // per-shot columns (identical lengths); Tree is the flattened scene
-// tree. It carries no pixels, exactly like the snapshot format it
-// replaces.
+// tree. It carries no pixels.
 type ClipColumns struct {
 	Name        string
 	Frames, FPS int

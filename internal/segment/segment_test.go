@@ -89,13 +89,24 @@ func writeSegment(t testing.TB, dir string, id uint64, clips []ClipColumns, tomb
 func TestRoundTrip(t *testing.T) {
 	clips := makeClips(7, 9)
 	tombs := []string{"old-one", "old-two"}
-	path, _ := writeSegment(t, t.TempDir(), 42, clips, tombs)
+	path, raw := writeSegment(t, t.TempDir(), 42, clips, tombs)
 
-	r, err := Open(path)
+	fromFile, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer r.Close()
+	defer fromFile.Close()
+	fromBytes, err := OpenBytes(raw)
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
+	for _, r := range []*Reader{fromFile, fromBytes} {
+		assertRoundTrip(t, r, clips, tombs)
+	}
+}
+
+func assertRoundTrip(t *testing.T, r *Reader, clips []ClipColumns, tombs []string) {
+	t.Helper()
 	if r.ID() != 42 {
 		t.Fatalf("ID = %d, want 42", r.ID())
 	}

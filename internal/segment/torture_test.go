@@ -28,14 +28,19 @@ func buildFixture(t testing.TB) segFixture {
 	return segFixture{raw: buf.Bytes(), clips: clips, tombs: tombs}
 }
 
-// openBytes writes raw to a scratch file and opens it.
+// openBytes writes raw to a scratch file and opens it, holding the
+// in-memory opener to the same verdict on the same bytes.
 func openBytes(t testing.TB, dir string, raw []byte) (*Reader, error) {
 	t.Helper()
 	path := filepath.Join(dir, "x.vseg")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return Open(path)
+	r, err := Open(path)
+	if _, merr := OpenBytes(raw); (merr == nil) != (err == nil) {
+		t.Fatalf("Open says %v, OpenBytes says %v", err, merr)
+	}
+	return r, err
 }
 
 // assertIntact fails unless r's decoded content equals the fixture —

@@ -10,16 +10,15 @@
 //	  wal.log           journal of mutations since the last flush
 //
 // Ingest accumulates in the database's memtable (journaled through
-// wal.log exactly as the snapshot world does); Flush captures the
-// memtable, pending tombstones and the WAL cut point under one lock
-// hold, writes them as a new generation-1 segment through
-// fsx.AtomicWrite, commits it to the manifest, flips the captured
-// clips to cold mmap-backed references, and rotates the WAL at the
-// cut. A background compactor merges adjacent same-generation runs
-// into the next generation, dropping shadowed clips and dead
-// tombstones, and republishes through the database's atomic view swap
-// — readers pinning old views keep reading the unlinked files until
-// they let go.
+// wal.log); Flush captures the memtable, pending tombstones and the WAL
+// cut point under one lock hold, writes them as a new generation-1
+// segment through fsx.AtomicWrite, commits it to the manifest, flips
+// the captured clips to cold mmap-backed references, and rotates the
+// WAL at the cut. A background compactor merges adjacent
+// same-generation runs into the next generation, dropping shadowed
+// clips and dead tombstones, and republishes through the database's
+// atomic view swap — readers pinning old views keep reading the
+// unlinked files until they let go.
 //
 // Crash safety is compositional: segment files and the manifest are
 // both footer/checksum-validated and atomically replaced, so a crash
@@ -55,8 +54,7 @@ const DefaultFanout = 4
 // Options configures Open.
 type Options struct {
 	// Core is the database configuration (a segment store does not
-	// persist options; each process brings its own, like flags do for
-	// the snapshot world's recovery path).
+	// persist options; each process brings its own).
 	Core core.Options
 	// Extra applies CLI overrides (parallelism, query cache).
 	Extra []core.OpenOption
@@ -285,7 +283,7 @@ func (s *Store) Flush() (FlushResult, error) {
 	next := s.man
 	next.Segments = append(append([]segment.SegmentInfo(nil), s.man.Segments...), segment.SegmentInfo{
 		File: segment.SegmentFileName(id), ID: id, Gen: 1,
-		Clips: pf.Clips(), Shots: pf.Shots(), Tombs: pf.Tombstones(), Bytes: n,
+		Clips: pf.Clips(), Shots: r.NumShots(), Tombs: pf.Tombstones(), Bytes: n,
 	})
 	next.NextID = id + 1
 	if err := s.commitManifest(next); err != nil {

@@ -6,6 +6,10 @@
 package segstore_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +20,7 @@ import (
 	"videodb/internal/experiments"
 	"videodb/internal/segstore"
 	"videodb/internal/varindex"
+	"videodb/internal/wal"
 )
 
 // table5Records analyzes the Table 5 corpus once per test binary and
@@ -494,5 +499,33 @@ func TestOrphanCleanup(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, stray)); err == nil {
 			t.Fatalf("stray file %s survived Open", stray)
 		}
+	}
+}
+
+// TestOpenRefusesOldFormatWAL: a wal.log written by the previous journal
+// format holds acknowledged writes this build cannot read. Open must
+// fail — not "recover" the journal down to its header — and must leave
+// the file byte for byte as it found it.
+func TestOpenRefusesOldFormatWAL(t *testing.T) {
+	dir := t.TempDir()
+	// An intact v1 header followed by one well-framed record.
+	payload := []byte{1, wal.OpIngest, 'g', 'o', 'b'}
+	old := append([]byte(wal.Magic), 1, 0)
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(payload)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	old = append(old, payload...)
+	path := filepath.Join(dir, segstore.WALName)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions()}); !errors.Is(err, wal.ErrVersion) {
+		t.Fatalf("Open over a v1 wal.log: %v, want wal.ErrVersion", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, old) {
+		t.Fatalf("refused wal.log was modified: %d bytes, was %d", len(after), len(old))
 	}
 }

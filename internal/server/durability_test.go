@@ -10,61 +10,65 @@ import (
 	"testing"
 
 	"videodb/internal/core"
+	"videodb/internal/segstore"
 	"videodb/internal/vtest"
 	"videodb/internal/wal"
 )
 
-// durableDB opens a database journaling to walPath.
-func durableDB(t *testing.T, walPath string) (*core.Database, *wal.ClipJournal) {
+// openStore opens the segment store in dir the way vdbserver does.
+func openStore(t *testing.T, dir string) *segstore.Store {
 	t.Helper()
-	db, err := core.Open(core.DefaultOptions())
+	st, err := segstore.Open(dir, segstore.Options{
+		Core:   core.DefaultOptions(),
+		Policy: wal.PolicyAlways,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, res, err := wal.RecoverAndOpen(db, walPath, wal.PolicyAlways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Damaged {
-		t.Fatalf("fresh journal damaged: %+v", res)
-	}
-	db.SetJournal(j)
-	return db, j
+	return st
 }
 
-// The end-to-end crash-recovery scenario: a server persists a
-// snapshot, journals two more ingests, and dies mid-append. The next
-// boot must serve every durably-journaled clip, expose the recovery
-// outcome and journal counters at /api/metrics, and rotate the
-// journal on the next snapshot.
+// storeServer serves st with everything vdbserver attaches.
+func storeServer(st *segstore.Store) *httptest.Server {
+	return httptest.NewServer(New(st.DB(),
+		WithStorage(st), WithJournal(st.Journal()), WithRecoveryInfo(st.Replay())).Handler())
+}
+
+// The end-to-end crash-recovery scenario: a server flushes a segment,
+// journals two more ingests, and dies mid-append. The next boot must
+// serve every durably-journaled clip, expose the recovery outcome and
+// journal counters at /api/metrics, and rotate the journal on the next
+// flush.
 func TestServerRecoversFromTornJournal(t *testing.T) {
 	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "videodb.snap")
-	walPath := filepath.Join(dir, "videodb.wal")
+	walPath := filepath.Join(dir, segstore.WALName)
+	flush := func(base string) {
+		t.Helper()
+		resp, err := http.Post(base+"/api/snapshot", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot returned %d", resp.StatusCode)
+		}
+	}
 
-	// Life one: one clip snapshotted, two only journaled.
-	db1, j1 := durableDB(t, walPath)
-	if _, err := db1.Ingest(vtest.TwoShotClip("snapped", 1, 2, 8, 16)); err != nil {
+	// Life one: one clip flushed, two only journaled.
+	st1 := openStore(t, dir)
+	if _, err := st1.DB().Ingest(vtest.TwoShotClip("snapped", 1, 2, 8, 16)); err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(New(db1,
-		WithSnapshotPath(snapPath), WithJournal(j1)).Handler())
-	resp, err := http.Post(srv1.URL+"/api/snapshot", "", nil)
-	if err != nil {
+	srv1 := storeServer(st1)
+	flush(srv1.URL)
+	if _, err := st1.DB().Ingest(vtest.TwoShotClip("journaled-a", 3, 4, 8, 16)); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot returned %d", resp.StatusCode)
-	}
-	if _, err := db1.Ingest(vtest.TwoShotClip("journaled-a", 3, 4, 8, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db1.Ingest(vtest.TwoShotClip("journaled-b", 5, 6, 8, 16)); err != nil {
+	if _, err := st1.DB().Ingest(vtest.TwoShotClip("journaled-b", 5, 6, 8, 16)); err != nil {
 		t.Fatal(err)
 	}
 	srv1.Close()
-	if err := j1.Close(); err != nil {
+	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,26 +84,12 @@ func TestServerRecoversFromTornJournal(t *testing.T) {
 	f.Close()
 
 	// Life two: the startup sequence vdbserver runs.
-	snapFile, err := os.Open(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := core.Load(snapFile)
-	snapFile.Close()
-	if err != nil {
-		t.Fatalf("snapshot written by life one unreadable: %v", err)
-	}
-	j2, res, err := wal.RecoverAndOpen(db2, walPath, wal.PolicyAlways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
+	res := st2.Replay()
 	if !res.Damaged || res.Records != 2 {
 		t.Fatalf("recovery result %+v, want 2 records and a truncated tail", res)
 	}
-	db2.SetJournal(j2)
-	defer j2.Close()
-	srv2 := httptest.NewServer(New(db2,
-		WithSnapshotPath(snapPath), WithJournal(j2), WithRecoveryInfo(res)).Handler())
+	srv2 := storeServer(st2)
 	defer srv2.Close()
 
 	// Every durable clip is served.
@@ -133,49 +123,34 @@ func TestServerRecoversFromTornJournal(t *testing.T) {
 		t.Errorf("metrics missing truncated-bytes gauge; body has %q", grepLine(body, "truncated"))
 	}
 
-	// A fresh snapshot rotates the journal back to just its header.
-	resp, err = http.Post(srv2.URL+"/api/snapshot", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot on recovered server returned %d", resp.StatusCode)
-	}
-	st := j2.Stats()
-	if st.Rotations != 1 {
-		t.Fatalf("journal rotations = %d after snapshot, want 1", st.Rotations)
+	// A fresh flush rotates the journal back to just its header.
+	flush(srv2.URL)
+	stats := st2.Journal().Stats()
+	if stats.Rotations != 1 {
+		t.Fatalf("journal rotations = %d after snapshot, want 1", stats.Rotations)
 	}
 	fi, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != st.Bytes || fi.Size() >= 64 {
-		t.Fatalf("journal is %d bytes after rotation (stats say %d)", fi.Size(), st.Bytes)
+	if fi.Size() != stats.Bytes || fi.Size() >= 64 {
+		t.Fatalf("journal is %d bytes after rotation (stats say %d)", fi.Size(), stats.Bytes)
 	}
 	if !strings.Contains(getMetrics(t, srv2.URL), "videodb_snapshot_last_success_timestamp_seconds") {
 		t.Error("metrics missing snapshot timestamp after successful snapshot")
 	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Life three starts from the rotated journal: clean replay, same
 	// three clips.
-	snapFile, err = os.Open(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db3, err := core.Load(snapFile)
-	snapFile.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := wal.RecoverDatabase(db3, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Damaged || res3.Records != 0 {
+	st3 := openStore(t, dir)
+	defer st3.Close()
+	if res3 := st3.Replay(); res3.Damaged || res3.Records != 0 {
 		t.Fatalf("post-rotation replay %+v, want clean and empty", res3)
 	}
-	if got := len(db3.Clips()); got != 3 {
+	if got := len(st3.DB().Clips()); got != 3 {
 		t.Fatalf("life three has %d clips, want 3", got)
 	}
 }

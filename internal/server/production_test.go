@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -286,48 +284,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestSnapshotEndpoint(t *testing.T) {
-	db, err := core.Open(core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Ingest(smallClip(t, "persisted", 703)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.snap")
-	s := New(db, WithSnapshotPath(path))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+// Without a segment store there is nothing to flush into: 501. (The
+// flush itself is TestServerSegmentStorage.)
+func TestSnapshotEndpointNeedsStore(t *testing.T) {
+	ts, _ := testServer(t)
 	resp, err := http.Post(ts.URL+"/api/snapshot", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot returned %d: %v", resp.StatusCode, out)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := core.Load(f)
-	if err != nil {
-		t.Fatalf("snapshot does not reload: %v", err)
-	}
-	if len(loaded.Clips()) != 1 {
-		t.Errorf("snapshot holds %d clips, want 1", len(loaded.Clips()))
-	}
-
-	// Without a configured path the endpoint is 501.
-	bare := httptest.NewServer(New(db).Handler())
-	defer bare.Close()
-	resp, err = http.Post(bare.URL+"/api/snapshot", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

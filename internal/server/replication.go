@@ -1,16 +1,17 @@
 // Replication: the primary side of the cluster's snapshot-bootstrap +
 // WAL-shipping protocol, plus the health probe the coordinator's shard
-// checker polls. A read replica bootstraps by downloading a framed
-// snapshot (GET /api/replication/snapshot), which carries the journal
-// cut point and generation the state was captured at, then tails the
-// journal (GET /api/replication/wal?from=<cut>&gen=<gen>) and replays
-// the shipped records through the same idempotent apply path startup
-// recovery uses. docs/CLUSTER.md specifies the protocol and its
+// checker polls. A read replica bootstraps by downloading a segment of
+// every live clip (GET /api/replication/snapshot), which carries the
+// journal cut point and generation the state was captured at, then
+// tails the journal (GET /api/replication/wal?from=<cut>&gen=<gen>) and
+// replays the shipped records through the same idempotent apply path
+// startup recovery uses. docs/CLUSTER.md specifies the protocol and its
 // failure matrix.
 
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ import (
 )
 
 // Replication protocol headers. Cut points and generations travel as
-// headers so the body stays raw bytes (snapshot frame or WAL records).
+// headers so the body stays raw bytes (snapshot segment or WAL records).
 const (
 	// HeaderWalCut carries the journal offset a snapshot was captured
 	// at: the `from` the replica's first WAL poll must use.
@@ -120,16 +121,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReplicationSnapshot implements GET /api/replication/snapshot:
-// stream the framed snapshot a replica bootstraps from, with the
-// journal cut point and generation it corresponds to in the response
+// send the segment of every live clip a replica bootstraps from, with
+// the journal cut point and generation it corresponds to in the response
 // headers. State and cut are captured under one lock hold
 // (core.Database.BeginSnapshot); the generation is read before and
 // after the capture and the capture retried if a rotation moved it,
-// so the (cut, gen) pair always names a real journal offset.
+// so the (cut, gen) pair always names a real journal offset. The body is
+// encoded before any header goes out: an encode failure is a 500, and
+// Content-Length lets the replica tell a truncated transfer from a
+// complete one.
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.journal == nil {
 		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("replication needs a write-ahead journal (-wal)"))
+			fmt.Errorf("replication needs a write-ahead journal (vdbserver -data)"))
 		return
 	}
 	for attempt := 0; attempt < 5; attempt++ {
@@ -144,13 +148,16 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Reques
 				fmt.Errorf("journal not installed on the database"))
 			return
 		}
+		var body bytes.Buffer
+		if err := snap.WriteSegment(&body, 0); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding replication snapshot: %w", err))
+			return
+		}
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 		w.Header().Set(HeaderWalCut, strconv.FormatInt(cut, 10))
 		w.Header().Set(HeaderWalGen, gen)
-		if err := snap.Encode(w); err != nil {
-			// Headers are gone; all we can do is log and drop.
-			s.log.Error("streaming replication snapshot", "err", err)
-		}
+		_, _ = w.Write(body.Bytes())
 		s.metrics.addReplicationSnapshot()
 		return
 	}
@@ -164,13 +171,13 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Reques
 const maxClipRecord = 64 << 20
 
 // handleReplicationClipGet implements GET /api/replication/clip/{name}:
-// export one clip's analysis record in the journal's gob encoding (the
-// exact payload EncodeClipRecord produces and ImportClipRecord
-// consumes). This is the migration-source side of online resharding:
-// the coordinator streams moved clips between primaries record by
-// record, and because the encoding is deterministic the destination's
-// re-export can be compared byte for byte against this answer to verify
-// the copy.
+// export one clip's analysis record as a one-clip segment (the exact
+// payload EncodeClipRecord produces and ImportClipRecord consumes).
+// This is the migration-source side of online resharding: the
+// coordinator streams moved clips between primaries record by record,
+// and because the encoding is a pure function of the record the
+// destination's re-export can be compared byte for byte against this
+// answer to verify the copy.
 func (s *Server) handleReplicationClipGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rec, ok := s.db.Clip(name)
@@ -224,7 +231,7 @@ func (s *Server) handleReplicationClipPut(w http.ResponseWriter, r *http.Request
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
 		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("replication needs a write-ahead journal (-wal)"))
+			fmt.Errorf("replication needs a write-ahead journal (vdbserver -data)"))
 		return
 	}
 	from, err := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)

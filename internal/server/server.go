@@ -11,7 +11,7 @@
 //	GET    /api/query?impression=bg%3Dhigh+obj%3Dlow
 //	POST   /api/query/batch                    many variance queries, one round trip
 //	GET    /api/similar?clip=NAME&shot=3&k=3   query by example shot
-//	POST   /api/snapshot                       persist analysis state to disk
+//	POST   /api/snapshot                       flush the memtable into a segment
 //	GET    /api/metrics                        Prometheus text-format metrics
 //
 // Every request passes through a middleware stack: panic recovery (a
@@ -50,7 +50,6 @@ type Server struct {
 	timeout      time.Duration
 	maxBody      int64
 	maxBatch     int
-	snapshotPath string
 	ingestSem    chan struct{}
 	journal      *wal.ClipJournal
 	recovery     *wal.ReplayResult
@@ -79,13 +78,10 @@ func WithMaxBody(n int64) Option { return func(s *Server) { s.maxBody = n } }
 // request may carry. Default 1000.
 func WithMaxBatch(n int) Option { return func(s *Server) { s.maxBatch = n } }
 
-// WithSnapshotPath enables POST /api/snapshot, persisting to path.
-func WithSnapshotPath(path string) Option { return func(s *Server) { s.snapshotPath = path } }
-
 // WithJournal attaches the database's write-ahead journal so the
-// server can rotate it after a successful snapshot and export its
-// counters at /api/metrics. The caller keeps ownership: install it on
-// the database with SetJournal and close it at shutdown.
+// server can ship it to replicas and export its counters at
+// /api/metrics. The caller keeps ownership: install it on the database
+// with SetJournal and close it at shutdown.
 func WithJournal(j *wal.ClipJournal) Option { return func(s *Server) { s.journal = j } }
 
 // WithRecoveryInfo records the startup journal-replay outcome so
@@ -97,12 +93,10 @@ func WithRecoveryInfo(res wal.ReplayResult) Option {
 
 // WithStorage attaches a segment store. POST /api/snapshot then flushes
 // the memtable into an immutable segment (rotating the WAL at the
-// captured cut) instead of writing a monolithic snapshot file, and
-// /api/health and /api/metrics report segment and clip-cache state.
-// The caller keeps ownership and closes the store at shutdown. Do not
-// combine with WithSnapshotPath (the store owns persistence); the
-// store's journal may still be attached with WithJournal for WAL
-// metrics and health — the store owns its rotation either way.
+// captured cut), and /api/health and /api/metrics report segment and
+// clip-cache state. The caller keeps ownership and closes the store at
+// shutdown. Attach the store's journal with WithJournal for replication,
+// WAL metrics and health — the store owns its rotation.
 func WithStorage(st *segstore.Store) Option { return func(s *Server) { s.storage = st } }
 
 // New returns a server for the given database.

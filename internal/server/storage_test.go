@@ -8,37 +8,22 @@ import (
 	"strings"
 	"testing"
 
-	"videodb/internal/core"
-	"videodb/internal/segstore"
 	"videodb/internal/vtest"
-	"videodb/internal/wal"
 )
 
 // The segment-backed server lifecycle: POST /api/snapshot flushes an
-// immutable segment instead of a monolithic snapshot, a DELETE turns
-// into a tombstone on the next flush, and a restart serves the same
-// clips back from mmap-ed segments. Health and metrics expose the
-// storage tier throughout.
+// immutable segment, a DELETE turns into a tombstone on the next flush,
+// and a restart serves the same clips back from mmap-ed segments.
+// Health and metrics expose the storage tier throughout.
 func TestServerSegmentStorage(t *testing.T) {
 	dir := t.TempDir()
-	open := func() *segstore.Store {
-		st, err := segstore.Open(dir, segstore.Options{
-			Core:   core.DefaultOptions(),
-			Policy: wal.PolicyAlways,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	st := open()
+	st := openStore(t, dir)
 	for i, name := range []string{"kept", "doomed"} {
 		if _, err := st.DB().Ingest(vtest.TwoShotClip(name, uint64(i*2+1), uint64(i*2+2), 8, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(New(st.DB(),
-		WithStorage(st), WithJournal(st.Journal()), WithRecoveryInfo(st.Replay())).Handler())
+	srv := storeServer(st)
 
 	flush := func() map[string]any {
 		t.Helper()
@@ -117,7 +102,7 @@ func TestServerSegmentStorage(t *testing.T) {
 
 	// Restart: the survivor comes back from the mmap-ed segments, the
 	// tombstoned clip stays gone, and no WAL replay is needed.
-	st2 := open()
+	st2 := openStore(t, dir)
 	defer st2.Close()
 	if st2.Replay().Records != 0 {
 		t.Fatalf("restart replayed %d WAL records, want 0", st2.Replay().Records)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"videodb/internal/core"
-	"videodb/internal/fsx"
 	"videodb/internal/store"
 	"videodb/internal/video"
 )
@@ -107,76 +106,33 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"removed": name})
 }
 
-// handleSnapshot implements POST /api/snapshot: persist the analysis
-// state to the configured path. BeginSnapshot captures the state and
-// the journal cut point under one lock hold, then releases it, so
-// queries (and further mutations) keep flowing while the snapshot
-// writes; fsx.AtomicWrite makes the file appear atomically and durably
-// (temp file, fsync, rename, directory fsync). With a journal
-// attached, a successful snapshot rotates exactly the captured prefix:
-// records journaled after the capture — absent from this snapshot —
-// survive the rotation, so an acknowledged write is never lost.
+// handleSnapshot implements POST /api/snapshot: flush the memtable into
+// an immutable segment. The flush captures memtable + tombstones + WAL
+// cut under one lock hold, then releases it, so queries (and further
+// mutations) keep flowing while the segment writes; the store writes the
+// file atomically, commits the manifest and rotates exactly the captured
+// journal prefix, so an acknowledged write is never lost.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.refuseReadOnly(w) {
 		return
 	}
-	if s.storage != nil {
-		// Segment-backed deployment: flush the memtable into an immutable
-		// segment instead of rewriting the whole state. The flush captures
-		// memtable + tombstones + WAL cut under one lock hold, writes the
-		// segment atomically, commits the manifest and rotates the WAL.
-		res, err := s.storage.Flush()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.metrics.addSnapshot()
-		writeJSON(w, map[string]any{
-			"flushed":        res.Flushed,
-			"segment":        res.SegmentID,
-			"clips":          res.Clips,
-			"tombstones":     res.Tombstones,
-			"bytes":          res.Bytes,
-			"rotatedJournal": res.Rotated,
-		})
-		return
-	}
-	if s.snapshotPath == "" {
+	if s.storage == nil {
 		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("no snapshot path configured"))
+			fmt.Errorf("no segment store configured"))
 		return
 	}
-	snap := s.db.BeginSnapshot()
-	size, err := fsx.AtomicWrite(s.snapshotPath, snap.Encode)
+	res, err := s.storage.Flush()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	rotated := false
-	if s.journal != nil {
-		// The snapshot is durable either way; a failed rotation only
-		// means replay re-applies records idempotently next startup.
-		rerr := error(nil)
-		if cut, ok := snap.JournalCut(); ok {
-			rerr = s.journal.RotateTo(cut)
-		} else {
-			// No cut captured — the journal was not installed on the
-			// database at capture time, so it cannot hold records the
-			// snapshot missed.
-			rerr = s.journal.Rotate()
-		}
-		if rerr != nil {
-			s.log.Warn("journal rotation after snapshot failed", "error", rerr)
-		} else {
-			rotated = true
-		}
-	}
 	s.metrics.addSnapshot()
 	writeJSON(w, map[string]any{
-		"path":           s.snapshotPath,
-		"clips":          snap.Clips(),
-		"shots":          s.db.ShotCount(),
-		"bytes":          size,
-		"rotatedJournal": rotated,
+		"flushed":        res.Flushed,
+		"segment":        res.SegmentID,
+		"clips":          res.Clips,
+		"tombstones":     res.Tombstones,
+		"bytes":          res.Bytes,
+		"rotatedJournal": res.Rotated,
 	})
 }

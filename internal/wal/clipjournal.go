@@ -8,9 +8,9 @@ import (
 	"videodb/internal/core"
 )
 
-// ClipJournal adapts a Writer to core.Journal: ingests append the gob
-// clip snapshot, deletes append the clip name. It is the piece
-// vdbserver and vdbctl hand to core.Database.SetJournal.
+// ClipJournal adapts a Writer to core.Journal: ingests append the
+// clip's one-clip segment, deletes append the clip name. It is the
+// piece segstore hands to core.Database.SetJournal.
 type ClipJournal struct {
 	w *Writer
 }
@@ -33,19 +33,13 @@ func (j *ClipJournal) LogDelete(name string) error {
 }
 
 // CutPoint reports the journal's current end offset, implementing
-// core.SnapshotCutter: core.Database.BeginSnapshot reads it under the
-// same lock hold that captures the snapshot state, making it a valid
-// RotateTo cut.
+// core.SnapshotCutter: core.Database.BeginFlush and BeginSnapshot read
+// it under the same lock hold that captures the state, making it a
+// valid RotateTo cut.
 func (j *ClipJournal) CutPoint() int64 { return j.w.Size() }
 
-// Rotate empties the journal after a successful snapshot. Correct only
-// when no mutation can have been journaled since the snapshot state
-// was captured (single-threaded CLIs); a live server must RotateTo the
-// captured cut point instead.
-func (j *ClipJournal) Rotate() error { return j.w.Rotate() }
-
 // RotateTo discards the journal prefix at or below cut — the records a
-// snapshot begun at that cut captured — and keeps everything after it.
+// flush begun at that cut captured — and keeps everything after it.
 func (j *ClipJournal) RotateTo(cut int64) error { return j.w.RotateTo(cut) }
 
 // Sync forces the journal to stable storage.
@@ -94,7 +88,8 @@ func apply(db *core.Database, r Record) error {
 // RecoverDatabase replays the journal at path into db, truncating the
 // file at the first torn or corrupt record — including records whose
 // frame verifies but whose payload does not decode to valid clip
-// state. It never fails on corruption, only on real I/O errors; the
+// state. It never fails on corruption, only on real I/O errors and on a
+// journal of another format version (ErrVersion, file untouched); the
 // result says how much was recovered and how much was cut.
 func RecoverDatabase(db *core.Database, path string) (ReplayResult, error) {
 	var applyErr error

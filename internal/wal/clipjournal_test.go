@@ -44,6 +44,22 @@ func journaledDB(t testing.TB, path string, policy Policy) (*core.Database, *Cli
 	return db, j
 }
 
+// restored captures db the way a flush or a replica bootstrap does and
+// loads the capture into a fresh database: the base a journal replays
+// over.
+func restored(t testing.TB, capture *core.PendingFlush) *core.Database {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := capture.WriteSegment(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	db := openCoreDB(t)
+	if err := db.ApplySnapshot(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // assertSameDB checks that two databases hold identical clip sets and
 // answer shot queries identically — the differential check recovery
 // tests lean on.
@@ -91,7 +107,7 @@ func assertSameDB(t *testing.T, got, want *core.Database) {
 	}
 }
 
-// A journal alone — no snapshot — rebuilds the exact database state,
+// A journal alone — no segment under it — rebuilds the exact database state,
 // including deletes.
 func TestRecoverDatabaseDifferential(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
@@ -114,27 +130,20 @@ func TestRecoverDatabaseDifferential(t *testing.T) {
 	assertSameDB(t, recovered, db)
 }
 
-// Crash between "snapshot written" and "journal rotated": replaying
-// the whole journal over the snapshot re-applies records the snapshot
+// Crash between "segment committed" and "journal rotated": replaying
+// the whole journal over the capture re-applies records the capture
 // already holds. Idempotence must make that a no-op.
-func TestSnapshotPlusFullJournalEqualsMemory(t *testing.T) {
+func TestCapturePlusFullJournalEqualsMemory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
 	db, _ := journaledDB(t, path, PolicyAlways)
 	ingestTiny(t, db, "early-0", 30)
 	ingestTiny(t, db, "early-1", 40)
 
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
+	recovered := restored(t, db.BeginSnapshot())
 	// No rotation — the crash hit here. One more mutation lands in the
 	// journal only.
 	ingestTiny(t, db, "late", 50)
 
-	recovered, err := core.Load(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := RecoverDatabase(recovered, path)
 	if err != nil {
 		t.Fatal(err)
@@ -145,26 +154,21 @@ func TestSnapshotPlusFullJournalEqualsMemory(t *testing.T) {
 	assertSameDB(t, recovered, db)
 }
 
-// After rotation the journal is empty: snapshot + rotated journal must
+// After rotation the journal is empty: capture + rotated journal must
 // equal memory, and replaying twice must change nothing.
 func TestReplayIdempotentAfterRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
 	db, j := journaledDB(t, path, PolicyAlways)
 	ingestTiny(t, db, "kept", 60)
 
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Rotate(); err != nil {
+	snap := db.BeginSnapshot()
+	cut, _ := snap.JournalCut()
+	recovered := restored(t, snap)
+	if err := j.RotateTo(cut); err != nil {
 		t.Fatal(err)
 	}
 	ingestTiny(t, db, "fresh", 70)
 
-	recovered, err := core.Load(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 2; round++ {
 		res, err := RecoverDatabase(recovered, path)
 		if err != nil {
@@ -178,11 +182,11 @@ func TestReplayIdempotentAfterRotation(t *testing.T) {
 }
 
 // The lost-write race: an ingest that commits and journals after the
-// snapshot state is captured but before the journal rotates must
-// survive the rotation — it is in neither the snapshot nor, with a
-// naive full rotation, the journal. BeginSnapshot pins the journal cut
-// with the state under one lock hold; RotateTo discards only the
-// captured prefix.
+// state is captured but before the journal rotates must survive the
+// rotation — it is in neither the capture nor, with a naive full
+// rotation, the journal. The capture pins the journal cut with the
+// state under one lock hold; RotateTo discards only the captured
+// prefix.
 func TestRotateToKeepsWritesAfterSnapshotCut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
 	db, j := journaledDB(t, path, PolicyAlways)
@@ -196,10 +200,7 @@ func TestRotateToKeepsWritesAfterSnapshotCut(t *testing.T) {
 	// The race window: a mutation lands between capture and rotation.
 	ingestTiny(t, db, "late", 310)
 
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
+	recovered := restored(t, snap)
 	if err := j.RotateTo(cut); err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +208,8 @@ func TestRotateToKeepsWritesAfterSnapshotCut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash here: recovery is snapshot + rotated journal. "late" must
+	// Crash here: recovery is capture + rotated journal. "late" must
 	// still exist, replayed from the journal's preserved tail.
-	recovered, err := core.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := RecoverDatabase(recovered, path)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +227,7 @@ func TestRecoverDatabaseTruncatesUndecodableRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
 	db, j := journaledDB(t, path, PolicyAlways)
 	ingestTiny(t, db, "good", 80)
-	if err := j.w.Append(OpIngest, []byte("not a gob clip snapshot")); err != nil {
+	if err := j.w.Append(OpIngest, []byte("not a clip record")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

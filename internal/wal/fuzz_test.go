@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 )
@@ -10,12 +11,13 @@ import (
 // FuzzJournalReplay: arbitrary bytes must never panic the journal
 // reader, never yield a record that fails its checksum discipline, and
 // the reported valid prefix must replay identically a second time —
-// the invariant startup recovery depends on.
+// the invariant startup recovery depends on. The one error an in-memory
+// replay may report is ErrVersion, before any record is applied.
 func FuzzJournalReplay(f *testing.F) {
 	// Seed: a well-formed two-record journal.
 	var valid bytes.Buffer
 	valid.WriteString(Magic)
-	valid.Write([]byte{1, 0})
+	valid.Write([]byte{Version, 0})
 	for _, data := range [][]byte{[]byte("clip-a"), []byte("x")} {
 		payload := append([]byte{recordVersion, OpIngest}, data...)
 		var frame []byte
@@ -30,7 +32,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	// Seed: truncated mid-payload, bare header, empty, garbage.
 	f.Add(valid.Bytes()[:valid.Len()-2])
-	f.Add([]byte(Magic + "\x01\x00"))
+	f.Add([]byte(Magic + "\x02\x00"))
+	f.Add([]byte(Magic + "\x01\x00")) // another format version: refused
 	f.Add([]byte{})
 	f.Add([]byte("VDBWxxxxxxxxxxxxxxxxxxxxxxxx"))
 
@@ -40,6 +43,12 @@ func FuzzJournalReplay(f *testing.F) {
 			recs = append(recs, Record{Op: r.Op, Data: append([]byte(nil), r.Data...)})
 			return nil
 		})
+		if errors.Is(err, ErrVersion) {
+			if len(recs) != 0 {
+				t.Fatalf("%d records of a refused journal were applied", len(recs))
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("in-memory replay reported an I/O error: %v", err)
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,7 +106,10 @@ func TestTortureTruncateEveryOffset(t *testing.T) {
 
 // TestTortureCorruptEveryByte flips each byte of the journal in turn:
 // recovery must still return a valid prefix — the CRC catches the
-// damage, and no record after the flip survives unvalidated.
+// damage, and no record after the flip survives unvalidated. The two
+// version bytes are the exception: under an intact magic they name
+// another format, which recovery refuses without touching the file
+// rather than "repair" by cutting every record.
 func TestTortureCorruptEveryByte(t *testing.T) {
 	const k = 5
 	raw, want := buildJournal(t, k)
@@ -113,6 +117,19 @@ func TestTortureCorruptEveryByte(t *testing.T) {
 	for i := range raw {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0xff
+		if i == len(Magic) || i == len(Magic)+1 {
+			path := filepath.Join(dir, "v.wal")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Recover(path, nil); !errors.Is(err, ErrVersion) {
+				t.Fatalf("flip %d (version): %v, want ErrVersion", i, err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+				t.Fatalf("flip %d (version): refused journal was modified", i)
+			}
+			continue
+		}
 		got, res, size := recoverBytes(t, dir, bad)
 		assertPrefix(t, "corrupt", got, want)
 		if size != res.ValidBytes {

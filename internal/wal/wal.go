@@ -1,12 +1,12 @@
 // Package wal is the write-ahead journal of the video database: an
 // append-only file of length-prefixed, CRC32C-checksummed, versioned
 // mutation records that makes every acknowledged Ingest and Delete
-// survive a crash between snapshots.
+// survive a crash between segment flushes.
 //
 // File layout (all integers little-endian):
 //
 //	magic   "VDBW"             4 bytes
-//	version uint16             currently 1
+//	version uint16             currently 2
 //	records ...                until EOF
 //
 // Each record:
@@ -18,9 +18,12 @@
 // The reader (Replay) verifies each frame and stops at the first torn
 // or corrupt record, reporting the longest valid prefix; Recover
 // additionally truncates the file back to that prefix so the journal
-// can be appended to again. A journal is therefore never "unreadable":
-// any crash — mid-record, mid-length-word, even mid-header — loses at
-// most the un-synced tail, never the records before it.
+// can be appended to again. A journal of this version is therefore
+// never "unreadable": any crash — mid-record, mid-length-word, even
+// mid-header — loses at most the un-synced tail, never the records
+// before it. A journal of another version is not damage and is never
+// repaired: every entry point refuses it with ErrVersion and leaves the
+// file as it found it.
 //
 // The Writer offers three sync policies: PolicyAlways fsyncs after
 // every append (no acknowledged mutation is ever lost), PolicyInterval
@@ -44,8 +47,16 @@ import (
 // Magic identifies a journal file.
 const Magic = "VDBW"
 
-// Version is the current journal file-format version.
-const Version = 1
+// Version is the current journal file-format version. Version 1
+// carried gob-encoded clip records; version 2 carries one-clip segments
+// (core.EncodeClipRecord).
+const Version = 2
+
+// ErrVersion reports a journal whose header is intact but names a
+// file-format version this build does not read; match it with
+// errors.Is. Unlike a torn tail it is never truncated away: the records
+// behind it were acknowledged, only by another build.
+var ErrVersion = errors.New("wal: unsupported journal version")
 
 // recordVersion is the per-record payload version byte.
 const recordVersion = 1
@@ -67,8 +78,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Mutation op codes carried in each record's payload.
 const (
-	// OpIngest records one ingested clip; the data is the gob clip
-	// snapshot core.EncodeClipRecord produces.
+	// OpIngest records one ingested clip; the data is the one-clip
+	// segment core.EncodeClipRecord produces.
 	OpIngest byte = 1
 	// OpDelete records a removal; the data is the clip name.
 	OpDelete byte = 2
@@ -117,7 +128,7 @@ func (p Policy) String() string {
 // File is the slice of *os.File the writer needs; tests slide an
 // fsx.FaultFile underneath to kill writes mid-record or fail fsyncs.
 // ReadAt is what RotateTo uses to carry records appended after a
-// snapshot's cut point into the fresh journal.
+// flush's cut point into the fresh journal.
 type File interface {
 	io.Writer
 	io.Seeker
@@ -192,7 +203,7 @@ func OpenWriter(path string, policy Policy, interval time.Duration) (*Writer, er
 		}
 		if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
 			f.Close()
-			return nil, fmt.Errorf("wal: %s: unsupported journal version %d", path, v)
+			return nil, fmt.Errorf("%w: %s is version %d, this build reads %d", ErrVersion, path, v, Version)
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
@@ -335,9 +346,9 @@ func (w *Writer) Sync() error {
 }
 
 // Size returns the journal's current length in bytes, header included.
-// Read it at the same instant a snapshot's state is captured (under the
+// Read it at the same instant a flush's state is captured (under the
 // database lock that serializes appends) and it is a cut point for
-// RotateTo: every record at or below it is in that snapshot, every
+// RotateTo: every record at or below it is in that capture, every
 // record above it is not.
 func (w *Writer) Size() int64 {
 	w.mu.Lock()
@@ -406,27 +417,14 @@ func (w *Writer) TailFrom(from int64, max int) (data []byte, size int64, gen str
 	return data, w.size, gen, nil
 }
 
-// Rotate empties the journal completely. It is only correct when the
-// caller can guarantee no mutation was journaled since the snapshot
-// that prompted the rotation was captured — a single-threaded CLI, for
-// example. A concurrent server must use RotateTo with a cut point
-// captured atomically with the snapshot state, or an append landing
-// between capture and rotation is erased from the journal while absent
-// from the snapshot: a silently lost acknowledged write.
-func (w *Writer) Rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotateToLocked(w.size)
-}
-
-// RotateTo discards exactly the journal prefix a snapshot captured —
-// cut is the Size() observed at snapshot-capture time — while keeping
-// every record appended after it. With no tail the file shrinks back
-// to a bare header; with a tail the journal is rewritten as header +
-// tail through an atomic replace (temp file, fsync, rename, directory
-// fsync), so a crash at any instant leaves either the old complete
-// journal (replay re-applies records the snapshot already holds —
-// idempotent) or the new one, never a torn mix.
+// RotateTo discards exactly the journal prefix a flush captured — cut
+// is the Size() observed at capture time — while keeping every record
+// appended after it. With no tail the file shrinks back to a bare
+// header; with a tail the journal is rewritten as header + tail through
+// an atomic replace (temp file, fsync, rename, directory fsync), so a
+// crash at any instant leaves either the old complete journal (replay
+// re-applies records the segment already holds — idempotent) or the new
+// one, never a torn mix.
 func (w *Writer) RotateTo(cut int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -492,7 +490,7 @@ func (w *Writer) rotateToLocked(cut int64) error {
 
 	// No tail to preserve (or a pathless test writer, which cannot do
 	// the rename dance): rewrite in place. With an empty tail this is
-	// crash-safe — the snapshot holds everything, so a torn header only
+	// crash-safe — the segment holds everything, so a torn header only
 	// costs an already-captured journal.
 	if err := w.f.Truncate(0); err != nil {
 		w.err = fmt.Errorf("wal: rotate failed: %w", err)
@@ -578,7 +576,7 @@ func (w *Writer) flushLoop(interval time.Duration) {
 type Record struct {
 	// Op is the mutation op code (OpIngest, OpDelete).
 	Op byte
-	// Data is the op payload (gob clip snapshot, or clip name bytes).
+	// Data is the op payload (one-clip segment, or clip name bytes).
 	// It aliases a buffer Replay reuses between records: it is valid
 	// only until the apply callback returns — copy it to retain it.
 	Data []byte
@@ -606,8 +604,10 @@ func (r ReplayResult) TruncatedBytes() int64 { return r.TotalBytes - r.ValidByte
 // Replay streams records from r, calling apply for each valid record in
 // order. It stops — without error — at the first torn or corrupt
 // frame, reporting the longest valid prefix; arbitrary garbage input
-// yields a result, never a panic. An apply error aborts the replay and
-// is returned (the journal itself may be fine; the state is not).
+// yields a result, never a panic. An intact header naming another
+// format version is an error (ErrVersion), not damage. An apply error
+// aborts the replay and is returned (the journal itself may be fine;
+// the state is not).
 // The Record passed to apply shares Replay's reused payload buffer:
 // its Data is overwritten by the next record, so apply must finish
 // with (or copy) the bytes before returning.
@@ -635,7 +635,7 @@ func Replay(r io.Reader, apply func(Record) error) (ReplayResult, error) {
 		return damaged(fmt.Sprintf("bad magic %q", hdr[:4]))
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
-		return damaged(fmt.Sprintf("unsupported journal version %d", v))
+		return res, fmt.Errorf("%w: file is version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	res.ValidBytes = headerSize
 	return replayRecords(r, apply, res)
@@ -713,8 +713,9 @@ func replayRecords(r io.Reader, apply func(Record) error, res ReplayResult) (Rep
 // Recover replays the journal at path into apply and, if the file ends
 // in a torn or corrupt record, truncates it back to the longest valid
 // prefix so a Writer can append again. A missing file is an empty
-// journal. Recovery never fails on corruption — only on I/O errors or
-// an apply error.
+// journal. Recovery never fails on corruption — only on I/O errors, an
+// apply error, or a journal of another format version (ErrVersion),
+// which is left untouched.
 func Recover(path string, apply func(Record) error) (ReplayResult, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {

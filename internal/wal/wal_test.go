@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -133,7 +135,7 @@ func TestRotateEmptiesJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Rotate(); err != nil {
+	if err := w.RotateTo(w.Size()); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
@@ -514,7 +516,7 @@ func TestApplyErrorAbortsReplay(t *testing.T) {
 func TestReplayStopsAtImplausibleLength(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(Magic)
-	buf.Write([]byte{1, 0}) // version
+	buf.Write([]byte{Version, 0})
 	// A frame header claiming a multi-gigabyte record.
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	res, err := Replay(bytes.NewReader(buf.Bytes()), nil)
@@ -523,6 +525,51 @@ func TestReplayStopsAtImplausibleLength(t *testing.T) {
 	}
 	if !res.Damaged || res.Records != 0 || res.ValidBytes != headerSize {
 		t.Errorf("oversize length: %+v", res)
+	}
+}
+
+// v1Journal is a hand-built journal of the previous format version: an
+// intact header followed by one well-framed record, the way a gob-era
+// file looks to this build.
+func v1Journal() []byte {
+	payload := []byte{recordVersion, OpIngest, 'g', 'o', 'b'}
+	b := append([]byte(Magic), 1, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
+}
+
+// A journal written by another format version holds acknowledged
+// records this build cannot read. That is not a torn tail: Replay,
+// Recover and OpenWriter must refuse it with ErrVersion, and Recover
+// must not truncate a byte of it.
+func TestOldVersionJournalIsRefusedNotRecovered(t *testing.T) {
+	old := v1Journal()
+	applied := 0
+	count := func(Record) error { applied++; return nil }
+
+	if res, err := Replay(bytes.NewReader(old), count); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Replay of a v1 journal: res %+v, err %v; want ErrVersion", res, err)
+	}
+	path := journalPath(t)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Recover(path, count); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Recover of a v1 journal: res %+v, err %v; want ErrVersion", res, err)
+	}
+	if _, err := OpenWriter(path, PolicyAlways, 0); !errors.Is(err, ErrVersion) {
+		t.Fatalf("OpenWriter on a v1 journal: %v; want ErrVersion", err)
+	}
+	if applied != 0 {
+		t.Fatalf("%d records of a v1 journal were applied", applied)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, old) {
+		t.Fatalf("refused journal was modified: %d bytes, was %d", len(after), len(old))
 	}
 }
 

@@ -65,7 +65,7 @@ wait_ready() { # host:port
 
 log "starting 3 shards (shard 0 chaos-degraded + replicated) + coordinator"
 # shellcheck disable=SC2086  # ADMISSION is a flag list on purpose
-"$OUT/vdbserver" -db "$OUT/shard0.snap" -wal "$OUT/shard0.wal" \
+"$OUT/vdbserver" -data "$OUT/shard0" \
     -addr "$SHARD0" $ADMISSION \
     -chaos "latency:/api/query:0.6:300ms" -chaos-seed 1 \
     >"$OUT/shard0.log" 2>&1 &
@@ -73,7 +73,7 @@ pids+=($!)
 for i in 1 2; do
     addr_var="SHARD$i"
     # shellcheck disable=SC2086
-    "$OUT/vdbserver" -db "$OUT/shard$i.snap" -wal "$OUT/shard$i.wal" \
+    "$OUT/vdbserver" -data "$OUT/shard$i" \
         -addr "${!addr_var}" $ADMISSION >"$OUT/shard$i.log" 2>&1 &
     pids+=($!)
 done

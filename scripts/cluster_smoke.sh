@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end cluster exercise on loopback.
 #
-# Builds the binaries, starts three shard primaries (each with its own
-# WAL), one read replica of shard 0, and a vdbcoord coordinator in
-# front. Ingests the example corpus through the coordinator, waits for
+# Builds the binaries, starts three shard primaries (each on its own
+# segment store, -data), one read replica of shard 0, and a vdbcoord
+# coordinator in front. Ingests the corpus through the coordinator, waits for
 # the replica to catch up, then drives the coordinator with vdbbench
 # -cluster. Unless CLUSTER_SMOKE_KILL=0, one shard primary is killed
 # mid-run; the run must stay green (no 5xx, no transport errors) while
@@ -61,7 +61,7 @@ log "starting 3 shard primaries + 1 replica + coordinator"
 shard_pids=()
 for i in 0 1 2; do
     addr_var="SHARD$i"
-    "$OUT/vdbserver" -db "$OUT/shard$i.snap" -wal "$OUT/shard$i.wal" \
+    "$OUT/vdbserver" -data "$OUT/shard$i" \
         -addr "${!addr_var}" >"$OUT/shard$i.log" 2>&1 &
     shard_pids[$i]=$!
     pids+=("${shard_pids[$i]}")

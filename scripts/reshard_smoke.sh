@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # reshard_smoke.sh — online-resharding exercise on loopback.
 #
-# Builds the binaries, starts three WAL-journaled shard primaries, one
-# read replica of shard 0, and a vdbcoord coordinator with bounded-
-# staleness replica reads enabled, plus a single-node control server
-# holding the identical corpus. Ingests the corpus through the
+# Builds the binaries, starts three shard primaries on segment stores
+# (-data), one read replica of shard 0, and a vdbcoord coordinator with
+# bounded-staleness replica reads enabled, plus a single-node control
+# server holding the identical corpus. Ingests the corpus through the
 # coordinator, then drives the coordinator with vdbbench -cluster while
 # the bench itself grows the cluster to four shards mid-run via
 # POST /api/cluster/reshard. Passing means the membership change was
@@ -12,8 +12,11 @@
 # whole window, zero partial answers (the dual-read window dedupes, it
 # does not degrade), the new shard owning clips and taking fan-out
 # afterwards, replica reads observed within the staleness bound, and —
-# the equivalence check — the final merged listing and a spread of
-# query answers byte-identical to the never-resharded control node.
+# the equivalence check — a spread of query answers byte-identical to
+# the never-resharded control node throughout the run, migration
+# included ("zero partials" cannot see a complete-looking answer that
+# silently omits a moved clip), and the final merged listing identical
+# too.
 #
 #   ./scripts/reshard_smoke.sh                  # the CI smoke test
 #   RESHARD_SMOKE_DURATION=20s ./scripts/reshard_smoke.sh
@@ -63,14 +66,14 @@ wait_ready() { # host:port
 log "starting 4 shard primaries (3 in the ring + 1 spare), 1 replica, control, coordinator"
 for i in 0 1 2 3; do
     addr_var="SHARD$i"
-    "$OUT/vdbserver" -db "$OUT/shard$i.snap" -wal "$OUT/shard$i.wal" \
+    "$OUT/vdbserver" -data "$OUT/shard$i" \
         -addr "${!addr_var}" >"$OUT/shard$i.log" 2>&1 &
     pids+=($!)
 done
 "$OUT/vdbserver" -replica-of "http://$SHARD0" -replica-poll 100ms \
     -addr "$REPLICA0" >"$OUT/replica0.log" 2>&1 &
 pids+=($!)
-"$OUT/vdbserver" -db "$OUT/control.snap" -addr "$CONTROL" >"$OUT/control.log" 2>&1 &
+"$OUT/vdbserver" -data "$OUT/control" -addr "$CONTROL" >"$OUT/control.log" 2>&1 &
 pids+=($!)
 for a in "$SHARD0" "$SHARD1" "$SHARD2" "$SHARD3" "$REPLICA0" "$CONTROL"; do wait_ready "$a"; done
 
@@ -108,11 +111,52 @@ for _ in $(seq 1 100); do
 done
 [ "${caught_up:-0}" -eq 1 ] || fail "replica never caught up (maxLagBytes != 0)"
 
-log "driving the coordinator for $DURATION, growing 3 -> 4 shards mid-run"
+# The coordinator wraps answers in {"matches": ..., "partial": ...};
+# the control node answers the bare match array. Strip whitespace and
+# the envelope, then require byte equality (the merger reproduces the
+# single-node result order exactly).
+unwrap() { tr -d ' \n\t' | sed -e 's/^{"matches"://' -e 's/,"partial":\(true\|false\)}$//' -e 's/^null$/[]/'; }
+QUERIES=("varba=5&varoa=2" "varba=25&varoa=10" "varba=50&varoa=25" "varba=75&varoa=50" "varba=95&varoa=90")
+
+# compare_until FILE: ask coordinator and control the fixed query set,
+# round after round without pause, until FILE exists. The corpus does not
+# change during the run, so every answer — before, during and after the
+# migration — must equal the control's. Divergent queries are appended
+# to divergent.txt; compare.count gets "rounds rounds-while-migrating".
+compare_until() {
+    local rounds=0 during=0 active a b
+    while [ ! -e "$1" ]; do
+        active=0
+        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": true' && active=1
+        for q in "${QUERIES[@]}"; do
+            a=$(curl -sf "http://$COORD/api/query?$q" | unwrap) || a="coordinator request failed"
+            b=$(curl -sf "http://$CONTROL/api/query?$q" | unwrap) || b="control request failed"
+            [ "$a" = "$b" ] || echo "round $rounds (migrating=$active): $q" >>"$OUT/divergent.txt"
+        done
+        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": true' && active=1
+        rounds=$((rounds + 1))
+        during=$((during + active))
+    done
+    echo "$rounds $during" >"$OUT/compare.count"
+}
+
+log "driving the coordinator for $DURATION, growing 3 -> 4 shards mid-run, comparing answers against the control throughout"
+compare_until "$OUT/bench.done" &
+comparer=$!
+pids+=("$comparer")
+bench_ok=1
 "$OUT/vdbbench" -mode server -cluster -target "http://$COORD" \
     -concurrency 8 -duration "$DURATION" -seed 1 -out "$OUT" \
     -reshard "{\"add\":[{\"primary\":\"http://$SHARD3\"}]}" -reshard-at 0.4 \
-    || fail "vdbbench exited non-zero (a failed reshard fails the bench)"
+    || bench_ok=0
+touch "$OUT/bench.done"
+wait "$comparer" || fail "the answer comparer died"
+[ "$bench_ok" -eq 1 ] || fail "vdbbench exited non-zero (a failed reshard fails the bench)"
+[ ! -e "$OUT/divergent.txt" ] \
+    || fail "answers diverged from the control node during the run: $(head -5 "$OUT/divergent.txt" | tr '\n' ';')"
+read -r rounds during <"$OUT/compare.count"
+[ "$rounds" -gt 0 ] || fail "the answer comparer completed no round"
+log "answers equal to the control node in all $rounds comparison rounds ($during of them overlapping the migration)"
 
 art=$(ls "$OUT"/BENCH_cluster_*.json) || fail "no BENCH_cluster artifact written"
 "$OUT/vdbbench" -validate "$art" || fail "artifact failed schema validation"
@@ -157,21 +201,14 @@ echo "$status" | grep -q '"replicaReadsEnabled": true' \
 echo "$status" | grep -Eq '"replicaReads": [1-9]' \
     || fail "no replica served a bounded-staleness read during the run"
 
-# Equivalence against the never-resharded control: the merged listing
-# and a spread of query answers must be byte-identical.
+# Equivalence against the never-resharded control once the dust has
+# settled: the merged listing and the query set must be byte-identical.
 curl -sf "http://$COORD/api/clips"   >"$OUT/listing.cluster.json"
 curl -sf "http://$CONTROL/api/clips" >"$OUT/listing.control.json"
 diff "$OUT/listing.cluster.json" "$OUT/listing.control.json" >/dev/null \
     || fail "final merged listing differs from the control node"
-# The coordinator wraps answers in {"matches": ..., "partial": ...};
-# the control node answers the bare match array. Strip whitespace and
-# the envelope, then require byte equality (the merger reproduces the
-# single-node result order exactly).
-unwrap() { tr -d ' \n\t' <"$1" | sed -e 's/^{"matches"://' -e 's/,"partial":\(true\|false\)}$//' -e 's/^null$/[]/'; }
-for q in "varba=5&varoa=2" "varba=25&varoa=10" "varba=50&varoa=25" "varba=75&varoa=50" "varba=95&varoa=90"; do
-    curl -sf "http://$COORD/api/query?$q"   >"$OUT/q.cluster.json"
-    curl -sf "http://$CONTROL/api/query?$q" >"$OUT/q.control.json"
-    [ "$(unwrap "$OUT/q.cluster.json")" = "$(unwrap "$OUT/q.control.json")" ] \
+for q in "${QUERIES[@]}"; do
+    [ "$(curl -sf "http://$COORD/api/query?$q" | unwrap)" = "$(curl -sf "http://$CONTROL/api/query?$q" | unwrap)" ] \
         || fail "query $q differs from the control node after the reshard"
 done
 log "final corpus and answers byte-identical to the control node"
