@@ -4,7 +4,7 @@ GO ?= go
 
 # Coverage floor (percent) enforced over the orchestration and serving
 # layers — the packages the ingest pipeline and HTTP API live in.
-COVERPKGS   = ./internal/core/...,./internal/server/...,./internal/wal/...,./internal/fsx/...,./internal/segment/...,./internal/segstore/...,./internal/admission/...,./internal/chaos/...,./internal/cluster/...
+COVERPKGS   = ./internal/core/...,./internal/server/...,./internal/wal/...,./internal/fsx/...,./internal/segment/...,./internal/segstore/...,./internal/admission/...,./internal/chaos/...,./internal/cluster/...,./internal/obs/...
 COVER_FLOOR = 60
 
 # Fresh benchmark artifacts land in a scratch directory, never the repo
@@ -28,7 +28,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/admission/ ./internal/chaos/ ./internal/cluster/ ./internal/core/ ./internal/feature/ ./internal/segment/ ./internal/segstore/ ./internal/server/ ./internal/varindex/ ./internal/wal/
+	$(GO) test -race ./internal/admission/ ./internal/chaos/ ./internal/cluster/ ./internal/core/ ./internal/feature/ ./internal/obs/ ./internal/segment/ ./internal/segstore/ ./internal/server/ ./internal/varindex/ ./internal/wal/
 
 # Repeated race-detector runs over the lock-free query path's
 # concurrency and equivalence suites — the flake-hunting profile CI

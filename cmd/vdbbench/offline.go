@@ -9,6 +9,7 @@ import (
 	"videodb/internal/benchfmt"
 	"videodb/internal/core"
 	"videodb/internal/experiments"
+	"videodb/internal/obs"
 	"videodb/internal/rng"
 	"videodb/internal/varindex"
 	"videodb/internal/video"
@@ -111,7 +112,7 @@ func runOffline(cfg offlineConfig) (benchfmt.Report, error) {
 			return benchfmt.Report{}, fmt.Errorf("warmup query: %w", qerr)
 		}
 	}
-	queryHist := benchfmt.NewHistogram()
+	queryHist := obs.NewHistogram()
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	queryStart := time.Now()
@@ -161,7 +162,7 @@ func runOffline(cfg offlineConfig) (benchfmt.Report, error) {
 	// comparable to the uncached `query_throughput` above.
 	if cfg.Batch > 0 {
 		var bres core.BatchMatches
-		batchHist := benchfmt.NewHistogram()
+		batchHist := obs.NewHistogram()
 		batchStart := time.Now()
 		var batched int
 		for lo := 0; lo < len(queries); lo += cfg.Batch {
@@ -214,7 +215,7 @@ func runOffline(cfg offlineConfig) (benchfmt.Report, error) {
 			return benchfmt.Report{}, fmt.Errorf("cached path diverged from the uncached reference on %d of %d queries", mismatches, len(queries))
 		}
 
-		cachedHist := benchfmt.NewHistogram()
+		cachedHist := obs.NewHistogram()
 		cachedStart := time.Now()
 		for _, q := range queries {
 			t0 := time.Now()
@@ -236,9 +237,8 @@ func runOffline(cfg offlineConfig) (benchfmt.Report, error) {
 			benchfmt.Metric{Name: "query_cache_hit_rate", Unit: "ratio", Value: hitRate},
 			benchfmt.Metric{Name: "query_cache_mismatches", Unit: "queries", Value: float64(mismatches)},
 		)
-		cd := cachedHist.Distribution()
 		fmt.Printf("offline: %d cached repeats, p50 %.3gms p90 %.3gms p99 %.3gms (hit rate %.0f%%)\n",
-			len(queries), cd.P50*1e3, cd.P90*1e3, cd.P99*1e3, 100*hitRate)
+			len(queries), cachedHist.Quantile(0.50)*1e3, cachedHist.Quantile(0.90)*1e3, cachedHist.Quantile(0.99)*1e3, 100*hitRate)
 	}
 
 	// Storage phase: the corpus flushed into mmap-able segments, the
@@ -274,9 +274,8 @@ func runOffline(cfg offlineConfig) (benchfmt.Report, error) {
 			serialDur.Round(time.Millisecond), float64(frames)/serialDur.Seconds(),
 			serialDur.Seconds()/ingestDur.Seconds())
 	}
-	d := queryHist.Distribution()
 	fmt.Printf("offline: %d queries, p50 %.3gms p90 %.3gms p99 %.3gms, %.2f allocs/query\n",
-		len(queries), d.P50*1e3, d.P90*1e3, d.P99*1e3, allocsPerQuery)
+		len(queries), queryHist.Quantile(0.50)*1e3, queryHist.Quantile(0.90)*1e3, queryHist.Quantile(0.99)*1e3, allocsPerQuery)
 
 	return benchfmt.Report{
 		Mode: "offline",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"videodb/internal/benchfmt"
+	"videodb/internal/obs"
 	"videodb/internal/rng"
 )
 
@@ -57,7 +58,7 @@ const (
 // workerStats is one load worker's private tally; workers never share
 // state while the clock runs, so the hot loop takes no locks.
 type workerStats struct {
-	query, clips, batch *benchfmt.Histogram
+	query, clips, batch *obs.Histogram
 	byClass             [6]int64 // index status/100; 0 = transport error
 	requests            int64
 	batchedQueries      int64
@@ -69,9 +70,9 @@ type workerStats struct {
 
 func newWorkerStats() *workerStats {
 	return &workerStats{
-		query: benchfmt.NewHistogram(),
-		clips: benchfmt.NewHistogram(),
-		batch: benchfmt.NewHistogram(),
+		query: obs.NewHistogram(),
+		clips: obs.NewHistogram(),
+		batch: obs.NewHistogram(),
 	}
 }
 
@@ -177,7 +178,7 @@ func runServer(cfg serverConfig) (benchfmt.Report, error) {
 		return benchfmt.Report{}, fmt.Errorf("no requests completed against %s", base)
 	}
 
-	all := benchfmt.NewHistogram()
+	all := obs.NewHistogram()
 	all.Merge(total.query)
 	all.Merge(total.clips)
 	all.Merge(total.batch)
@@ -262,11 +263,10 @@ func runServer(cfg serverConfig) (benchfmt.Report, error) {
 			benchfmt.Metric{Name: "abuse_5xx", Unit: "requests", Value: float64(abuse.byClass[5])})
 	}
 
-	d := all.Distribution()
 	fmt.Printf("%s: %d requests in %v — %.0f req/s, p50 %.3gms p90 %.3gms p99 %.3gms, %d 5xx, %d 4xx, %d shed, %d transport errors, %d partial\n",
 		mode, total.requests, elapsed.Round(time.Millisecond),
 		float64(total.requests)/elapsed.Seconds(),
-		d.P50*1e3, d.P90*1e3, d.P99*1e3,
+		all.Quantile(0.50)*1e3, all.Quantile(0.90)*1e3, all.Quantile(0.99)*1e3,
 		total.byClass[5], total.byClass[4], total.shed, total.byClass[0], total.partial)
 	if cfg.Chaos {
 		fmt.Printf("abuser: %d requests, %d shed (%.0f%%), %d 5xx\n",
@@ -531,7 +531,7 @@ func (st *workerStats) doBatch(client *http.Client, base string, feats []feature
 
 // do issues one request, draining the body so connections are reused,
 // and records latency and status class.
-func (st *workerStats) do(client *http.Client, hist *benchfmt.Histogram, method, u string, body []byte) {
+func (st *workerStats) do(client *http.Client, hist *obs.Histogram, method, u string, body []byte) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)

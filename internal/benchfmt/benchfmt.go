@@ -7,8 +7,8 @@
 // the hardware/toolchain environment, and a flat list of named metrics.
 // Scalar metrics (throughputs, counts, rates) carry a single Value;
 // latency metrics additionally carry a Distribution with count, mean
-// and p50/p90/p99 quantiles taken from an HDR-style histogram (see
-// Histogram).
+// and p50/p90/p99 quantiles taken from an HDR-style histogram
+// (obs.Histogram).
 //
 // Decode rejects artifacts whose schema version it does not understand
 // (ErrSchema) and artifacts with fields it does not know, so a drifting
@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"videodb/internal/obs"
 )
 
 // SchemaVersion is the artifact format version this package writes.
@@ -124,6 +126,24 @@ type Distribution struct {
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
 	Max   float64 `json:"max"`
+}
+
+// LatencyMetric builds a Metric whose Value is the histogram mean and
+// whose Distribution carries the quantiles (none for an empty histogram).
+func LatencyMetric(name string, h *obs.Histogram) Metric {
+	m := Metric{Name: name, Unit: "seconds", Value: h.Mean()}
+	if h.Count() > 0 {
+		m.Distribution = &Distribution{
+			Count: h.Count(),
+			Min:   h.Quantile(0),
+			Mean:  h.Mean(),
+			P50:   h.Quantile(0.50),
+			P90:   h.Quantile(0.90),
+			P99:   h.Quantile(0.99),
+			Max:   h.Quantile(1),
+		}
+	}
+	return m
 }
 
 // Metric returns the named metric.

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"videodb/internal/obs"
 )
 
 func sampleReport() Report {
-	h := NewHistogram()
+	h := obs.NewHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.Record(float64(i) * 1e-4) // 0.1ms .. 100ms
 	}
@@ -137,57 +138,6 @@ func TestValidateCatchesMalformedReports(t *testing.T) {
 				t.Error("Validate accepted a malformed report")
 			}
 		})
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 10000; i++ {
-		h.Record(float64(i) * 1e-5) // uniform 10µs .. 100ms
-	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for _, tc := range []struct {
-		q, want float64
-	}{{0.50, 0.05}, {0.90, 0.09}, {0.99, 0.099}} {
-		got := h.Quantile(tc.q)
-		if rel := math.Abs(got-tc.want) / tc.want; rel > histGrowth-1 {
-			t.Errorf("Quantile(%v) = %v, want %v ±%v%%", tc.q, got, tc.want, (histGrowth-1)*100)
-		}
-	}
-	if got := h.Quantile(0); got != h.min {
-		t.Errorf("Quantile(0) = %v, want min %v", got, h.min)
-	}
-	if got := h.Quantile(1); got != h.max {
-		t.Errorf("Quantile(1) = %v, want max %v", got, h.max)
-	}
-	if mean := h.Mean(); math.Abs(mean-0.050005) > 1e-9 {
-		t.Errorf("Mean = %v", mean)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, whole := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		v := float64(i) * 1e-4
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(b)
-	a.Merge(nil)
-	if a.Count() != whole.Count() || math.Abs(a.Mean()-whole.Mean()) > 1e-12 {
-		t.Fatalf("merge lost observations: %d/%v vs %d/%v",
-			a.Count(), a.Mean(), whole.Count(), whole.Mean())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("Quantile(%v) differs after merge", q)
-		}
 	}
 }
 

@@ -117,7 +117,7 @@ func TestHedgeWinsBackSlowShard(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 800*time.Millisecond {
 		t.Errorf("hedged answer took %v; it waited out the slow primary instead of hedging", elapsed)
 	}
-	if wins := coord.metrics.get("hedge_wins"); wins < 1 {
+	if wins := coord.metrics.hedgeWins.Load(); wins < 1 {
 		t.Errorf("hedge_wins = %d, want >= 1", wins)
 	}
 }
@@ -158,9 +158,9 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 		}
 	}
 
-	fetches := coord.metrics.get("fetches")
-	retries := coord.metrics.get("retries")
-	suppressed := coord.metrics.get("retries_suppressed")
+	fetches := coord.metrics.fetches.Load()
+	retries := coord.metrics.retries.Load()
+	suppressed := coord.metrics.retriesSuppressed.Load()
 	if suppressed == 0 {
 		t.Errorf("budget never suppressed a retry over %d queries against a dead shard", queries)
 	}
@@ -208,13 +208,13 @@ func TestBackpressurePropagates(t *testing.T) {
 	if ra := hdr.Get("Retry-After"); ra != "7" {
 		t.Errorf("Retry-After = %q, want the shard's own 7", ra)
 	}
-	if got := coord.metrics.get("backpressure"); got < 1 {
+	if got := coord.metrics.backpressure.Load(); got < 1 {
 		t.Errorf("backpressure counter = %d, want >= 1", got)
 	}
-	if got := coord.metrics.get("retries"); got != 0 {
+	if got := coord.metrics.retries.Load(); got != 0 {
 		t.Errorf("retries = %d on a 429, want 0 (backpressure is never retried)", got)
 	}
-	if got := coord.metrics.get("shard_failures"); got != 0 {
+	if got := coord.metrics.shardFailures.Load(); got != 0 {
 		t.Errorf("shard_failures = %d, want 0 (shedding is not failing)", got)
 	}
 	if !coord.topo.Load().shards[0].primary().isUp() {

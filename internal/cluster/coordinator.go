@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"videodb/internal/admission"
-	"videodb/internal/impression"
+	"videodb/internal/obs"
 	"videodb/internal/server"
 	"videodb/internal/varindex"
 )
@@ -97,7 +97,7 @@ type Coordinator struct {
 	stalenessBound int64
 	probeInterval  time.Duration
 	log            *slog.Logger
-	metrics        *coordMetrics
+	metrics        *instruments
 
 	// reshardMu is the cutover write barrier: mutating handlers hold it
 	// for read, so the rebalancer's final delta-sync + ring swap (which
@@ -173,7 +173,7 @@ func New(cfg Config) (*Coordinator, error) {
 		stalenessBound: cfg.StalenessBound,
 		probeInterval:  cfg.ProbeInterval,
 		log:            cfg.Logger,
-		metrics:        newCoordMetrics(),
+		metrics:        newInstruments(),
 		stop:           make(chan struct{}),
 	}
 	ratio := cfg.RetryBudget
@@ -236,29 +236,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// writeShardError relays a shard's refusal to the client, preserving
-// the status code and any Retry-After hint (a shed shard tells the
-// client when to come back; the coordinator must not swallow that).
-func writeShardError(w http.ResponseWriter, se *shardError, context string) {
-	if se.retryAfter != "" {
-		w.Header().Set("Retry-After", se.retryAfter)
-	}
-	writeError(w, se.code, fmt.Errorf("%s: %s", context, se.body))
-}
-
 // shardError is a non-retryable backend answer: a 4xx means the shard
 // spoke and refused the request, and a 429 specifically is the shard
 // shedding load — backpressure that must propagate to the client (with
@@ -272,18 +249,20 @@ type shardError struct {
 
 func (e *shardError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.body) }
 
+// relay passes the shard's refusal to the client untouched: status,
+// body, and any Retry-After hint (a shed shard tells the client when to
+// come back; the coordinator must not swallow that).
+func (e *shardError) relay(w http.ResponseWriter) {
+	if e.retryAfter != "" {
+		w.Header().Set("Retry-After", e.retryAfter)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(e.code)
+	_, _ = io.WriteString(w, e.body)
+}
+
 // backpressure reports whether the error is a shard shedding load.
 func (e *shardError) backpressure() bool { return e.code == http.StatusTooManyRequests }
-
-// fetchFn performs one attempt of a shard fetch against one node.
-type fetchFn func(ctx context.Context, n *node) ([]byte, error)
-
-// shardGet fans one read to a shard through shardFetch.
-func (c *Coordinator) shardGet(ctx context.Context, sh *shard, pathq string, out any) error {
-	return c.shardFetch(ctx, sh, func(ctx context.Context, n *node) ([]byte, error) {
-		return c.nodeGet(ctx, n, pathq, sh)
-	}, out)
-}
 
 // shardFetch is the one read path to a shard: primary first with an
 // optional hedged backup probe, then sequential failover across
@@ -295,11 +274,14 @@ func (c *Coordinator) shardGet(ctx context.Context, sh *shard, pathq string, out
 // shard degrades this one answer instead of amplifying into a retry
 // storm. Network errors and 5xx answers mark the node down and move on;
 // a 4xx returns immediately (the backend refused a well-delivered
-// request), and a 429 returns immediately as backpressure.
-func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out any) error {
+// request), and a 429 returns immediately as backpressure. A POST body
+// is a byte slice, so every attempt resends identical bytes (batch
+// queries are idempotent, which is also what makes them safe to hedge).
+func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq string, body []byte, out any) error {
 	c.budget.deposit()
-	c.metrics.add("fetches", 1)
+	c.metrics.fetches.Add(1)
 	order := c.readOrder(sh)
+	do := func(n *node) ([]byte, error) { return c.nodeDo(ctx, n, sh, method, pathq, body) }
 
 	finish := func(body []byte) error {
 		if out == nil {
@@ -309,9 +291,9 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 	}
 	classify := func(err error) (*shardError, bool) {
 		var se *shardError
-		if asShardError(err, &se) {
+		if errors.As(err, &se) {
 			if se.backpressure() {
-				c.metrics.add("backpressure", 1)
+				c.metrics.backpressure.Add(1)
 			}
 			return se, true
 		}
@@ -328,7 +310,7 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 	resCh := make(chan result, 2) // buffered: a losing straggler must not leak its goroutine
 	launch := func(n *node, hedged bool) {
 		go func() {
-			body, err := do(ctx, n)
+			body, err := do(n)
 			resCh <- result{body, err, hedged}
 		}()
 	}
@@ -351,10 +333,10 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 		case <-hedgeC:
 			hedgeC = nil
 			if !c.budget.take() {
-				c.metrics.add("hedges_suppressed", 1)
+				c.metrics.hedgesSuppressed.Add(1)
 				continue
 			}
-			c.metrics.add("hedges", 1)
+			c.metrics.hedges.Add(1)
 			launch(order[1], true)
 			inflight++
 			hedged = true
@@ -362,7 +344,7 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 			inflight--
 			if r.err == nil {
 				if r.hedged {
-					c.metrics.add("hedge_wins", 1)
+					c.metrics.hedgeWins.Add(1)
 				}
 				return finish(r.body)
 			}
@@ -386,18 +368,18 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 				continue
 			}
 			if !c.budget.take() {
-				c.metrics.add("retries_suppressed", 1)
-				c.metrics.add("shard_failures", 1)
+				c.metrics.retriesSuppressed.Add(1)
+				c.metrics.shardFailures.Add(1)
 				return fmt.Errorf("shard %d: retry budget exhausted: %w", sh.id, lastErr)
 			}
-			c.metrics.add("retries", 1)
+			c.metrics.retries.Add(1)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-time.After(time.Duration(25<<min(backoff, 4)) * time.Millisecond):
 			}
 			backoff++
-			body, err := do(ctx, n)
+			body, err := do(n)
 			if err == nil {
 				return finish(body)
 			}
@@ -407,16 +389,8 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, do fetchFn, out
 			lastErr = err
 		}
 	}
-	c.metrics.add("shard_failures", 1)
+	c.metrics.shardFailures.Add(1)
 	return fmt.Errorf("shard %d unreachable: %w", sh.id, lastErr)
-}
-
-func asShardError(err error, out **shardError) bool {
-	se, ok := err.(*shardError)
-	if ok {
-		*out = se
-	}
-	return ok
 }
 
 // clientKeyCtx carries the inbound request's client identity through a
@@ -442,240 +416,20 @@ func forwardClient(ctx context.Context, req *http.Request) {
 	}
 }
 
-// nodeGet performs one GET attempt against one node.
-func (c *Coordinator) nodeGet(ctx context.Context, n *node, pathq string, sh *shard) ([]byte, error) {
+// nodeDo performs one attempt of a shard fetch against one node.
+func (c *Coordinator) nodeDo(ctx context.Context, n *node, sh *shard, method, pathq string, body []byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+pathq, nil)
+	req, err := http.NewRequestWithContext(ctx, method, n.url+pathq, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	forwardClient(ctx, req)
 	start := time.Now()
-	c.metrics.add("shard_requests", 1)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		n.markDown(err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		n.markDown(err)
-		return nil, err
-	}
-	if resp.StatusCode >= 500 {
-		err := fmt.Errorf("%s: status %d", n.url, resp.StatusCode)
-		n.markDown(err)
-		return nil, err
-	}
-	n.markUp(nil)
-	sh.observeFanout(time.Since(start))
-	if resp.StatusCode != http.StatusOK {
-		return nil, &shardError{
-			code:       resp.StatusCode,
-			body:       string(body),
-			retryAfter: resp.Header.Get("Retry-After"),
-		}
-	}
-	return body, nil
-}
-
-// scatter fans fetch to every shard of the current topology
-// concurrently. A shard whose fetch fails contributes nothing and flips
-// partial; a 4xx from any shard aborts the gather (the same request
-// would 4xx everywhere). The topology is pinned for the whole gather, so
-// a reshard landing mid-gather can neither tear the shard list nor start
-// deleting moved clips from the sources this gather is still reading.
-func scatter[T any](c *Coordinator, ctx context.Context, fetch func(sh *shard) (T, error)) (parts []T, partial bool, reject *shardError) {
-	t := c.pinTopology()
-	defer t.release()
-	shards := t.shards
-	results := make([]T, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			results[i], errs[i] = fetch(sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	parts = make([]T, 0, len(results))
-	for i, err := range errs {
-		if err != nil {
-			var se *shardError
-			if asShardError(err, &se) {
-				return nil, false, se
-			}
-			c.log.Warn("shard dropped from gather", "shard", i, "err", err)
-			partial = true
-			continue
-		}
-		parts = append(parts, results[i])
-	}
-	return parts, partial, nil
-}
-
-// parseQueryPoint mirrors the single-node handler's query parsing so
-// the coordinator can (a) reject bad queries before fanning out and
-// (b) recompute the distance order the shards used when merging.
-func parseQueryPoint(r *http.Request) (varindex.Query, error) {
-	if imp := r.URL.Query().Get("impression"); imp != "" {
-		parsed, err := impression.Parse(imp)
-		if err != nil {
-			return varindex.Query{}, err
-		}
-		return parsed.Query(), nil
-	}
-	var q varindex.Query
-	var err error
-	if q.VarBA, err = strconv.ParseFloat(r.URL.Query().Get("varba"), 64); err != nil {
-		return varindex.Query{}, fmt.Errorf("need varba and varoa (or impression=...)")
-	}
-	if q.VarOA, err = strconv.ParseFloat(r.URL.Query().Get("varoa"), 64); err != nil {
-		return varindex.Query{}, fmt.Errorf("need varba and varoa (or impression=...)")
-	}
-	if err := q.Validate(); err != nil {
-		return varindex.Query{}, err
-	}
-	return q, nil
-}
-
-// QueryResponseJSON is the coordinator's GET /api/query answer: the
-// merged matches plus the partial marker. (A single node returns the
-// bare match array; the coordinator wraps it because "who answered" is
-// meaningful only behind a scatter.)
-type QueryResponseJSON struct {
-	Matches []server.MatchJSON `json:"matches"`
-	Partial bool               `json:"partial"`
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQueryPoint(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pathq := "/api/query?" + r.URL.RawQuery
-	ctx := clientContext(r)
-	parts, partial, reject := scatter(c, ctx, func(sh *shard) ([]server.MatchJSON, error) {
-		var matches []server.MatchJSON
-		err := c.shardGet(ctx, sh, pathq, &matches)
-		return matches, err
-	})
-	if reject != nil {
-		writeShardError(w, reject, "shard rejected query")
-		return
-	}
-	if len(parts) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard reachable"))
-		return
-	}
-	c.metrics.add("queries", 1)
-	if partial {
-		c.metrics.add("partial", 1)
-	}
-	w.Header().Set(HeaderPartial, strconv.FormatBool(partial))
-	writeJSON(w, QueryResponseJSON{Matches: mergeMatches(q, parts), Partial: partial})
-}
-
-// BatchResponseJSON is the coordinator's POST /api/query/batch answer:
-// the single-node shape plus the partial marker.
-type BatchResponseJSON struct {
-	Results [][]server.MatchJSON `json:"results"`
-	Partial bool                 `json:"partial"`
-}
-
-func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading batch body: %w", err))
-		return
-	}
-	var req server.BatchRequestJSON
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch body: %w", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch has no queries"))
-		return
-	}
-	// The merge needs each query's point in the similarity plane; the
-	// shards re-derive the same points from the forwarded body.
-	points := make([]varindex.Query, len(req.Queries))
-	for i, bq := range req.Queries {
-		switch {
-		case bq.Impression != "":
-			parsed, err := impression.Parse(bq.Impression)
-			if err != nil {
-				writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			points[i] = parsed.Query()
-		case bq.VarBA != nil && bq.VarOA != nil:
-			points[i] = varindex.Query{VarBA: *bq.VarBA, VarOA: *bq.VarOA}
-		default:
-			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("query %d: need varba and varoa (or impression)", i))
-			return
-		}
-	}
-	ctx := clientContext(r)
-	parts, partial, reject := scatter(c, ctx, func(sh *shard) ([][]server.MatchJSON, error) {
-		var resp server.BatchResponseJSON
-		err := c.shardPost(ctx, sh, "/api/query/batch", body, &resp)
-		return resp.Results, err
-	})
-	if reject != nil {
-		writeShardError(w, reject, "shard rejected batch")
-		return
-	}
-	if len(parts) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard reachable"))
-		return
-	}
-	c.metrics.add("batches", 1)
-	if partial {
-		c.metrics.add("partial", 1)
-	}
-	merged := make([][]server.MatchJSON, len(points))
-	for i := range points {
-		per := make([][]server.MatchJSON, 0, len(parts))
-		for _, p := range parts {
-			if i < len(p) {
-				per = append(per, p[i])
-			}
-		}
-		merged[i] = mergeMatches(points[i], per)
-	}
-	w.Header().Set(HeaderPartial, strconv.FormatBool(partial))
-	writeJSON(w, BatchResponseJSON{Results: merged, Partial: partial})
-}
-
-// shardPost sends one JSON POST to a shard with the same hedging,
-// budget and failover discipline as shardGet. The body is a byte
-// slice, so every attempt resends identical bytes (batch queries are
-// idempotent, which is also what makes them safe to hedge).
-func (c *Coordinator) shardPost(ctx context.Context, sh *shard, path string, body []byte, out any) error {
-	return c.shardFetch(ctx, sh, func(ctx context.Context, n *node) ([]byte, error) {
-		return c.nodePost(ctx, n, sh, path, body)
-	}, out)
-}
-
-func (c *Coordinator) nodePost(ctx context.Context, n *node, sh *shard, path string, body []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	forwardClient(ctx, req)
-	start := time.Now()
-	c.metrics.add("shard_requests", 1)
+	c.metrics.shardRequests.Add(1)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		n.markDown(err)
@@ -693,7 +447,7 @@ func (c *Coordinator) nodePost(ctx context.Context, n *node, sh *shard, path str
 		return nil, err
 	}
 	n.markUp(nil)
-	sh.observeFanout(time.Since(start))
+	sh.fanout.RecordDuration(time.Since(start))
 	if resp.StatusCode != http.StatusOK {
 		return nil, &shardError{
 			code:       resp.StatusCode,
@@ -704,26 +458,118 @@ func (c *Coordinator) nodePost(ctx context.Context, n *node, sh *shard, path str
 	return data, nil
 }
 
-func (c *Coordinator) handleClips(w http.ResponseWriter, r *http.Request) {
+// scatter sends one request to every shard of the current topology
+// concurrently and gathers the decoded answers. A shard whose fetch
+// fails contributes nothing and flips partial, which scatter counts and
+// announces in the X-Videodb-Partial header. ok is false when scatter
+// has already answered: a 4xx from any shard aborts the gather and is
+// relayed as is (the same request would 4xx everywhere), and with no
+// shard reachable the answer is 503. The topology is pinned for the
+// whole gather, so a reshard landing mid-gather can neither tear the
+// shard list nor start deleting moved clips from the sources this gather
+// is still reading.
+func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, method, pathq string, body []byte) (parts []T, partial, ok bool) {
 	ctx := clientContext(r)
-	parts, partial, reject := scatter(c, ctx, func(sh *shard) ([]server.ClipSummary, error) {
-		var clips []server.ClipSummary
-		err := c.shardGet(ctx, sh, "/api/clips", &clips)
-		return clips, err
-	})
-	if reject != nil {
-		writeShardError(w, reject, "shard rejected listing")
-		return
+	t := c.pinTopology()
+	defer t.release()
+	results := make([]T, len(t.shards))
+	errs := make([]error, len(t.shards))
+	var wg sync.WaitGroup
+	for i, sh := range t.shards {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			errs[i] = c.shardFetch(ctx, sh, method, pathq, body, &results[i])
+		}(i, sh)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		var se *shardError
+		switch {
+		case err == nil:
+			parts = append(parts, results[i])
+		case errors.As(err, &se):
+			se.relay(w)
+			return nil, false, false
+		default:
+			c.log.Warn("shard dropped from gather", "shard", i, "err", err)
+			partial = true
+		}
 	}
 	if len(parts) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard reachable"))
-		return
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard reachable"))
+		return nil, false, false
 	}
 	if partial {
-		c.metrics.add("partial", 1)
+		c.metrics.partial.Add(1)
 	}
 	w.Header().Set(HeaderPartial, strconv.FormatBool(partial))
-	writeJSON(w, mergeClipLists(parts))
+	return parts, partial, true
+}
+
+// QueryResponseJSON is the coordinator's GET /api/query answer: the
+// merged matches plus the partial marker. (A single node returns the
+// bare match array; the coordinator wraps it because "who answered" is
+// meaningful only behind a scatter.)
+type QueryResponseJSON struct {
+	Matches []server.MatchJSON `json:"matches"`
+	Partial bool               `json:"partial"`
+}
+
+func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
+	// The shards apply their own default tolerances to the forwarded
+	// query string; the defaults here only complete the validation.
+	q, _, err := server.ParseQuery(r, varindex.DefaultOptions())
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	parts, partial, ok := scatter[[]server.MatchJSON](c, w, r, http.MethodGet, "/api/query?"+r.URL.RawQuery, nil)
+	if !ok {
+		return
+	}
+	c.metrics.queries.Add(1)
+	server.WriteJSON(w, QueryResponseJSON{Matches: mergeMatches(q, parts), Partial: partial})
+}
+
+// BatchResponseJSON is the coordinator's POST /api/query/batch answer:
+// the single-node shape plus the partial marker.
+type BatchResponseJSON struct {
+	Results [][]server.MatchJSON `json:"results"`
+	Partial bool                 `json:"partial"`
+}
+
+func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	// The merge needs each query's point in the similarity plane; the
+	// shards re-derive the same points from the forwarded body.
+	b, code, err := server.ReadBatch(w, r, varindex.DefaultOptions())
+	if err != nil {
+		server.WriteError(w, code, err)
+		return
+	}
+	parts, partial, ok := scatter[server.BatchResponseJSON](c, w, r, http.MethodPost, "/api/query/batch", b.Body)
+	if !ok {
+		return
+	}
+	c.metrics.batches.Add(1)
+	merged := make([][]server.MatchJSON, len(b.Queries))
+	for i, point := range b.Queries {
+		per := make([][]server.MatchJSON, 0, len(parts))
+		for _, p := range parts {
+			if i < len(p.Results) {
+				per = append(per, p.Results[i])
+			}
+		}
+		merged[i] = mergeMatches(point, per)
+	}
+	server.WriteJSON(w, BatchResponseJSON{Results: merged, Partial: partial})
+}
+
+func (c *Coordinator) handleClips(w http.ResponseWriter, r *http.Request) {
+	parts, _, ok := scatter[[]server.ClipSummary](c, w, r, http.MethodGet, "/api/clips", nil)
+	if ok {
+		server.WriteJSON(w, mergeClipLists(parts))
+	}
 }
 
 // handleIngest routes an upload to the shard that owns the clip name.
@@ -739,7 +585,7 @@ func (c *Coordinator) handleClips(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest,
+		server.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("clustered ingest needs a ?name= parameter (the ring routes on it)"))
 		return
 	}
@@ -747,7 +593,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer c.reshardMu.RUnlock()
 	t := c.topo.Load()
 	sh := t.shards[t.ring.Owner(name)]
-	c.metrics.add("writes", 1)
+	c.metrics.writes.Add(1)
 	c.proxy(w, r, sh.primary(), "/api/clips?"+r.URL.RawQuery)
 }
 
@@ -758,7 +604,7 @@ func (c *Coordinator) handleClipWrite(w http.ResponseWriter, r *http.Request) {
 	defer c.reshardMu.RUnlock()
 	t := c.topo.Load()
 	sh := t.shards[t.ring.Owner(r.PathValue("name"))]
-	c.metrics.add("writes", 1)
+	c.metrics.writes.Add(1)
 	c.proxy(w, r, sh.primary(), r.URL.RequestURI())
 }
 
@@ -778,7 +624,7 @@ func (c *Coordinator) handleClipRead(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("clip")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
 	t := c.pinTopology()
@@ -791,19 +637,14 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 // backend's status and body verbatim.
 func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, sh *shard) {
 	var raw json.RawMessage
-	err := c.shardGet(clientContext(r), sh, r.URL.RequestURI(), &raw)
+	err := c.shardFetch(clientContext(r), sh, http.MethodGet, r.URL.RequestURI(), nil, &raw)
 	if err != nil {
 		var se *shardError
-		if asShardError(err, &se) {
-			if se.retryAfter != "" {
-				w.Header().Set("Retry-After", se.retryAfter)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(se.code)
-			_, _ = io.WriteString(w, se.body)
+		if errors.As(err, &se) {
+			se.relay(w)
 			return
 		}
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -817,7 +658,7 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, sh *shar
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pathq string) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.url+pathq, r.Body)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -827,7 +668,7 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pat
 	resp, err := c.client.Do(req)
 	if err != nil {
 		n.markDown(err)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard write failed: %w", err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard write failed: %w", err))
 		return
 	}
 	defer resp.Body.Close()
@@ -835,7 +676,7 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pat
 		n.markUp(nil)
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		c.metrics.add("backpressure", 1)
+		c.metrics.backpressure.Add(1)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -848,7 +689,7 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pat
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, c.status())
+	server.WriteJSON(w, c.status())
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -862,7 +703,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"status":          "ok",
 		"role":            "coordinator",
 		"shards":          len(shards),
@@ -870,86 +711,63 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics serves the coordinator's counters in Prometheus text
-// format, plus per-node reachability gauges.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, m := range []struct{ name, help, key string }{
-		{"videodb_coord_queries_total", "Scatter-gather queries served.", "queries"},
-		{"videodb_coord_batches_total", "Scatter-gather batch requests served.", "batches"},
-		{"videodb_coord_partial_total", "Answers assembled without every shard.", "partial"},
-		{"videodb_coord_writes_total", "Writes routed to owning shards.", "writes"},
-		{"videodb_coord_shard_requests_total", "Fan-out requests attempted against shard nodes.", "shard_requests"},
-		{"videodb_coord_shard_failures_total", "Fan-outs that exhausted every node of a shard.", "shard_failures"},
-		{"videodb_coord_fetches_total", "Primary shard fetches (the base traffic retries are budgeted against).", "fetches"},
-		{"videodb_coord_retries_total", "Retry and failover attempts paid from the retry budget.", "retries"},
-		{"videodb_coord_retries_suppressed_total", "Retry attempts refused because the budget was dry.", "retries_suppressed"},
-		{"videodb_coord_hedges_total", "Hedged backup probes fired.", "hedges"},
-		{"videodb_coord_hedge_wins_total", "Hedged probes that answered before the primary attempt.", "hedge_wins"},
-		{"videodb_coord_hedges_suppressed_total", "Hedges refused because the budget was dry.", "hedges_suppressed"},
-		{"videodb_coord_backpressure_total", "Shard answers classified as backpressure (429, propagated, never retried).", "backpressure"},
-		{"videodb_coord_reshards_total", "Reshard operations completed successfully.", "reshards"},
-		{"videodb_coord_reshards_failed_total", "Reshard operations that failed and rolled back to the old ring.", "reshards_failed"},
-		{"videodb_coord_reshard_moved_clips_total", "Clips migrated between shards by reshard operations.", "reshard_moved"},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			m.name, m.help, m.name, m.name, c.metrics.get(m.key))
+// instruments are the coordinator's counters, registered once in New
+// and bumped lock-free on the fan-out path.
+type instruments struct {
+	reg *obs.Registry
+
+	queries, batches, partial, writes           *obs.Counter
+	shardRequests, shardFailures, fetches       *obs.Counter
+	retries, retriesSuppressed                  *obs.Counter
+	hedges, hedgeWins, hedgesSuppressed         *obs.Counter
+	backpressure                                *obs.Counter
+	reshards, reshardsFailed, reshardMovedClips *obs.Counter
+}
+
+func newInstruments() *instruments {
+	reg := &obs.Registry{}
+	return &instruments{
+		reg:               reg,
+		queries:           reg.Counter("videodb_coord_queries_total", "Scatter-gather queries served."),
+		batches:           reg.Counter("videodb_coord_batches_total", "Scatter-gather batch requests served."),
+		partial:           reg.Counter("videodb_coord_partial_total", "Answers assembled without every shard."),
+		writes:            reg.Counter("videodb_coord_writes_total", "Writes routed to owning shards."),
+		shardRequests:     reg.Counter("videodb_coord_shard_requests_total", "Fan-out requests attempted against shard nodes."),
+		shardFailures:     reg.Counter("videodb_coord_shard_failures_total", "Fan-outs that exhausted every node of a shard."),
+		fetches:           reg.Counter("videodb_coord_fetches_total", "Primary shard fetches (the base traffic retries are budgeted against)."),
+		retries:           reg.Counter("videodb_coord_retries_total", "Retry and failover attempts paid from the retry budget."),
+		retriesSuppressed: reg.Counter("videodb_coord_retries_suppressed_total", "Retry attempts refused because the budget was dry."),
+		hedges:            reg.Counter("videodb_coord_hedges_total", "Hedged backup probes fired."),
+		hedgeWins:         reg.Counter("videodb_coord_hedge_wins_total", "Hedged probes that answered before the primary attempt."),
+		hedgesSuppressed:  reg.Counter("videodb_coord_hedges_suppressed_total", "Hedges refused because the budget was dry."),
+		backpressure:      reg.Counter("videodb_coord_backpressure_total", "Shard answers classified as backpressure (429, propagated, never retried)."),
+		reshards:          reg.Counter("videodb_coord_reshards_total", "Reshard operations completed successfully."),
+		reshardsFailed:    reg.Counter("videodb_coord_reshards_failed_total", "Reshard operations that failed and rolled back to the old ring."),
+		reshardMovedClips: reg.Counter("videodb_coord_reshard_moved_clips_total", "Clips migrated between shards by reshard operations."),
 	}
+}
+
+// handleMetrics serves the coordinator's counters in Prometheus text
+// format, plus per-node reachability gauges and the read balance.
+func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", obs.ContentType)
+	p := obs.NewWriter(w)
+	c.metrics.reg.Write(p)
 	shards := c.topo.Load().shards
-	fmt.Fprintln(w, "# HELP videodb_coord_node_up Whether a shard node answered its last probe or request.")
-	fmt.Fprintln(w, "# TYPE videodb_coord_node_up gauge")
+	p.Family("videodb_coord_node_up", "gauge", "Whether a shard node answered its last probe or request.")
 	for _, sh := range shards {
 		for _, n := range sh.nodes {
-			up := 0
+			up := 0.0
 			if n.isUp() {
 				up = 1
 			}
-			role := "primary"
-			if n.replica {
-				role = "replica"
-			}
-			fmt.Fprintf(w, "videodb_coord_node_up{shard=\"%d\",role=%q,url=%q} %d\n", sh.id, role, n.url, up)
+			p.Sample("videodb_coord_node_up", up, "shard", strconv.Itoa(sh.id), "role", n.role(), "url", n.url)
 		}
 	}
-	fmt.Fprintln(w, "# HELP videodb_coord_shard_reads_total Shard reads by the role of the node chosen to answer first (read balance).")
-	fmt.Fprintln(w, "# TYPE videodb_coord_shard_reads_total counter")
+	p.Family("videodb_coord_shard_reads_total", "counter", "Shard reads by the role of the node chosen to answer first (read balance).")
 	for _, sh := range shards {
-		fmt.Fprintf(w, "videodb_coord_shard_reads_total{shard=\"%d\",role=\"primary\"} %d\n", sh.id, sh.primaryReads.Load())
-		fmt.Fprintf(w, "videodb_coord_shard_reads_total{shard=\"%d\",role=\"replica\"} %d\n", sh.id, sh.replicaReads.Load())
+		id := strconv.Itoa(sh.id)
+		p.Sample("videodb_coord_shard_reads_total", float64(sh.primaryReads.Load()), "shard", id, "role", "primary")
+		p.Sample("videodb_coord_shard_reads_total", float64(sh.replicaReads.Load()), "shard", id, "role", "replica")
 	}
-}
-
-// coordMetrics is a mutex-guarded counter map: the coordinator has a
-// handful of counters and no latency-critical path through them.
-type coordMetrics struct {
-	mu       sync.Mutex
-	counters map[string]int64
-}
-
-func newCoordMetrics() *coordMetrics {
-	return &coordMetrics{counters: make(map[string]int64)}
-}
-
-func (m *coordMetrics) add(key string, n int64) {
-	m.mu.Lock()
-	m.counters[key] += n
-	m.mu.Unlock()
-}
-
-func (m *coordMetrics) get(key string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[key]
-}
-
-// Keys returns the sorted counter names (used by tests).
-func (m *coordMetrics) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"videodb/internal/benchfmt"
+	"videodb/internal/obs"
 )
 
 // node is one backend process — a shard primary or one of its read
@@ -58,6 +58,14 @@ func (n *node) isUp() bool {
 	return n.up
 }
 
+// role names the node's part in its shard.
+func (n *node) role() string {
+	if n.replica {
+		return "replica"
+	}
+	return "primary"
+}
+
 // snapshot returns the node's liveness fields under one lock hold.
 func (n *node) snapshot() (up bool, fails int, lastErr string) {
 	n.mu.Lock()
@@ -88,8 +96,7 @@ type shard struct {
 	id    int
 	nodes []*node // nodes[0] is the primary
 
-	histMu sync.Mutex
-	hist   *benchfmt.Histogram
+	fanout *obs.Histogram
 
 	// rr rotates the first read slot across the primary and the
 	// staleness-eligible replicas; primaryReads / replicaReads record
@@ -103,7 +110,7 @@ type shard struct {
 // newShard builds one shard's node set from its config: the primary at
 // slot 0, replicas behind it, all optimistically up until probed.
 func newShard(id int, sc ShardConfig) *shard {
-	sh := &shard{id: id, hist: benchfmt.NewHistogram()}
+	sh := &shard{id: id, fanout: obs.NewHistogram()}
 	sh.nodes = append(sh.nodes, &node{url: sc.Primary, up: true})
 	for _, r := range sc.Replicas {
 		sh.nodes = append(sh.nodes, &node{url: r, replica: true, up: true})
@@ -212,18 +219,6 @@ func (c *Coordinator) readOrder(sh *shard) []*node {
 	return order
 }
 
-func (sh *shard) observeFanout(d time.Duration) {
-	sh.histMu.Lock()
-	sh.hist.RecordDuration(d)
-	sh.histMu.Unlock()
-}
-
-func (sh *shard) fanoutQuantile(q float64) (seconds float64, count int64) {
-	sh.histMu.Lock()
-	defer sh.histMu.Unlock()
-	return sh.hist.Quantile(q), sh.hist.Count()
-}
-
 // hedgeMinSamples is how many fan-out observations a shard needs before
 // its p99 is trusted to derive the hedge delay; below it the configured
 // floor applies.
@@ -236,8 +231,8 @@ const hedgeMinSamples = 20
 // hedge fired later than that cannot finish in time anyway).
 func (sh *shard) hedgeDelay(floor, timeout time.Duration) time.Duration {
 	d := floor
-	if p99, count := sh.fanoutQuantile(0.99); count >= hedgeMinSamples {
-		if pd := time.Duration(p99 * float64(time.Second)); pd > d {
+	if sh.fanout.Count() >= hedgeMinSamples {
+		if pd := time.Duration(sh.fanout.Quantile(0.99) * float64(time.Second)); pd > d {
 			d = pd
 		}
 	}
@@ -388,15 +383,12 @@ func (c *Coordinator) status() StatusJSON {
 	var maxLag int64
 	for i, sh := range shards {
 		ss := ShardStatus{ID: sh.id}
-		ss.FanoutP99Seconds, ss.FanoutCount = sh.fanoutQuantile(0.99)
+		ss.FanoutP99Seconds, ss.FanoutCount = sh.fanout.Quantile(0.99), sh.fanout.Count()
 		ss.PrimaryReads = sh.primaryReads.Load()
 		ss.ReplicaReads = sh.replicaReads.Load()
 		for _, n := range sh.nodes {
 			up, fails, lastErr := n.snapshot()
-			ns := NodeStatus{URL: n.url, Role: "primary", Up: up, Fails: fails, LastError: lastErr}
-			if n.replica {
-				ns.Role = "replica"
-			}
+			ns := NodeStatus{URL: n.url, Role: n.role(), Up: up, Fails: fails, LastError: lastErr}
 			if v, ok := n.healthValue("clips"); ok {
 				ns.Clips = v
 			}
@@ -423,15 +415,15 @@ func (c *Coordinator) status() StatusJSON {
 	out.ReplicaReadsEnabled = c.replicaReads
 	out.StalenessBoundBytes = c.stalenessBound
 	out.Reshard = c.reshard.statusDoc()
-	out.Queries = c.metrics.get("queries")
-	out.Batches = c.metrics.get("batches")
-	out.PartialQueries = c.metrics.get("partial")
-	out.Fetches = c.metrics.get("fetches")
-	out.Retries = c.metrics.get("retries")
-	out.RetriesSuppressed = c.metrics.get("retries_suppressed")
-	out.Hedges = c.metrics.get("hedges")
-	out.HedgeWins = c.metrics.get("hedge_wins")
-	out.HedgesSuppressed = c.metrics.get("hedges_suppressed")
-	out.Backpressure = c.metrics.get("backpressure")
+	out.Queries = c.metrics.queries.Load()
+	out.Batches = c.metrics.batches.Load()
+	out.PartialQueries = c.metrics.partial.Load()
+	out.Fetches = c.metrics.fetches.Load()
+	out.Retries = c.metrics.retries.Load()
+	out.RetriesSuppressed = c.metrics.retriesSuppressed.Load()
+	out.Hedges = c.metrics.hedges.Load()
+	out.HedgeWins = c.metrics.hedgeWins.Load()
+	out.HedgesSuppressed = c.metrics.hedgesSuppressed.Load()
+	out.Backpressure = c.metrics.backpressure.Load()
 	return out
 }

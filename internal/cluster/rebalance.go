@@ -44,6 +44,8 @@ import (
 	"net/url"
 	"sync"
 	"time"
+
+	"videodb/internal/server"
 )
 
 // ErrReshardBusy reports a reshard request while one is already
@@ -200,20 +202,20 @@ func (s *reshardState) statusDoc() *ReshardStatus {
 func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading reshard body: %w", err))
+		server.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading reshard body: %w", err))
 		return
 	}
 	var req ReshardRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding reshard body: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding reshard body: %w", err))
 		return
 	}
 	rep, err := c.Reshard(r.Context(), req)
 	switch {
 	case errors.Is(err, ErrReshardBusy):
-		writeError(w, http.StatusConflict, err)
+		server.WriteError(w, http.StatusConflict, err)
 	case err != nil && rep == nil:
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 	case err != nil:
 		// The reshard ran and failed (rolled back): the operation's own
 		// endpoint reports the failure, with the report attached so the
@@ -222,7 +224,7 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 		_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "report": rep})
 	default:
-		writeJSON(w, rep)
+		server.WriteJSON(w, rep)
 	}
 }
 
@@ -268,11 +270,11 @@ func (c *Coordinator) Reshard(ctx context.Context, req ReshardRequest) (*Reshard
 	rep.TotalSeconds = time.Since(start).Seconds()
 	if err != nil {
 		rep.Error = err.Error()
-		c.metrics.add("reshards_failed", 1)
+		c.metrics.reshardsFailed.Add(1)
 		c.log.Warn("reshard failed", "from", from, "to", to, "err", err, "rolledBack", rep.RolledBack)
 	} else {
-		c.metrics.add("reshards", 1)
-		c.metrics.add("reshard_moved", int64(rep.MovedClips))
+		c.metrics.reshards.Add(1)
+		c.metrics.reshardMovedClips.Add(int64(rep.MovedClips))
 		c.log.Info("reshard complete", "from", from, "to", to,
 			"moved", rep.MovedClips, "cutoverSeconds", rep.CutoverSeconds,
 			"dualReadSeconds", rep.DualReadSeconds)

@@ -11,9 +11,10 @@ import (
 	"videodb/internal/varindex"
 )
 
-// defaultMaxBatch bounds the number of queries one POST /api/query/batch
-// request may carry; WithMaxBatch overrides it.
-const defaultMaxBatch = 1000
+// MaxBatch bounds the number of queries one POST /api/query/batch
+// request may carry. It is part of the wire contract, not a per-process
+// setting: a node and the coordinator in front of it must agree on it.
+const MaxBatch = 1000
 
 // batchBodyLimit caps a batch request body. Batches are pure JSON —
 // even a maximal one is well under a mebibyte — so anything larger is
@@ -63,13 +64,20 @@ func (b BatchQueryJSON) toQuery(i int) (varindex.Query, error) {
 	return varindex.Query{VarBA: *b.VarBA, VarOA: *b.VarOA}, nil
 }
 
-// handleQueryBatch implements POST /api/query/batch: many similarity
-// queries answered in one round trip and under one core read lock,
-// amortizing both the HTTP and the locking overhead of bulk lookups.
-// Status codes: 400 for an empty or malformed body, 413 for a batch
-// over the configured size limit, 422 for a body that parses but whose
-// queries are semantically invalid.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+// Batch is a validated POST /api/query/batch request.
+type Batch struct {
+	Body    []byte // the request body verbatim, for a coordinator to forward
+	Queries []varindex.Query
+	Options varindex.Options
+}
+
+// ReadBatch reads and validates a batch request, with tolerances
+// defaulting to def. On failure it returns the status to refuse with:
+// 400 for an unreadable, empty or malformed body, 413 for a body or batch
+// over its size limit, 422 for a body that parses but whose tolerances or
+// queries are semantically invalid. The coordinator validates with the
+// same function before it fans out.
+func ReadBatch(w http.ResponseWriter, r *http.Request, def varindex.Options) (*Batch, int, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchBodyLimit))
 	if err != nil {
 		code := http.StatusBadRequest
@@ -77,58 +85,59 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, fmt.Errorf("reading batch body: %w", err))
-		return
+		return nil, code, fmt.Errorf("reading batch body: %w", err)
 	}
 	if len(body) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch body"))
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("empty batch body")
 	}
 	var req BatchRequestJSON
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch body: %w", err))
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("decoding batch body: %w", err)
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch has no queries"))
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("batch has no queries")
 	}
-	if len(req.Queries) > s.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch))
-		return
+	if len(req.Queries) > MaxBatch {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), MaxBatch)
 	}
-
-	opt := s.db.Options().Query
+	b := &Batch{Body: body, Queries: make([]varindex.Query, len(req.Queries)), Options: def}
 	if req.Alpha != nil {
-		opt.Alpha = *req.Alpha
+		b.Options.Alpha = *req.Alpha
 	}
 	if req.Beta != nil {
-		opt.Beta = *req.Beta
+		b.Options.Beta = *req.Beta
 	}
-	if err := opt.Validate(); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+	if err := b.Options.Validate(); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
 	}
-	queries := make([]varindex.Query, len(req.Queries))
 	for i, bq := range req.Queries {
-		q, err := bq.toQuery(i)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
+		if b.Queries[i], err = bq.toQuery(i); err != nil {
+			return nil, http.StatusUnprocessableEntity, err
 		}
-		queries[i] = q
 	}
+	return b, 0, nil
+}
 
-	batches, err := s.db.QueryBatch(queries, opt)
+// handleQueryBatch implements POST /api/query/batch: many similarity
+// queries answered in one round trip and under one core read lock,
+// amortizing both the HTTP and the locking overhead of bulk lookups.
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	b, code, err := ReadBatch(w, r, s.db.Options().Query)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, code, err)
 		return
 	}
-	s.metrics.addBatch(len(queries))
+	batches, err := s.db.QueryBatch(b.Queries, b.Options)
+	if err != nil {
+		WriteError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	s.metrics.batches.Add(1)
+	s.metrics.batchQueries.Add(int64(len(b.Queries)))
 	resp := BatchResponseJSON{Results: make([][]MatchJSON, len(batches))}
 	for i, matches := range batches {
 		resp.Results[i] = matchesJSON(matches)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }

@@ -117,7 +117,7 @@ func TestQueryBatchTolerances(t *testing.T) {
 
 func TestQueryBatchErrors(t *testing.T) {
 	ts, _ := testServer(t)
-	big := `{"queries": [` + strings.Repeat(`{"varba": 1, "varoa": 1},`, defaultMaxBatch) +
+	big := `{"queries": [` + strings.Repeat(`{"varba": 1, "varoa": 1},`, MaxBatch) +
 		`{"varba": 1, "varoa": 1}]}`
 	cases := []struct {
 		name string

@@ -61,26 +61,26 @@ func (m *mediaCache) load(name string) (*video.Clip, error) {
 
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if s.media == nil {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("no media source configured"))
+		WriteError(w, http.StatusNotImplemented, fmt.Errorf("no media source configured"))
 		return
 	}
 	name := r.URL.Query().Get("clip")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
 	idx, err := strconv.Atoi(r.URL.Query().Get("frame"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parameter frame: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter frame: %w", err))
 		return
 	}
 	clip, err := s.media.load(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if idx < 0 || idx >= clip.Len() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d outside [0,%d)", idx, clip.Len()))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d outside [0,%d)", idx, clip.Len()))
 		return
 	}
 	w.Header().Set("Content-Type", "image/png")
@@ -89,36 +89,36 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStoryboard(w http.ResponseWriter, r *http.Request) {
 	if s.media == nil {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("no media source configured"))
+		WriteError(w, http.StatusNotImplemented, fmt.Errorf("no media source configured"))
 		return
 	}
 	name := r.URL.Query().Get("clip")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
 	rec, ok := s.db.Clip(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("clip %q not ingested", name))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("clip %q not ingested", name))
 		return
 	}
 	clip, err := s.media.load(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	opt := storyboard.DefaultOptions()
 	if cs := r.URL.Query().Get("cols"); cs != "" {
 		cols, err := strconv.Atoi(cs)
 		if err != nil || cols < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parameter cols must be a positive integer"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter cols must be a positive integer"))
 			return
 		}
 		opt.Columns = cols
 	}
 	board, err := storyboard.ForClip(clip, rec.Tree, opt)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "image/png")

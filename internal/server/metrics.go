@@ -1,255 +1,139 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"strings"
-	"sync"
+	"strconv"
+	"sync/atomic"
 	"time"
 
-	"videodb/internal/core"
+	"videodb/internal/obs"
 )
 
-// metricsRegistry is the in-process metrics layer: per-route request
-// counters and latency histograms, plus write-path counters. It renders
-// in the Prometheus text exposition format, so the server is scrapable
-// without taking on a client-library dependency.
-type metricsRegistry struct {
-	mu           sync.Mutex
-	requests     map[string]map[int]int64 // route -> status code -> count
-	durations    map[string]*latencyHist  // route -> latency histogram
-	ingests      int64
-	ingestFrames int64
-	removes      int64
-	snapshots    int64
-	batches      int64
-	batchQueries int64
+// metrics is the server's instrument set beyond the per-route stats:
+// the write-path, replication and migration counters, registered once
+// in newMetrics and bumped lock-free by the handlers.
+type metrics struct {
+	reg *obs.Registry
+
+	ingests, ingestFrames, removes, snapshots, batches, batchQueries *obs.Counter
 	// replSnapshots / replChunks / replBytes count the primary side of
-	// WAL shipping: bootstrap snapshots streamed and journal chunks
-	// (and their bytes) served to replicas.
-	replSnapshots int64
-	replChunks    int64
-	replBytes     int64
-	// migrExports / migrImports count the per-clip record traffic of
-	// online resharding: records exported to a migrating coordinator and
-	// records imported from one (with their byte volumes).
-	migrExports     int64
-	migrExportBytes int64
-	migrImports     int64
-	migrImportBytes int64
-	// snapshotLastUnix is the wall-clock time of the last successful
-	// POST /api/snapshot, as Unix seconds; 0 until one succeeds.
-	snapshotLastUnix float64
-	// ingestPhase accumulates ingest-pipeline time by phase label
-	// (analyze, detect, tree, index); detect is the sequential share
-	// inside analyze, not an additional phase.
-	ingestPhase map[string]float64
+	// WAL shipping; the migr* counters the per-clip record traffic of
+	// online resharding, in both directions.
+	replSnapshots, replChunks, replBytes                       *obs.Counter
+	migrExports, migrExportBytes, migrImports, migrImportBytes *obs.Counter
+
+	// ingestPhaseNanos accumulates ingest-pipeline time by phase, indexed
+	// like ingestPhases; detect is the sequential share inside analyze,
+	// not an additional phase.
+	ingestPhaseNanos [len(ingestPhases)]obs.Counter
+	// snapshotLastUnix is the wall-clock second of the last successful
+	// POST /api/snapshot; 0 until one succeeds.
+	snapshotLastUnix atomic.Int64
 }
 
-// durationBuckets are the histogram upper bounds in seconds, spanning
-// sub-millisecond index lookups to multi-second live ingests.
-var durationBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
+var ingestPhases = [...]string{"analyze", "detect", "index", "tree"}
 
-func newMetricsRegistry() *metricsRegistry {
-	return &metricsRegistry{
-		requests:    make(map[string]map[int]int64),
-		durations:   make(map[string]*latencyHist),
-		ingestPhase: make(map[string]float64),
+func newMetrics() *metrics {
+	reg := &obs.Registry{}
+	return &metrics{
+		reg:             reg,
+		ingests:         reg.Counter("videodb_ingests_total", "Clips ingested through POST /api/clips."),
+		ingestFrames:    reg.Counter("videodb_ingest_frames_total", "Frames analyzed by live ingests through POST /api/clips."),
+		removes:         reg.Counter("videodb_removes_total", "Clips removed through DELETE /api/clips/{name}."),
+		snapshots:       reg.Counter("videodb_snapshots_total", "Snapshots persisted through POST /api/snapshot."),
+		batches:         reg.Counter("videodb_query_batches_total", "Batch requests served through POST /api/query/batch."),
+		batchQueries:    reg.Counter("videodb_batch_queries_total", "Individual queries answered inside batch requests."),
+		replSnapshots:   reg.Counter("videodb_replication_snapshots_total", "Bootstrap snapshots streamed to replicas."),
+		replChunks:      reg.Counter("videodb_replication_chunks_total", "WAL chunks shipped to replicas."),
+		replBytes:       reg.Counter("videodb_replication_bytes_total", "WAL bytes shipped to replicas."),
+		migrExports:     reg.Counter("videodb_migration_exports_total", "Clip records exported to a resharding coordinator."),
+		migrExportBytes: reg.Counter("videodb_migration_export_bytes_total", "Clip record bytes exported to a resharding coordinator."),
+		migrImports:     reg.Counter("videodb_migration_imports_total", "Clip records imported during a reshard."),
+		migrImportBytes: reg.Counter("videodb_migration_import_bytes_total", "Clip record bytes imported during a reshard."),
 	}
 }
 
-// latencyHist is a fixed-bucket cumulative histogram.
-type latencyHist struct {
-	counts [9]int64 // len(durationBuckets)+1, last is +Inf
-	total  int64
-	sum    float64
+// routeStats counts and times one route's requests under its pattern
+// label. Both halves stay nil until the route's first request, so the
+// routes nobody calls cost a few words each, not a histogram.
+type routeStats struct {
+	pattern string
+	latency atomic.Pointer[obs.Histogram]
+	codes   atomic.Pointer[[]codeCount] // copy-on-write, sorted by code
 }
 
-func (h *latencyHist) observe(seconds float64) {
-	i := 0
-	for i < len(durationBuckets) && seconds > durationBuckets[i] {
-		i++
-	}
-	h.counts[i]++
-	h.total++
-	h.sum += seconds
+type codeCount struct {
+	code int
+	n    *obs.Counter
 }
 
-// observe records one served request.
-func (m *metricsRegistry) observe(route string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[route]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.requests[route] = byCode
-	}
-	byCode[code]++
-	h := m.durations[route]
-	if h == nil {
-		h = &latencyHist{}
-		m.durations[route] = h
-	}
-	h.observe(d.Seconds())
-}
-
-// instrument wraps a route's handler so every request is counted and
-// timed under the route's pattern label.
-func (m *metricsRegistry) instrument(route string, next http.Handler) http.Handler {
+// instrument wraps the route's handler so every request is counted and
+// timed.
+func (rs *routeStats) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		m.observe(route, sw.status(), time.Since(start))
+		h := rs.latency.Load()
+		if h == nil {
+			rs.latency.CompareAndSwap(nil, obs.NewHistogram())
+			h = rs.latency.Load()
+		}
+		h.RecordDuration(time.Since(start))
+		rs.count(sw.status()).Add(1)
 	})
 }
 
-// addIngest records one live-ingested clip: its frame count and where
-// the pipeline's time went.
-func (m *metricsRegistry) addIngest(frames int, st core.IngestStats) {
-	m.mu.Lock()
-	m.ingests++
-	m.ingestFrames += int64(frames)
-	m.ingestPhase["analyze"] += st.AnalyzeSeconds
-	m.ingestPhase["detect"] += st.DetectSeconds
-	m.ingestPhase["tree"] += st.TreeSeconds
-	m.ingestPhase["index"] += st.IndexSeconds
-	m.mu.Unlock()
-}
-
-func (m *metricsRegistry) addRemove() { m.mu.Lock(); m.removes++; m.mu.Unlock() }
-
-func (m *metricsRegistry) addSnapshot() {
-	m.mu.Lock()
-	m.snapshots++
-	m.snapshotLastUnix = float64(time.Now().Unix())
-	m.mu.Unlock()
-}
-
-// addReplicationSnapshot records one bootstrap snapshot streamed to a
-// replica.
-func (m *metricsRegistry) addReplicationSnapshot() {
-	m.mu.Lock()
-	m.replSnapshots++
-	m.mu.Unlock()
-}
-
-// addReplicationChunk records one WAL chunk of n bytes shipped.
-func (m *metricsRegistry) addReplicationChunk(n int) {
-	m.mu.Lock()
-	m.replChunks++
-	m.replBytes += int64(n)
-	m.mu.Unlock()
-}
-
-// addMigrationExport records one clip record of n bytes exported to a
-// resharding coordinator.
-func (m *metricsRegistry) addMigrationExport(n int) {
-	m.mu.Lock()
-	m.migrExports++
-	m.migrExportBytes += int64(n)
-	m.mu.Unlock()
-}
-
-// addMigrationImport records one clip record of n bytes imported from a
-// resharding coordinator.
-func (m *metricsRegistry) addMigrationImport(n int) {
-	m.mu.Lock()
-	m.migrImports++
-	m.migrImportBytes += int64(n)
-	m.mu.Unlock()
-}
-
-// addBatch records one served batch of n queries.
-func (m *metricsRegistry) addBatch(n int) {
-	m.mu.Lock()
-	m.batches++
-	m.batchQueries += int64(n)
-	m.mu.Unlock()
-}
-
-// escapeLabel escapes a Prometheus label value.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// render writes the registry plus caller-supplied counters and gauges
-// (journal totals and database sizes are read at scrape time, not
-// tracked incrementally).
-func (m *metricsRegistry) render(w io.Writer, counters, gauges map[string]float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	routes := make([]string, 0, len(m.requests))
-	for r := range m.requests {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-
-	fmt.Fprintln(w, "# HELP videodb_http_requests_total HTTP requests served, by route pattern and status code.")
-	fmt.Fprintln(w, "# TYPE videodb_http_requests_total counter")
-	for _, route := range routes {
-		codes := make([]int, 0, len(m.requests[route]))
-		for c := range m.requests[route] {
-			codes = append(codes, c)
+// count returns the counter of one status code, publishing a grown copy
+// of the list the first time the route answers with it.
+func (rs *routeStats) count(code int) *obs.Counter {
+	for {
+		old := rs.codes.Load()
+		var cur []codeCount
+		if old != nil {
+			cur = *old
 		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "videodb_http_requests_total{route=%q,code=\"%d\"} %d\n",
-				escapeLabel(route), c, m.requests[route][c])
+		i, found := slices.BinarySearchFunc(cur, code, func(c codeCount, code int) int { return c.code - code })
+		if found {
+			return cur[i].n
+		}
+		next := slices.Insert(slices.Clone(cur), i, codeCount{code, new(obs.Counter)})
+		if rs.codes.CompareAndSwap(old, &next) {
+			return next[i].n
 		}
 	}
+}
 
-	fmt.Fprintln(w, "# HELP videodb_http_request_duration_seconds Request latency, by route pattern.")
-	fmt.Fprintln(w, "# TYPE videodb_http_request_duration_seconds histogram")
-	for _, route := range routes {
-		h := m.durations[route]
-		label := escapeLabel(route)
-		cum := int64(0)
-		for i, le := range durationBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "videodb_http_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n", label, le, cum)
+// write renders the routes' stats, the registry, and caller-supplied
+// counters and gauges (journal totals and database sizes are read at
+// scrape time, not tracked incrementally).
+func (m *metrics) write(p *obs.Writer, routes []*routeStats, counters, gauges map[string]float64) {
+	p.Family("videodb_http_requests_total", "counter", "HTTP requests served, by route pattern and status code.")
+	for _, rs := range routes {
+		if codes := rs.codes.Load(); codes != nil {
+			for _, c := range *codes {
+				p.Sample("videodb_http_requests_total", float64(c.n.Load()), "route", rs.pattern, "code", strconv.Itoa(c.code))
+			}
 		}
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", label, h.total)
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_sum{route=%q} %g\n", label, h.sum)
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_count{route=%q} %d\n", label, h.total)
 	}
-
-	for _, c := range []struct {
-		name, help string
-		value      int64
-	}{
-		{"videodb_ingests_total", "Clips ingested through POST /api/clips.", m.ingests},
-		{"videodb_ingest_frames_total", "Frames analyzed by live ingests through POST /api/clips.", m.ingestFrames},
-		{"videodb_removes_total", "Clips removed through DELETE /api/clips/{name}.", m.removes},
-		{"videodb_snapshots_total", "Snapshots persisted through POST /api/snapshot.", m.snapshots},
-		{"videodb_query_batches_total", "Batch requests served through POST /api/query/batch.", m.batches},
-		{"videodb_batch_queries_total", "Individual queries answered inside batch requests.", m.batchQueries},
-		{"videodb_replication_snapshots_total", "Bootstrap snapshots streamed to replicas.", m.replSnapshots},
-		{"videodb_replication_chunks_total", "WAL chunks shipped to replicas.", m.replChunks},
-		{"videodb_replication_bytes_total", "WAL bytes shipped to replicas.", m.replBytes},
-		{"videodb_migration_exports_total", "Clip records exported to a resharding coordinator.", m.migrExports},
-		{"videodb_migration_export_bytes_total", "Clip record bytes exported to a resharding coordinator.", m.migrExportBytes},
-		{"videodb_migration_imports_total", "Clip records imported during a reshard.", m.migrImports},
-		{"videodb_migration_import_bytes_total", "Clip record bytes imported during a reshard.", m.migrImportBytes},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
+	p.Family("videodb_http_request_duration_seconds", "histogram", "Request latency, by route pattern.")
+	for _, rs := range routes {
+		if h := rs.latency.Load(); h != nil {
+			p.Histogram("videodb_http_request_duration_seconds", h, "route", rs.pattern)
+		}
 	}
+	m.reg.Write(p)
 
-	fmt.Fprintln(w, "# HELP videodb_ingest_phase_seconds_total Ingest-pipeline time by phase; detect is the sequential share inside analyze.")
-	fmt.Fprintln(w, "# TYPE videodb_ingest_phase_seconds_total counter")
-	for _, phase := range []string{"analyze", "detect", "index", "tree"} {
-		fmt.Fprintf(w, "videodb_ingest_phase_seconds_total{phase=%q} %g\n", phase, m.ingestPhase[phase])
+	p.Family("videodb_ingest_phase_seconds_total", "counter", "Ingest-pipeline time by phase; detect is the sequential share inside analyze.")
+	for i, phase := range ingestPhases {
+		p.Sample("videodb_ingest_phase_seconds_total", time.Duration(m.ingestPhaseNanos[i].Load()).Seconds(), "phase", phase)
 	}
-
-	if m.snapshotLastUnix > 0 {
-		fmt.Fprintln(w, "# HELP videodb_snapshot_last_success_timestamp_seconds Unix time of the last successful snapshot.")
-		fmt.Fprintf(w, "# TYPE videodb_snapshot_last_success_timestamp_seconds gauge\nvideodb_snapshot_last_success_timestamp_seconds %g\n", m.snapshotLastUnix)
+	if last := m.snapshotLastUnix.Load(); last > 0 {
+		p.Family("videodb_snapshot_last_success_timestamp_seconds", "gauge", "Unix time of the last successful snapshot.")
+		p.Sample("videodb_snapshot_last_success_timestamp_seconds", float64(last))
 	}
-
 	for _, set := range []struct {
 		kind   string
 		values map[string]float64
@@ -260,7 +144,8 @@ func (m *metricsRegistry) render(w io.Writer, counters, gauges map[string]float6
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Fprintf(w, "# TYPE %s %s\n%s %g\n", n, set.kind, n, set.values[n])
+			p.Family(n, set.kind, "")
+			p.Sample(n, set.values[n])
 		}
 	}
 }
@@ -268,8 +153,8 @@ func (m *metricsRegistry) render(w io.Writer, counters, gauges map[string]float6
 // handleMetrics serves GET /api/metrics in Prometheus text format.
 // Journal counters come straight from the writer's lifetime stats at
 // scrape time; recovery gauges describe the last startup replay.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+func (s *Server) handleMetrics(w http.ResponseWriter, routes []*routeStats) {
+	w.Header().Set("Content-Type", obs.ContentType)
 	cs := s.db.QueryCacheStats()
 	counters := map[string]float64{
 		"videodb_query_cache_hits_total":      float64(cs.Hits),
@@ -327,8 +212,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauges["videodb_admission_waiting"] = float64(st.Waiting)
 		gauges["videodb_admission_clients"] = float64(st.Clients)
 	}
-	if s.extraMetrics != nil {
-		s.extraMetrics(counters, gauges)
+	for _, extra := range s.extraMetrics {
+		extra(counters, gauges)
 	}
-	s.metrics.render(w, counters, gauges)
+	s.metrics.write(obs.NewWriter(w), routes, counters, gauges)
 }

@@ -84,7 +84,7 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				"stack", string(debug.Stack()),
 			)
 			if sw, ok := w.(*statusWriter); !ok || !sw.started() {
-				writeError(w, http.StatusInternalServerError,
+				WriteError(w, http.StatusInternalServerError,
 					fmt.Errorf("internal server error"))
 			}
 		}()

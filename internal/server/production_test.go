@@ -284,6 +284,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsCountConcurrentRequestsExactly hammers the per-route
+// instruments from many goroutines — first observations of a route and
+// of a status code racing each other and a scraper — and then demands
+// exact totals: the lock-free first-use paths may not drop a request.
+func TestMetricsCountConcurrentRequestsExactly(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(db).Handler()
+	serve := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.String()
+	}
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				serve("/api/query?varba=1&varoa=1") // 200
+				serve("/api/query")                 // 400
+				serve("/api/clips/missing")         // 404
+				if i%50 == 0 {
+					serve("/api/metrics")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	text := serve("/api/metrics")
+	for _, want := range []string{
+		fmt.Sprintf(`videodb_http_requests_total{route="GET /api/query",code="200"} %d`, workers*rounds),
+		fmt.Sprintf(`videodb_http_requests_total{route="GET /api/query",code="400"} %d`, workers*rounds),
+		fmt.Sprintf(`videodb_http_requests_total{route="GET /api/clips/{name}",code="404"} %d`, workers*rounds),
+		fmt.Sprintf(`videodb_http_request_duration_seconds_count{route="GET /api/query"} %d`, 2*workers*rounds),
+		fmt.Sprintf(`videodb_http_request_duration_seconds_bucket{route="GET /api/query",le="+Inf"} %d`, 2*workers*rounds),
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	if strings.Contains(text, `route="GET /api/similar"`) {
+		t.Error("a route nobody called has series")
+	}
+}
+
 // Without a segment store there is nothing to flush into: 501. (The
 // flush itself is TestServerSegmentStorage.)
 func TestSnapshotEndpointNeedsStore(t *testing.T) {

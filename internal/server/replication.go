@@ -62,16 +62,7 @@ func WithHealthInfo(fn func(map[string]any)) Option { return func(s *Server) { s
 // chaos injection counts). Hooks compose: each WithExtraMetrics adds to
 // the chain rather than replacing earlier registrations.
 func WithExtraMetrics(fn func(counters, gauges map[string]float64)) Option {
-	return func(s *Server) {
-		if prev := s.extraMetrics; prev != nil {
-			s.extraMetrics = func(c, g map[string]float64) {
-				prev(c, g)
-				fn(c, g)
-			}
-			return
-		}
-		s.extraMetrics = fn
-	}
+	return func(s *Server) { s.extraMetrics = append(s.extraMetrics, fn) }
 }
 
 // refuseReadOnly answers a mutating request on a read replica.
@@ -79,7 +70,7 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 	if s.readOnly == "" {
 		return false
 	}
-	writeError(w, http.StatusForbidden,
+	WriteError(w, http.StatusForbidden,
 		fmt.Errorf("read-only replica (%s): send writes to the primary", s.readOnly))
 	return true
 }
@@ -117,7 +108,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.healthInfo != nil {
 		s.healthInfo(doc)
 	}
-	writeJSON(w, doc)
+	WriteJSON(w, doc)
 }
 
 // handleReplicationSnapshot implements GET /api/replication/snapshot:
@@ -132,7 +123,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // complete one.
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.journal == nil {
-		writeError(w, http.StatusNotImplemented,
+		WriteError(w, http.StatusNotImplemented,
 			fmt.Errorf("replication needs a write-ahead journal (vdbserver -data)"))
 		return
 	}
@@ -144,13 +135,13 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Reques
 		}
 		cut, ok := snap.JournalCut()
 		if !ok {
-			writeError(w, http.StatusNotImplemented,
+			WriteError(w, http.StatusNotImplemented,
 				fmt.Errorf("journal not installed on the database"))
 			return
 		}
 		var body bytes.Buffer
 		if err := snap.WriteSegment(&body, 0); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding replication snapshot: %w", err))
+			WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding replication snapshot: %w", err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -158,10 +149,10 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Reques
 		w.Header().Set(HeaderWalCut, strconv.FormatInt(cut, 10))
 		w.Header().Set(HeaderWalGen, gen)
 		_, _ = w.Write(body.Bytes())
-		s.metrics.addReplicationSnapshot()
+		s.metrics.replSnapshots.Add(1)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable,
+	WriteError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("journal rotating continuously; retry"))
 }
 
@@ -182,18 +173,19 @@ func (s *Server) handleReplicationClipGet(w http.ResponseWriter, r *http.Request
 	name := r.PathValue("name")
 	rec, ok := s.db.Clip(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("clip %q not found", name))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("clip %q not found", name))
 		return
 	}
 	payload, err := core.EncodeClipRecord(rec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	_, _ = w.Write(payload)
-	s.metrics.addMigrationExport(len(payload))
+	s.metrics.migrExports.Add(1)
+	s.metrics.migrExportBytes.Add(int64(len(payload)))
 }
 
 // handleReplicationClipPut implements POST /api/replication/clip:
@@ -208,16 +200,17 @@ func (s *Server) handleReplicationClipPut(w http.ResponseWriter, r *http.Request
 	}
 	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClipRecord))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading clip record: %w", err))
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading clip record: %w", err))
 		return
 	}
 	name, err := s.db.ImportClipRecord(payload)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.metrics.addMigrationImport(len(payload))
-	writeJSON(w, map[string]string{"imported": name})
+	s.metrics.migrImports.Add(1)
+	s.metrics.migrImportBytes.Add(int64(len(payload)))
+	WriteJSON(w, map[string]string{"imported": name})
 }
 
 // handleReplicationWAL implements GET /api/replication/wal?from=&gen=:
@@ -230,34 +223,34 @@ func (s *Server) handleReplicationClipPut(w http.ResponseWriter, r *http.Request
 // from a fresh snapshot. An out-of-range from is the same 409.
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
-		writeError(w, http.StatusNotImplemented,
+		WriteError(w, http.StatusNotImplemented,
 			fmt.Errorf("replication needs a write-ahead journal (vdbserver -data)"))
 		return
 	}
 	from, err := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parameter from: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter from: %w", err))
 		return
 	}
 	wantGen := r.URL.Query().Get("gen")
 	if wantGen == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parameter gen is required"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter gen is required"))
 		return
 	}
 	data, size, gen, err := s.journal.StreamFrom(from, walChunkLimit)
 	if gen != "" && gen != wantGen {
 		w.Header().Set(HeaderWalGen, gen)
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("journal generation is %s, not %s: re-bootstrap from a fresh snapshot", gen, wantGen))
 		return
 	}
 	if err != nil {
 		if errors.Is(err, wal.ErrBadCut) {
 			w.Header().Set(HeaderWalGen, gen)
-			writeError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -268,5 +261,6 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if len(data) > 0 {
 		_, _ = w.Write(data)
 	}
-	s.metrics.addReplicationChunk(len(data))
+	s.metrics.replChunks.Add(1)
+	s.metrics.replBytes.Add(int64(len(data)))
 }

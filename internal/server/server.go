@@ -45,18 +45,17 @@ import (
 type Server struct {
 	db           *core.Database
 	media        *mediaCache
-	metrics      *metricsRegistry
+	metrics      *metrics
 	log          *slog.Logger
 	timeout      time.Duration
 	maxBody      int64
-	maxBatch     int
 	ingestSem    chan struct{}
 	journal      *wal.ClipJournal
 	recovery     *wal.ReplayResult
 	storage      *segstore.Store
 	readOnly     string
 	healthInfo   func(map[string]any)
-	extraMetrics func(counters, gauges map[string]float64)
+	extraMetrics []func(counters, gauges map[string]float64)
 	admission    *admission.Controller
 }
 
@@ -73,10 +72,6 @@ func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = 
 // WithMaxBody caps POST /api/clips upload size in bytes; 0 removes the
 // cap. Default 256 MiB.
 func WithMaxBody(n int64) Option { return func(s *Server) { s.maxBody = n } }
-
-// WithMaxBatch caps the number of queries one POST /api/query/batch
-// request may carry. Default 1000.
-func WithMaxBatch(n int) Option { return func(s *Server) { s.maxBatch = n } }
 
 // WithJournal attaches the database's write-ahead journal so the
 // server can ship it to replicas and export its counters at
@@ -102,12 +97,11 @@ func WithStorage(st *segstore.Store) Option { return func(s *Server) { s.storage
 // New returns a server for the given database.
 func New(db *core.Database, opts ...Option) *Server {
 	s := &Server{
-		db:       db,
-		metrics:  newMetricsRegistry(),
-		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
-		timeout:  30 * time.Second,
-		maxBody:  256 << 20,
-		maxBatch: defaultMaxBatch,
+		db:      db,
+		metrics: newMetrics(),
+		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		timeout: 30 * time.Second,
+		maxBody: 256 << 20,
 	}
 	for _, o := range opts {
 		o(s)
@@ -124,8 +118,11 @@ func New(db *core.Database, opts ...Option) *Server {
 // logging → recovery → timeout middleware stack with per-route metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	var routes []*routeStats
 	route := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.metrics.instrument(pattern, h))
+		rs := &routeStats{pattern: pattern}
+		routes = append(routes, rs)
+		mux.Handle(pattern, rs.instrument(h))
 	}
 	route("GET /api/clips", s.handleClips)
 	route("POST /api/clips", s.handleIngest)
@@ -143,7 +140,7 @@ func (s *Server) Handler() http.Handler {
 	route("GET /api/replication/wal", s.handleReplicationWAL)
 	route("GET /api/replication/clip/{name}", s.handleReplicationClipGet)
 	route("POST /api/replication/clip", s.handleReplicationClipPut)
-	route("GET /api/metrics", s.handleMetrics)
+	route("GET /api/metrics", func(w http.ResponseWriter, _ *http.Request) { s.handleMetrics(w, routes) })
 	route("GET /", s.handleIndex)
 	var h http.Handler = mux
 	h = s.withTimeout(h)
@@ -194,12 +191,9 @@ type MatchJSON struct {
 	Scene string  `json:"scene,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// WriteJSON answers 200 with v as indented JSON — the one answer shape
+// of the API, shared with the coordinator.
+func WriteJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -209,7 +203,8 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError answers code with the API's error body, {"error": text}.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -226,13 +221,13 @@ func (s *Server) handleClips(w http.ResponseWriter, _ *http.Request) {
 			Shots: len(rec.Shots), TreeHeight: rec.Tree.Height(),
 		})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleClip(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.db.Clip(r.PathValue("name"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("clip %q not found", r.PathValue("name")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("clip %q not found", r.PathValue("name")))
 		return
 	}
 	shots := make([]ShotJSON, len(rec.Shots))
@@ -243,7 +238,7 @@ func (s *Server) handleClip(w http.ResponseWriter, r *http.Request) {
 			Dv: sr.Feature.Dv(), RepFrame: sr.RepFrame,
 		}
 	}
-	writeJSON(w, struct {
+	WriteJSON(w, struct {
 		ClipSummary
 		ShotTable []ShotJSON `json:"shotTable"`
 	}{
@@ -255,10 +250,10 @@ func (s *Server) handleClip(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	tree, err := s.db.Browse(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, nodeJSON(tree.Root))
+	WriteJSON(w, nodeJSON(tree.Root))
 }
 
 func nodeJSON(n *scenetree.Node) NodeJSON {
@@ -282,73 +277,85 @@ func parseFloat(r *http.Request, key string, def float64) (float64, error) {
 	return v, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// ParseQuery reads GET /api/query's parameters: the query point, from
+// impression= or varba=/varoa=, and the alpha=/beta= tolerances over the
+// defaults def, all validated. Every error is the client's (400). The
+// coordinator parses with the same function, so it refuses exactly what
+// a node refuses and merges by the point the shards searched with.
+func ParseQuery(r *http.Request, def varindex.Options) (varindex.Query, varindex.Options, error) {
 	var q varindex.Query
 	if imp := r.URL.Query().Get("impression"); imp != "" {
 		parsed, err := impression.Parse(imp)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return q, def, err
 		}
 		q = parsed.Query()
 	} else {
 		var err error
 		if q.VarBA, err = parseFloat(r, "varba", -1); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return q, def, err
 		}
 		if q.VarOA, err = parseFloat(r, "varoa", -1); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return q, def, err
 		}
 		if q.VarBA < 0 || q.VarOA < 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("need varba and varoa (or impression=...)"))
-			return
+			return q, def, fmt.Errorf("need varba and varoa (or impression=...)")
 		}
 	}
-	opt := s.db.Options().Query
+	opt := def
 	var err error
-	if opt.Alpha, err = parseFloat(r, "alpha", opt.Alpha); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if opt.Alpha, err = parseFloat(r, "alpha", def.Alpha); err != nil {
+		return q, def, err
 	}
-	if opt.Beta, err = parseFloat(r, "beta", opt.Beta); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if opt.Beta, err = parseFloat(r, "beta", def.Beta); err != nil {
+		return q, def, err
+	}
+	// The index would refuse these with the same errors; checking here
+	// lets the coordinator refuse them before it fans out.
+	if err := opt.Validate(); err != nil {
+		return q, def, err
+	}
+	return q, opt, q.Validate()
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	q, opt, err := ParseQuery(r, s.db.Options().Query)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	matches, err := s.db.QueryWithOptions(q, opt)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, matchesJSON(matches))
+	WriteJSON(w, matchesJSON(matches))
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	clip := r.URL.Query().Get("clip")
 	if clip == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
 	shot, err := strconv.Atoi(r.URL.Query().Get("shot"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parameter shot: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter shot: %w", err))
 		return
 	}
 	k := 3
 	if ks := r.URL.Query().Get("k"); ks != "" {
 		if k, err = strconv.Atoi(ks); err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parameter k must be a positive integer"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter k must be a positive integer"))
 			return
 		}
 	}
 	matches, err := s.db.QueryByShot(clip, shot, k)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, matchesJSON(matches))
+	WriteJSON(w, matchesJSON(matches))
 }
 
 func matchesJSON(matches []core.Match) []MatchJSON {

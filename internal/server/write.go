@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"videodb/internal/core"
 	"videodb/internal/store"
@@ -47,13 +48,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	case bytes.HasPrefix(magic, []byte("YUV4MPEG2")):
 		if name == "" {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("y4m upload needs a ?name= parameter"))
 			return
 		}
 		clip, err = store.ReadY4M(br, name)
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("unrecognized upload: want a VDBF or YUV4MPEG2 body"))
 		return
 	}
@@ -63,7 +64,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 
@@ -78,10 +79,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// mid-pipeline, nothing was committed.
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
-	s.metrics.addIngest(rec.Frames, rec.Pipeline)
+	s.metrics.ingests.Add(1)
+	s.metrics.ingestFrames.Add(int64(rec.Frames))
+	st := rec.Pipeline // listed in ingestPhases order
+	for i, seconds := range [len(ingestPhases)]float64{st.AnalyzeSeconds, st.DetectSeconds, st.IndexSeconds, st.TreeSeconds} {
+		s.metrics.ingestPhaseNanos[i].Add(int64(seconds * 1e9))
+	}
 	writeJSONStatus(w, http.StatusCreated, ClipSummary{
 		Name: rec.Name, Frames: rec.Frames, FPS: rec.FPS,
 		Shots: len(rec.Shots), TreeHeight: rec.Tree.Height(),
@@ -99,11 +105,11 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrNotFound) {
 			code = http.StatusNotFound
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
-	s.metrics.addRemove()
-	writeJSON(w, map[string]string{"removed": name})
+	s.metrics.removes.Add(1)
+	WriteJSON(w, map[string]string{"removed": name})
 }
 
 // handleSnapshot implements POST /api/snapshot: flush the memtable into
@@ -117,17 +123,18 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	if s.storage == nil {
-		writeError(w, http.StatusNotImplemented,
+		WriteError(w, http.StatusNotImplemented,
 			fmt.Errorf("no segment store configured"))
 		return
 	}
 	res, err := s.storage.Flush()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.metrics.addSnapshot()
-	writeJSON(w, map[string]any{
+	s.metrics.snapshots.Add(1)
+	s.metrics.snapshotLastUnix.Store(time.Now().Unix())
+	WriteJSON(w, map[string]any{
 		"flushed":        res.Flushed,
 		"segment":        res.SegmentID,
 		"clips":          res.Clips,
