@@ -56,8 +56,13 @@ doccheck:
 # reproduction harness, by far the slowest suite — runs uninstrumented:
 # atomic coverage counters on the core statements it hammers roughly
 # double its runtime while adding nothing the integration and unit
-# suites don't already cover.
+# suites don't already cover. bench/ — the benchmark of record — is a
+# module of its own that ./... never reaches; vetting and testing it
+# here (as CI's check job does) is what makes deleting an exported name
+# it calls fail on the author's machine instead of in the pipeline.
 check: build doccheck vet
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 	$(GO) test -race -timeout 30m -covermode=atomic -coverprofile=coverage.out -coverpkg=$(COVERPKGS) $$($(GO) list ./... | grep -v videodb/internal/experiments)
 	$(GO) test -race -timeout 30m ./internal/experiments/
 

@@ -2,19 +2,23 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
 	"videodb/internal/core"
 	"videodb/internal/server"
 	"videodb/internal/synth"
+	"videodb/internal/varindex"
 	"videodb/internal/video"
 )
 
@@ -275,6 +279,74 @@ func TestClipRouting(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("nameless clustered ingest: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestSimilarKBeyondNeighbours: through the coordinator a k far beyond
+// the neighbour count is a routed read that answers 200 with every
+// neighbour. When the node sized its answer by k, the request killed the
+// owning shard's primary, failed over, and killed each replica in turn;
+// here every node of every shard must still be up and answering.
+func TestSimilarKBeyondNeighbours(t *testing.T) {
+	clips := makeClips(t, 4)
+	ring := NewRing(2, 0)
+	cfg := Config{ProbeInterval: 100 * time.Millisecond, Timeout: 5 * time.Second}
+	dbs := []*core.Database{newDB(t), newDB(t)}
+	for _, db := range dbs {
+		// Primary and replica serve the same database: failover has
+		// somewhere to go, which is what made one request take a whole
+		// shard down.
+		primary := httptest.NewServer(server.New(db).Handler())
+		t.Cleanup(primary.Close)
+		replica := httptest.NewServer(server.New(db, server.WithReadOnly("replica")).Handler())
+		t.Cleanup(replica.Close)
+		cfg.Shards = append(cfg.Shards, ShardConfig{Primary: primary.URL, Replicas: []string{replica.URL}})
+	}
+	for _, clip := range clips {
+		if _, err := dbs[ring.Owner(clip.Name)].Ingest(clip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+
+	// /api/similar is answered by the owning shard alone: every
+	// neighbour is every match on that shard but the shot itself.
+	name := clips[0].Name
+	owner := dbs[ring.Owner(name)]
+	rec, _ := owner.Clip(name)
+	f := rec.Shots[0].Feature
+	all, err := owner.Query(varindex.Query{VarBA: f.VarBA, VarOA: f.VarOA, MeanBA: f.MeanBA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{strconv.Itoa(math.MaxInt64), "100000000000"} {
+		var matches []server.MatchJSON
+		u := front.URL + "/api/similar?clip=" + name + "&shot=0&k=" + k
+		if code, _ := getJSON(t, u, &matches); code != http.StatusOK {
+			t.Fatalf("k=%s: status %d, want 200", k, code)
+		}
+		if len(matches) != len(all)-1 {
+			t.Errorf("k=%s: %d matches, want all %d neighbours", k, len(matches), len(all)-1)
+		}
+	}
+
+	coord.probeAll(context.Background())
+	for _, sh := range coord.status().Shards {
+		for _, n := range sh.Nodes {
+			if !n.Up {
+				t.Errorf("shard %d %s %s is down after the request: %s", sh.ID, n.Role, n.URL, n.LastError)
+			}
+		}
+	}
+	var resp QueryResponseJSON
+	if code, _ := getJSON(t, front.URL+"/api/query?varba=25&varoa=4", &resp); code != http.StatusOK || resp.Partial {
+		t.Errorf("query after the request: status %d partial %v, want a full 200", code, resp.Partial)
 	}
 }
 

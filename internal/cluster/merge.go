@@ -10,13 +10,11 @@ import (
 )
 
 // mergeMatches combines per-shard match lists into the order a single
-// node holding the union corpus would return: ascending Euclidean
-// distance to the query in the (D^v, sqrt(Var^BA)) plane, ties broken
-// by clip name then shot index — the same total preorder
-// varindex.Search applies. The distance is recomputed here from each
-// match's VarBA/VarOA, which survive the JSON round trip exactly
-// (float64 in, float64 out), so the merged order is bit-equivalent to
-// the single-node order, not merely close.
+// node holding the union corpus would return: varindex.Before, the
+// comparator the shards' own kernel sorted by. The distance is
+// recomputed here from each match's VarBA/VarOA, which survive the JSON
+// round trip exactly (float64 in, float64 out), so the merged order is
+// bit-equivalent to the single-node order, not merely close.
 //
 // Duplicates — the same clip#shot arriving from two shards, possible
 // mid-reshard or after a misrouted ingest — collapse to one entry.
@@ -50,13 +48,7 @@ func mergeMatches(q varindex.Query, parts [][]server.MatchJSON) []server.MatchJS
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		i, j := order[a], order[b]
-		if dists[i] != dists[j] {
-			return dists[i] < dists[j]
-		}
-		if out[i].Clip != out[j].Clip {
-			return out[i].Clip < out[j].Clip
-		}
-		return out[i].Shot < out[j].Shot
+		return varindex.Before(dists[i], dists[j], &out[i].Clip, &out[j].Clip, &out[i].Shot, &out[j].Shot)
 	})
 	sorted := make([]server.MatchJSON, len(out))
 	for a, i := range order {

@@ -200,9 +200,9 @@ func (s *reshardState) statusDoc() *ReshardStatus {
 // caller (an operator or the smoke harness) wants to know the outcome,
 // and /api/cluster/status exposes live progress for watchers.
 func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, code, err := server.ReadBody(w, r, 1<<20)
 	if err != nil {
-		server.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading reshard body: %w", err))
+		server.WriteError(w, code, fmt.Errorf("reading reshard body: %w", err))
 		return
 	}
 	var req ReshardRequest

@@ -127,3 +127,26 @@ func TestWireContractMatchesNode(t *testing.T) {
 		t.Error("the well-formed rows never fanned out")
 	}
 }
+
+// TestReshardBodyRefusals: POST /api/cluster/reshard reads its body
+// through server.ReadBody like the batch rows above — a body that
+// breaks mid-read is a 400, only one over the 1 MiB limit is a 413.
+func TestReshardBodyRefusals(t *testing.T) {
+	coord := newTestCluster(t, 2, nil).coord.Handler()
+	for _, tt := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"breaks mid-read", io.MultiReader(strings.NewReader(`{"add":[`), failingBody{}), 400},
+		{"over 1 MiB", strings.NewReader(`{"pad":"` + strings.Repeat("x", 1<<20) + `"}`), 413},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/cluster/reshard", tt.body))
+			if rec.Code != tt.want {
+				t.Errorf("status = %d, want %d: %s", rec.Code, tt.want, rec.Body)
+			}
+		})
+	}
+}

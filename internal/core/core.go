@@ -475,6 +475,34 @@ func (db *Database) Epoch() uint64 {
 	return db.view.Load().epoch
 }
 
+// answer is the one query path: every public query method pins a view
+// and comes through here. It answers q against the pinned view v,
+// appending the matches to dst (which may be nil). With cached set and a
+// cache configured, the answer is served from — or computed once into —
+// the entry tagged with v's epoch, and copied into dst, so no caller
+// ever holds the cache's backing array; a view older than the cache's
+// epoch simply misses. Otherwise the index kernel runs with pooled
+// scratch: with a dst at capacity that allocates nothing.
+func (db *Database) answer(dst []Match, v *view, q varindex.Query, opt varindex.Options, cached bool) ([]Match, error) {
+	if cached && db.cache != nil {
+		matches, _, err := db.cache.do(cacheKey(q, opt), v.epoch, func() ([]Match, error) {
+			return db.answer(nil, v, q, opt, false)
+		})
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, matches...), nil
+	}
+	sc := searchScratchPool.Get().(*searchScratch)
+	defer searchScratchPool.Put(sc)
+	entries, err := v.index.SearchAppend(sc.ent[:0], q, opt, &sc.vs)
+	if err != nil {
+		return dst, err
+	}
+	sc.ent = entries
+	return v.resolveAppend(dst, entries), nil
+}
+
 // Query runs a similarity search with the database's default tolerances,
 // resolving each matching shot to its largest scene node. Lock-free:
 // the search resolves against the current view, served from the query
@@ -487,155 +515,43 @@ func (db *Database) Query(q varindex.Query) ([]Match, error) {
 // QueryWithOptions runs a similarity search with explicit tolerances.
 // Lock-free and cached like Query; the returned slice is the caller's.
 func (db *Database) QueryWithOptions(q varindex.Query, opt varindex.Options) ([]Match, error) {
-	return db.QueryAppend(nil, q, opt)
-}
-
-// QueryAppend runs a similarity search with explicit tolerances,
-// appending the matches to dst (which may be nil) — the zero-alloc
-// form of QueryWithOptions. Cache hits and misses alike copy into dst,
-// so the returned slice never aliases cache state: with a reused dst
-// at capacity, a cache hit performs zero allocations.
-func (db *Database) QueryAppend(dst []Match, q varindex.Query, opt varindex.Options) ([]Match, error) {
-	v := db.view.Load()
-	if db.cache == nil {
-		return db.appendUncached(v, dst, q, opt)
-	}
-	matches, _, err := db.cache.do(cacheKey(q, opt), v.epoch, func() ([]Match, error) {
-		return v.search(q, opt)
-	})
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, matches...), nil
+	return db.answer(nil, db.view.Load(), q, opt, true)
 }
 
 // QueryUncached runs a similarity search with explicit tolerances,
 // bypassing the query cache: the reference path for benchmarks and
 // the differential tests that prove the cached path equivalent.
 func (db *Database) QueryUncached(q varindex.Query, opt varindex.Options) ([]Match, error) {
-	return db.view.Load().search(q, opt)
+	return db.answer(nil, db.view.Load(), q, opt, false)
 }
 
 // QueryUncachedAppend is QueryUncached appending into dst: the raw
 // kernel path. With a reused dst at capacity, steady-state calls
 // allocate nothing — the index scratch comes from an internal pool.
 func (db *Database) QueryUncachedAppend(dst []Match, q varindex.Query, opt varindex.Options) ([]Match, error) {
-	return db.appendUncached(db.view.Load(), dst, q, opt)
-}
-
-// appendUncached answers one query against a pinned view with pooled
-// scratch, appending into dst.
-func (db *Database) appendUncached(v *view, dst []Match, q varindex.Query, opt varindex.Options) ([]Match, error) {
-	sc := searchScratchPool.Get().(*searchScratch)
-	defer searchScratchPool.Put(sc)
-	return v.searchAppend(dst, q, opt, sc)
-}
-
-// searchView answers one query against a pinned view, through the
-// cache when one is configured. The cache entry is tagged with the
-// view's epoch, so a result computed here is never served once a
-// mutation publishes a newer view.
-func (db *Database) searchView(v *view, q varindex.Query, opt varindex.Options) ([]Match, error) {
-	if db.cache == nil {
-		return v.search(q, opt)
-	}
-	matches, _, err := db.cache.do(cacheKey(q, opt), v.epoch, func() ([]Match, error) {
-		return v.search(q, opt)
-	})
-	return matches, err
-}
-
-// BatchMatches is the reusable arena a batch query answers into: one
-// flat match slice plus per-query offsets. Reusing one across calls
-// makes the steady-state batch path allocation-free.
-type BatchMatches struct {
-	matches []Match
-	off     []int32
-}
-
-// Len returns the number of answered queries.
-func (b *BatchMatches) Len() int { return len(b.off) - 1 }
-
-// At returns query i's matches, nearest-first. The slice aliases the
-// arena: it is valid until the next batch query into this BatchMatches.
-func (b *BatchMatches) At(i int) []Match {
-	return b.matches[b.off[i]:b.off[i+1]:b.off[i+1]]
-}
-
-// reset prepares the arena for n queries, keeping capacity.
-func (b *BatchMatches) reset(n int) {
-	b.matches = b.matches[:0]
-	if cap(b.off) < n+1 {
-		b.off = make([]int32, n+1)
-	}
-	b.off = b.off[:n+1]
-	b.off[0] = 0
+	return db.answer(dst, db.view.Load(), q, opt, false)
 }
 
 // QueryBatch runs many similarity searches against one pinned view,
-// returning one match slice per query in order. Amortizing the
-// per-request overhead through the HTTP layer is what makes bulk
-// similarity lookups cheap. The result set is consistent — every query
-// of the batch answers against the same view, so no concurrent ingest
-// or remove can land between two queries of the same batch. A query
-// that fails validation aborts the batch with an error naming its
-// index. The returned slices are the caller's (they share one backing
-// arena private to this call).
+// returning one match slice per query in order, each served through the
+// query cache like QueryWithOptions. Amortizing the per-request
+// overhead through the HTTP layer is what makes bulk similarity lookups
+// cheap. The result set is consistent — every query of the batch
+// answers against the same view, so no concurrent ingest or remove can
+// land between two queries of the same batch. A query that fails
+// validation aborts the batch with an error naming its index. The
+// returned slices are the caller's.
 func (db *Database) QueryBatch(qs []varindex.Query, opt varindex.Options) ([][]Match, error) {
-	var res BatchMatches
-	if err := db.QueryBatchInto(&res, qs, opt); err != nil {
-		return nil, err
-	}
+	v := db.view.Load()
 	out := make([][]Match, len(qs))
-	for i := range out {
-		out[i] = res.At(i)
+	for i, q := range qs {
+		matches, err := db.answer(nil, v, q, opt, true)
+		if err != nil {
+			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
+		}
+		out[i] = matches
 	}
 	return out, nil
-}
-
-// QueryBatchInto is QueryBatch answering into a reusable arena. With a
-// query cache configured, each query is served per-key from the cache
-// (hits copy into the arena); without one, the whole batch runs
-// through the index's batch kernel in one pass. Either way every query
-// answers against the same pinned view, and with a warmed arena the
-// steady state allocates nothing.
-func (db *Database) QueryBatchInto(res *BatchMatches, qs []varindex.Query, opt varindex.Options) error {
-	if db.cache == nil {
-		return db.QueryBatchUncachedInto(res, qs, opt)
-	}
-	v := db.view.Load()
-	res.reset(len(qs))
-	for i, q := range qs {
-		matches, _, err := db.cache.do(cacheKey(q, opt), v.epoch, func() ([]Match, error) {
-			return v.search(q, opt)
-		})
-		if err != nil {
-			return fmt.Errorf("core: batch query %d: %w", i, err)
-		}
-		res.matches = append(res.matches, matches...)
-		res.off[i+1] = int32(len(res.matches))
-	}
-	return nil
-}
-
-// QueryBatchUncachedInto answers the whole batch through the index's
-// one-pass batch kernel (shared binary-search bounds across the
-// batch), bypassing the query cache — the raw-throughput path the
-// offline benchmark measures. Every query answers against the same
-// pinned view; with a reused arena the steady state allocates nothing.
-func (db *Database) QueryBatchUncachedInto(res *BatchMatches, qs []varindex.Query, opt varindex.Options) error {
-	v := db.view.Load()
-	sc := searchScratchPool.Get().(*searchScratch)
-	defer searchScratchPool.Put(sc)
-	if err := v.index.SearchBatch(qs, opt, &sc.res, &sc.vs); err != nil {
-		return fmt.Errorf("core: batch %w", err)
-	}
-	res.reset(len(qs))
-	for i := range qs {
-		res.matches = v.resolveAppend(res.matches, sc.res.At(i))
-		res.off[i+1] = int32(len(res.matches))
-	}
-	return nil
 }
 
 // QueryByShot searches for shots similar to an existing shot, excluding
@@ -658,7 +574,7 @@ func (db *Database) QueryByShot(clip string, shot, k int) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.resolve(entries), nil
+	return v.resolveAppend(make([]Match, 0, len(entries)), entries), nil
 }
 
 // Browse returns the scene tree of a named clip. Lock-free.

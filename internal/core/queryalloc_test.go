@@ -1,6 +1,6 @@
 // Tests for the zero-alloc query plumbing and the cache-aliasing fix:
 // cached results must never share backing arrays with callers, and the
-// steady-state Query/QueryBatch paths must not allocate.
+// steady-state uncached append path must not allocate.
 
 package core
 
@@ -81,95 +81,6 @@ func TestCacheHitIsPristine(t *testing.T) {
 	}
 }
 
-// TestBatchArenaIsPrivate: QueryBatch's returned slices share one
-// arena, but it is private to the call — two calls never alias.
-func TestBatchArenaIsPrivate(t *testing.T) {
-	db, qs := allocDB(t, 16)
-	batch := qs[:min(4, len(qs))]
-	a, err := db.QueryBatch(batch, db.Options().Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.QueryBatch(batch, db.Options().Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for j := range a[i] {
-			a[i][j] = Match{Entry: varindex.Entry{Clip: "vandal"}}
-		}
-	}
-	for i := range b {
-		for j := range b[i] {
-			if b[i][j].Entry.Clip == "vandal" {
-				t.Fatalf("QueryBatch calls share a backing arena (query %d match %d)", i, j)
-			}
-		}
-	}
-}
-
-// TestQueryBatchUncachedIntoMatchesScalar: the one-pass batch kernel
-// answers exactly what the scalar uncached path answers, per query.
-func TestQueryBatchUncachedIntoMatchesScalar(t *testing.T) {
-	db, qs := allocDB(t, 0)
-	opt := db.Options().Query
-	var res BatchMatches
-	if err := db.QueryBatchUncachedInto(&res, qs, opt); err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != len(qs) {
-		t.Fatalf("BatchMatches.Len() = %d, want %d", res.Len(), len(qs))
-	}
-	total := 0
-	for i, q := range qs {
-		want, err := db.QueryUncached(q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.At(i)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: batch kernel found %d matches, scalar %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k].Entry != want[k].Entry || got[k].Scene != want[k].Scene {
-				t.Fatalf("query %d match %d: batch %+v, scalar %+v", i, k, got[k], want[k])
-			}
-		}
-		total += len(got)
-	}
-	if total == 0 {
-		t.Fatal("batch produced no matches at all; the equivalence proved nothing")
-	}
-}
-
-// TestQueryAppendCachedHitZeroAllocs: a cache hit into a warmed dst is
-// the steady state of a read-heavy server — it must not allocate.
-func TestQueryAppendCachedHitZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled-scratch allocation counts are not meaningful under the race detector")
-	}
-	db, qs := allocDB(t, 64)
-	opt := db.Options().Query
-	var dst []Match
-	var err error
-	for _, q := range qs { // warm the cache and dst capacity
-		if dst, err = db.QueryAppend(dst[:0], q, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qi := 0
-	avg := testing.AllocsPerRun(200, func() {
-		q := qs[qi%len(qs)]
-		qi++
-		if dst, err = db.QueryAppend(dst[:0], q, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("cached QueryAppend allocates %.1f allocs/op, want 0", avg)
-	}
-}
-
 // TestQueryUncachedAppendZeroAllocs: the raw kernel path with pooled
 // scratch and warmed dst allocates nothing per query.
 func TestQueryUncachedAppendZeroAllocs(t *testing.T) {
@@ -195,34 +106,5 @@ func TestQueryUncachedAppendZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("QueryUncachedAppend allocates %.1f allocs/op, want 0", avg)
-	}
-}
-
-// TestQueryBatchIntoZeroAllocs covers both arena paths: the cached
-// per-key loop and the one-pass uncached kernel.
-func TestQueryBatchIntoZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled-scratch allocation counts are not meaningful under the race detector")
-	}
-	for _, tc := range []struct {
-		name  string
-		cache int
-	}{{"cached", 64}, {"uncached", 0}} {
-		t.Run(tc.name, func(t *testing.T) {
-			db, qs := allocDB(t, tc.cache)
-			opt := db.Options().Query
-			var res BatchMatches
-			if err := db.QueryBatchInto(&res, qs, opt); err != nil {
-				t.Fatal(err)
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				if err := db.QueryBatchInto(&res, qs, opt); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("QueryBatchInto (%s) allocates %.1f allocs/batch, want 0", tc.name, avg)
-			}
-		})
 	}
 }

@@ -27,14 +27,12 @@ import (
 	"videodb/internal/varindex"
 )
 
-// searchScratch bundles the reusable per-goroutine buffers of one
-// query: the index kernel's scratch, an entry staging slice, and the
-// batch kernel's arena. Borrowed from searchScratchPool on the
-// steady-state paths so an uncached query allocates nothing.
+// searchScratch bundles the reusable buffers of one query: the index
+// kernel's scratch and an entry staging slice. Database.answer borrows
+// one from searchScratchPool, so an uncached query allocates nothing.
 type searchScratch struct {
 	vs  varindex.Scratch
 	ent []varindex.Entry
-	res varindex.BatchResult
 }
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -177,35 +175,10 @@ func (v *view) withoutClip(name string) *view {
 	return next
 }
 
-// search answers one similarity query against this view, returning a
-// freshly allocated result — the form the query cache stores.
-func (v *view) search(q varindex.Query, opt varindex.Options) ([]Match, error) {
-	sc := searchScratchPool.Get().(*searchScratch)
-	defer searchScratchPool.Put(sc)
-	return v.searchAppend(nil, q, opt, sc)
-}
-
-// searchAppend answers one similarity query against this view,
-// appending the matches to dst. With a reused scratch and a dst at
-// capacity the call allocates nothing.
-func (v *view) searchAppend(dst []Match, q varindex.Query, opt varindex.Options, sc *searchScratch) ([]Match, error) {
-	entries, err := v.index.SearchAppend(sc.ent[:0], q, opt, &sc.vs)
-	if err != nil {
-		return dst, err
-	}
-	sc.ent = entries
-	return v.resolveAppend(dst, entries), nil
-}
-
-// resolve attaches the largest-scene node to each entry, the browsing
-// entry point §4.2 describes.
-func (v *view) resolve(entries []varindex.Entry) []Match {
-	return v.resolveAppend(make([]Match, 0, len(entries)), entries)
-}
-
-// resolveAppend is resolve appending into dst; the tree walk is
-// alloc-free for memtable clips, and cold clips resolve through the
-// materialization cache, so hot result sets stay cheap.
+// resolveAppend attaches the largest-scene node to each entry — the
+// browsing entry point §4.2 describes — appending the matches to dst.
+// The tree walk is alloc-free for memtable clips, and cold clips resolve
+// through the materialization cache, so hot result sets stay cheap.
 func (v *view) resolveAppend(dst []Match, entries []varindex.Entry) []Match {
 	for _, e := range entries {
 		m := Match{Entry: e}

@@ -2,9 +2,7 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"videodb/internal/impression"
@@ -78,13 +76,8 @@ type Batch struct {
 // queries are semantically invalid. The coordinator validates with the
 // same function before it fans out.
 func ReadBatch(w http.ResponseWriter, r *http.Request, def varindex.Options) (*Batch, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, batchBodyLimit))
+	body, code, err := ReadBody(w, r, batchBodyLimit)
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
 		return nil, code, fmt.Errorf("reading batch body: %w", err)
 	}
 	if len(body) == 0 {
@@ -120,8 +113,9 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, def varindex.Options) (*B
 }
 
 // handleQueryBatch implements POST /api/query/batch: many similarity
-// queries answered in one round trip and under one core read lock,
-// amortizing both the HTTP and the locking overhead of bulk lookups.
+// queries answered in one round trip, all from one pinned view of the
+// database (reads take no lock), amortizing the HTTP overhead of bulk
+// lookups.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	b, code, err := ReadBatch(w, r, s.db.Options().Query)
 	if err != nil {

@@ -2,10 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"videodb/internal/core"
 )
 
 // postBatch sends a raw batch body and decodes the response when 200.
@@ -140,5 +145,57 @@ func TestQueryBatchErrors(t *testing.T) {
 				t.Errorf("status = %d, want %d", code, tc.want)
 			}
 		})
+	}
+}
+
+// resetReader fails for a reason other than size — a client that hung
+// up mid-upload.
+type resetReader struct{}
+
+func (resetReader) Read([]byte) (int, error) {
+	return 0, errors.New("connection reset by peer")
+}
+
+// zeros is an endless body, for building one just over a limit without
+// holding it in memory twice.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestBodyReadRefusals: every endpoint that reads a whole body reads it
+// through ReadBody, so a body that breaks mid-read is a 400 and only a
+// body over the endpoint's limit is a 413.
+func TestBodyReadRefusals(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(db).Handler()
+	for _, ep := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/api/query/batch", batchBodyLimit},
+		{"/api/replication/clip", maxClipRecord},
+	} {
+		for _, tc := range []struct {
+			name string
+			body io.Reader
+			want int
+		}{
+			{"breaks mid-read", io.MultiReader(strings.NewReader(`{"queries": [`), resetReader{}), http.StatusBadRequest},
+			{"over the limit", io.LimitReader(zeros{}, ep.limit+1), http.StatusRequestEntityTooLarge},
+		} {
+			t.Run(ep.path+" "+tc.name, func(t *testing.T) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, tc.body))
+				if rec.Code != tc.want {
+					t.Errorf("status = %d, want %d: %s", rec.Code, tc.want, rec.Body)
+				}
+			})
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -198,9 +197,9 @@ func (s *Server) handleReplicationClipPut(w http.ResponseWriter, r *http.Request
 	if s.refuseReadOnly(w) {
 		return
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClipRecord))
+	payload, code, err := ReadBody(w, r, maxClipRecord)
 	if err != nil {
-		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading clip record: %w", err))
+		WriteError(w, code, fmt.Errorf("reading clip record: %w", err))
 		return
 	}
 	name, err := s.db.ImportClipRecord(payload)

@@ -25,6 +25,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -208,6 +209,24 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// ReadBody reads a request body of at most limit bytes — the one body
+// reader of the API, shared with the coordinator. On failure it returns
+// the status to refuse with: 413 only when the body is over the limit,
+// 400 for every other read error (a body that breaks mid-read is a
+// broken request, not a large one).
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		return nil, code, err
+	}
+	return body, 0, nil
 }
 
 func (s *Server) handleClips(w http.ResponseWriter, _ *http.Request) {

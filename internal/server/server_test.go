@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
 	"videodb/internal/core"
 	"videodb/internal/synth"
+	"videodb/internal/varindex"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *core.Database) {
@@ -199,6 +202,33 @@ func TestSimilar(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/similar?clip=alpha&shot=0&k=-1", nil); code != 400 {
 		t.Error("bad k accepted")
+	}
+}
+
+// TestSimilarKBeyondNeighbours: k bounds the answer and never sizes
+// anything. A k far beyond the neighbour count — one that used to be
+// handed to make() as a capacity and end the process — answers 200
+// with every neighbour.
+func TestSimilarKBeyondNeighbours(t *testing.T) {
+	ts, db := testServer(t)
+	rec, _ := db.Clip("alpha")
+	f := rec.Shots[0].Feature
+	all, err := db.Query(varindex.Query{VarBA: f.VarBA, VarOA: f.VarOA, MeanBA: f.MeanBA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neighbours := len(all) - 1 // every match but alpha#0 itself
+	if neighbours < 1 {
+		t.Fatal("alpha#0 has no neighbours; the test needs a non-empty answer")
+	}
+	for _, k := range []string{strconv.Itoa(math.MaxInt64), "100000000000"} {
+		var matches []MatchJSON
+		if code := getJSON(t, ts.URL+"/api/similar?clip=alpha&shot=0&k="+k, &matches); code != 200 {
+			t.Fatalf("k=%s: status %d, want 200", k, code)
+		}
+		if len(matches) != neighbours {
+			t.Errorf("k=%s: %d matches, want all %d neighbours", k, len(matches), neighbours)
+		}
 	}
 }
 

@@ -106,21 +106,14 @@ func checkSearchEquivalence(t *testing.T, ix *Index, q Query, opt Options) {
 	}
 	sameResults(t, "Search vs SearchLinear", indexed, linear)
 
-	// The append and batch kernel entry points are the same kernel under
-	// different plumbing — hold them to the same oracle.
+	// Search borrows a pooled scratch; hold the caller-owned-scratch form
+	// to the same oracle.
 	var sc Scratch
 	app, err := ix.SearchAppend(nil, q, opt, &sc)
 	if err != nil {
 		t.Fatalf("SearchAppend: %v", err)
 	}
 	sameResults(t, "SearchAppend vs SearchLinear", app, linear)
-
-	var res BatchResult
-	if err := ix.SearchBatch([]Query{q, q}, opt, &res, &sc); err != nil {
-		t.Fatalf("SearchBatch: %v", err)
-	}
-	sameResults(t, "SearchBatch[0] vs SearchLinear", res.At(0), linear)
-	sameResults(t, "SearchBatch[1] vs SearchLinear", res.At(1), linear)
 
 	if opt.Alpha > 0 && opt.Beta > 0 {
 		quant, err := ix.QuantizedSearch(q, opt)
@@ -168,45 +161,6 @@ func TestSearchEquivalenceProperty(t *testing.T) {
 		ix.Build()
 		for qi := 0; qi < 20; qi++ {
 			checkSearchEquivalence(t, ix, randomQuery(r, entries), randomOptions(r))
-		}
-	}
-}
-
-// TestSearchBatchEquivalence drives the batch kernel with many-query
-// batches (the shared-bounds walk only exercises its monotone cursor
-// logic with ≥2 distinct D^v values) and checks every per-query answer
-// against the scalar path.
-func TestSearchBatchEquivalence(t *testing.T) {
-	r := rng.New(11)
-	var sc Scratch
-	var res BatchResult
-	for trial := 0; trial < 60; trial++ {
-		n := r.Intn(64)
-		ix := New()
-		entries := make([]Entry, 0, n)
-		for i := 0; i < n; i++ {
-			e := randomEntry(r, "clip", i)
-			entries = append(entries, e)
-			ix.Add(e)
-		}
-		ix.Build()
-		opt := randomOptions(r)
-		qs := make([]Query, 1+r.Intn(24))
-		for i := range qs {
-			qs[i] = randomQuery(r, entries)
-		}
-		if err := ix.SearchBatch(qs, opt, &res, &sc); err != nil {
-			t.Fatalf("SearchBatch: %v", err)
-		}
-		if res.Len() != len(qs) {
-			t.Fatalf("BatchResult.Len() = %d, want %d", res.Len(), len(qs))
-		}
-		for i, q := range qs {
-			want, err := ix.Search(q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "batch query", res.At(i), want)
 		}
 	}
 }

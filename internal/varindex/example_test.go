@@ -28,20 +28,3 @@ func ExampleIndex_Search() {
 	// Output:
 	// movie#12 (Dv -1.68)
 }
-
-// ExampleGrid shows quantised matching: O(answer)-time lookups at the
-// cost of cell-border effects.
-func ExampleGrid() {
-	g, err := varindex.NewGrid(1.0, 1.0)
-	if err != nil {
-		panic(err)
-	}
-	g.Add(varindex.Entry{Clip: "a", Shot: 0, VarBA: 25, VarOA: 4})
-	g.Add(varindex.Entry{Clip: "a", Shot: 1, VarBA: 26, VarOA: 4.2})
-	for _, e := range g.Lookup(varindex.Query{VarBA: 25.5, VarOA: 4}) {
-		fmt.Println(e.Key())
-	}
-	// Output:
-	// a#1
-	// a#0
-}

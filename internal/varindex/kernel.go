@@ -25,15 +25,13 @@
 // oracle returns, which is what the equivalence/fuzz suite proves.
 //
 // Allocation. All intermediate state (candidate indices, distances,
-// the sorter, batch bounds) lives in a Scratch that callers can reuse;
-// Search and friends fall back to a package pool. With a reused
-// Scratch and a caller-owned destination slice at capacity, a query
-// performs zero allocations.
+// the sorter) lives in a Scratch that callers can reuse; Search falls
+// back to a package pool. With a reused Scratch and a caller-owned
+// destination slice at capacity, a query performs zero allocations.
 
 package varindex
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -49,16 +47,9 @@ type Scratch struct {
 	// squared distances to the query, aligned.
 	cand []int32
 	dist []float64
-	// Batch state: per-query D^v / sqrt(VarBA) keys, the dq-sorted
-	// permutation, and the shared binary-search bounds.
-	dqs, sqs []float64
-	order    []int32
-	lows     []int32
-	highs    []int32
-	// The sorters live here so taking their address for sort.Stable /
-	// sort.Sort does not force a per-call heap escape.
+	// The sorter lives here so taking its address for sort.Stable does
+	// not force a per-call heap escape.
 	srt resultSorter
-	bs  batchSorter
 }
 
 // scratchPool backs the nil-Scratch convenience path.
@@ -164,11 +155,31 @@ func (ix *Index) scan(q Query, opt Options, dq, sq float64, lo, hi int, sc *Scra
 	sc.cand, sc.dist = sc.cand[:kept], sc.dist[:kept]
 }
 
-// resultSorter orders the kernel's surviving candidates by squared
-// distance, breaking ties by clip name then shot index — the same
-// total preorder sortByDistance applies, over indices instead of
-// copied entries. Used with sort.Stable so fully-equal keys keep their
-// ascending-index scan order, exactly like the oracle.
+// Before is the order of a result list: ascending squared distance to
+// the query in the (D^v, sqrt(Var^BA)) plane, ties broken by clip name
+// then shot index. It reports whether the result at squared distance da
+// named (*clipA, *shotA) comes before the one at db named (*clipB,
+// *shotB). The names are passed by address so that they are loaded only
+// on a distance tie: sorting a wide answer then reads no entry memory
+// for most comparisons (passed by value, the loads cost the kernel a
+// tenth of its time at 10k entries). The kernel's sorter and the
+// cluster coordinator's merge both order by this function, which makes
+// a merged answer single-node order by construction; the SearchLinear
+// oracle keeps its own copy on purpose.
+func Before(da, db float64, clipA, clipB *string, shotA, shotB *int) bool {
+	if da != db {
+		return da < db
+	}
+	if *clipA != *clipB {
+		return *clipA < *clipB
+	}
+	return *shotA < *shotB
+}
+
+// resultSorter orders the kernel's surviving candidates by Before, over
+// indices instead of copied entries. Used with sort.Stable so
+// fully-equal keys keep their ascending-index scan order, exactly like
+// the oracle.
 type resultSorter struct {
 	idx     []int32
 	dist    []float64
@@ -178,14 +189,8 @@ type resultSorter struct {
 func (s *resultSorter) Len() int { return len(s.idx) }
 
 func (s *resultSorter) Less(a, b int) bool {
-	if s.dist[a] != s.dist[b] {
-		return s.dist[a] < s.dist[b]
-	}
-	ei, ej := &s.entries[s.idx[a]], &s.entries[s.idx[b]]
-	if ei.Clip != ej.Clip {
-		return ei.Clip < ej.Clip
-	}
-	return ei.Shot < ej.Shot
+	ea, eb := &s.entries[s.idx[a]], &s.entries[s.idx[b]]
+	return Before(s.dist[a], s.dist[b], &ea.Clip, &eb.Clip, &ea.Shot, &eb.Shot)
 }
 
 func (s *resultSorter) Swap(a, b int) {
@@ -193,26 +198,11 @@ func (s *resultSorter) Swap(a, b int) {
 	s.dist[a], s.dist[b] = s.dist[b], s.dist[a]
 }
 
-// searchInto is the scalar kernel: window, scan, order, materialize.
-// Results are appended to dst. The caller has validated opt and q and
-// checked ix.built.
-func (ix *Index) searchInto(dst []Entry, q Query, opt Options, sc *Scratch) []Entry {
-	dq := q.Dv()
-	sq := math.Sqrt(q.VarBA)
-	lo, hi := ix.window(dq, opt.Alpha)
-	ix.scan(q, opt, dq, sq, lo, hi, sc)
-	sc.srt = resultSorter{idx: sc.cand, dist: sc.dist, entries: ix.entries}
-	sort.Stable(&sc.srt)
-	for _, i := range sc.cand {
-		dst = append(dst, ix.entries[i])
-	}
-	return dst
-}
-
-// SearchAppend is Search appending into dst (which may be nil): the
-// zero-allocation form. With a reused *Scratch and a dst at capacity,
-// steady-state calls allocate nothing; passing sc == nil borrows a
-// pooled scratch. Results are ordered exactly as Search orders them.
+// SearchAppend is the flat kernel and the index's one search: two
+// binary searches bound the α-window, the scan filters it, the
+// survivors are ordered by Before and appended to dst (which may be
+// nil). With a reused *Scratch and a dst at capacity, steady-state
+// calls allocate nothing; passing sc == nil borrows a pooled scratch.
 func (ix *Index) SearchAppend(dst []Entry, q Query, opt Options, sc *Scratch) ([]Entry, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -227,115 +217,14 @@ func (ix *Index) SearchAppend(dst []Entry, q Query, opt Options, sc *Scratch) ([
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
 	}
-	return ix.searchInto(dst, q, opt, sc), nil
-}
-
-// BatchResult is the reusable arena a SearchBatch answers into: one
-// flat entry slice plus per-query offsets, so an entire batch costs
-// zero allocations once the arena has grown to working size.
-type BatchResult struct {
-	entries []Entry
-	off     []int32
-}
-
-// Len returns the number of answered queries.
-func (b *BatchResult) Len() int { return len(b.off) - 1 }
-
-// At returns query i's result entries, ordered nearest-first. The
-// slice aliases the arena: it is valid until the next SearchBatch into
-// this BatchResult.
-func (b *BatchResult) At(i int) []Entry {
-	return b.entries[b.off[i]:b.off[i+1]:b.off[i+1]]
-}
-
-// reset prepares the arena for n queries.
-func (b *BatchResult) reset(n int) {
-	b.entries = b.entries[:0]
-	b.off = grow(b.off, n+1)
-	b.off[0] = 0
-}
-
-// SearchBatch answers every query of a batch in one pass, into res.
-// The Eq. 7 binary-search bounds are shared across the batch: queries
-// are walked in D^v order, so the window endpoints advance
-// monotonically through the sorted keys and the whole batch costs one
-// merge-style traversal instead of 2·b independent binary searches.
-// Each query's results are ordered exactly as Search orders them.
-// Passing sc == nil borrows a pooled scratch.
-func (ix *Index) SearchBatch(qs []Query, opt Options, res *BatchResult, sc *Scratch) error {
-	if err := opt.Validate(); err != nil {
-		return err
+	dq := q.Dv()
+	sq := math.Sqrt(q.VarBA)
+	lo, hi := ix.window(dq, opt.Alpha)
+	ix.scan(q, opt, dq, sq, lo, hi, sc)
+	sc.srt = resultSorter{idx: sc.cand, dist: sc.dist, entries: ix.entries}
+	sort.Stable(&sc.srt)
+	for _, i := range sc.cand {
+		dst = append(dst, ix.entries[i])
 	}
-	for i := range qs {
-		if err := qs[i].Validate(); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	if !ix.built {
-		return ErrNotBuilt
-	}
-	if sc == nil {
-		sc = scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(sc)
-	}
-
-	b := len(qs)
-	res.reset(b)
-	sc.dqs = grow(sc.dqs, b)
-	sc.sqs = grow(sc.sqs, b)
-	sc.order = grow(sc.order, b)
-	sc.lows = grow(sc.lows, b)
-	sc.highs = grow(sc.highs, b)
-	for i := range qs {
-		sc.dqs[i] = qs[i].Dv()
-		sc.sqs[i] = math.Sqrt(qs[i].VarBA)
-		sc.order[i] = int32(i)
-	}
-	sc.bs = batchSorter{order: sc.order, dqs: sc.dqs}
-	sort.Sort(&sc.bs)
-
-	// Shared-bounds walk: both endpoints are monotone in dq, so each
-	// advances at most len(dvs) times across the whole batch.
-	lo, hi := 0, 0
-	n := len(ix.dvs)
-	for _, qi := range sc.order {
-		dq := sc.dqs[qi]
-		for lo < n && ix.dvs[lo] < dq-opt.Alpha {
-			lo++
-		}
-		if hi < lo {
-			hi = lo
-		}
-		for hi < n && ix.dvs[hi] <= dq+opt.Alpha {
-			hi++
-		}
-		sc.lows[qi], sc.highs[qi] = int32(lo), int32(hi)
-	}
-
-	// Answer in caller order so the arena segments line up with qs.
-	for i := range qs {
-		ix.scan(qs[i], opt, sc.dqs[i], sc.sqs[i], int(sc.lows[i]), int(sc.highs[i]), sc)
-		sc.srt = resultSorter{idx: sc.cand, dist: sc.dist, entries: ix.entries}
-		sort.Stable(&sc.srt)
-		for _, e := range sc.cand {
-			res.entries = append(res.entries, ix.entries[e])
-		}
-		res.off[i+1] = int32(len(res.entries))
-	}
-	return nil
-}
-
-// batchSorter orders a batch's query indices by D^v for the shared
-// bounds walk.
-type batchSorter struct {
-	order []int32
-	dqs   []float64
-}
-
-func (s *batchSorter) Len() int { return len(s.order) }
-func (s *batchSorter) Less(a, b int) bool {
-	return s.dqs[s.order[a]] < s.dqs[s.order[b]]
-}
-func (s *batchSorter) Swap(a, b int) {
-	s.order[a], s.order[b] = s.order[b], s.order[a]
+	return dst, nil
 }

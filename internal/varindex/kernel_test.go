@@ -72,7 +72,7 @@ func TestQueryValidateRejectsBadCoordinates(t *testing.T) {
 	}
 }
 
-// TestBadInputsRejectedByEveryEntryPoint: the scalar, append, batch,
+// TestBadInputsRejectedByEveryEntryPoint: the scalar, append,
 // linear and quantized paths all agree on rejecting NaN tolerances and
 // NaN queries — no path may silently return a divergent result set.
 func TestBadInputsRejectedByEveryEntryPoint(t *testing.T) {
@@ -83,14 +83,12 @@ func TestBadInputsRejectedByEveryEntryPoint(t *testing.T) {
 	badOpt := opt
 	badOpt.Alpha = math.NaN()
 	badQ := Query{VarBA: math.NaN()}
-	var res BatchResult
 
 	for name, err := range map[string]error{
 		"Search bad opt":          func() error { _, e := ix.Search(q, badOpt); return e }(),
 		"SearchAppend bad opt":    func() error { _, e := ix.SearchAppend(nil, q, badOpt, nil); return e }(),
 		"SearchLinear bad opt":    func() error { _, e := ix.SearchLinear(q, badOpt); return e }(),
 		"QuantizedSearch bad opt": func() error { _, e := ix.QuantizedSearch(q, badOpt); return e }(),
-		"SearchBatch bad opt":     ix.SearchBatch([]Query{q}, badOpt, &res, nil),
 	} {
 		if !errors.Is(err, ErrBadTolerance) {
 			t.Errorf("%s: err = %v, want ErrBadTolerance", name, err)
@@ -101,7 +99,6 @@ func TestBadInputsRejectedByEveryEntryPoint(t *testing.T) {
 		"SearchAppend bad query":    func() error { _, e := ix.SearchAppend(nil, badQ, opt, nil); return e }(),
 		"SearchLinear bad query":    func() error { _, e := ix.SearchLinear(badQ, opt); return e }(),
 		"QuantizedSearch bad query": func() error { _, e := ix.QuantizedSearch(badQ, opt); return e }(),
-		"SearchBatch bad query":     ix.SearchBatch([]Query{q, badQ}, opt, &res, nil),
 	} {
 		if !errors.Is(err, ErrBadQuery) {
 			t.Errorf("%s: err = %v, want ErrBadQuery", name, err)
@@ -120,16 +117,13 @@ func TestUnbuiltReadsFail(t *testing.T) {
 	ix := New()
 	ix.Add(entry("a", 0, 25, 4))
 	q, opt := Query{VarBA: 25, VarOA: 4}, DefaultOptions()
-	var res BatchResult
 
 	for name, err := range map[string]error{
 		"Search":          func() error { _, e := ix.Search(q, opt); return e }(),
 		"SearchAppend":    func() error { _, e := ix.SearchAppend(nil, q, opt, nil); return e }(),
 		"SearchLinear":    func() error { _, e := ix.SearchLinear(q, opt); return e }(),
 		"QuantizedSearch": func() error { _, e := ix.QuantizedSearch(q, opt); return e }(),
-		"SearchBatch":     ix.SearchBatch([]Query{q}, opt, &res, nil),
 		"TopK":            func() error { _, e := ix.TopK(q, opt, 1); return e }(),
-		"FromIndex":       func() error { _, e := FromIndex(ix, 1, 1); return e }(),
 	} {
 		if !errors.Is(err, ErrNotBuilt) {
 			t.Errorf("%s on unbuilt index: err = %v, want ErrNotBuilt", name, err)
@@ -229,25 +223,6 @@ func TestSearchAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSearchBatchZeroAllocs: the batch kernel with a reused arena and
-// scratch is likewise alloc-free at steady state.
-func TestSearchBatchZeroAllocs(t *testing.T) {
-	ix, qs := allocProbeIndex()
-	var sc Scratch
-	var res BatchResult
-	if err := ix.SearchBatch(qs, DefaultOptions(), &res, &sc); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := ix.SearchBatch(qs, DefaultOptions(), &res, &sc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("SearchBatch steady state allocates %.1f allocs/batch, want 0", avg)
-	}
-}
-
 func allocProbeIndex() (*Index, []Query) {
 	r := rng.New(9)
 	ix := New()
@@ -262,7 +237,7 @@ func allocProbeIndex() (*Index, []Query) {
 	return ix, qs
 }
 
-// --- scalar vs batch kernel benchmarks (1× and 10× corpus) ---
+// --- kernel benchmarks (1× and 10× corpus) ---
 
 func benchCorpus(n int) (*Index, []Query) {
 	r := rng.New(5)
@@ -292,20 +267,5 @@ func benchScalarKernel(b *testing.B, n int) {
 	}
 }
 
-func benchBatchKernel(b *testing.B, n int) {
-	ix, qs := benchCorpus(n)
-	var sc Scratch
-	var res BatchResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(qs) {
-		if err := ix.SearchBatch(qs, DefaultOptions(), &res, &sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkKernelScalar1k(b *testing.B)  { benchScalarKernel(b, 1_000) }
 func BenchmarkKernelScalar10k(b *testing.B) { benchScalarKernel(b, 10_000) }
-func BenchmarkKernelBatch1k(b *testing.B)   { benchBatchKernel(b, 1_000) }
-func BenchmarkKernelBatch10k(b *testing.B)  { benchBatchKernel(b, 10_000) }

@@ -247,13 +247,10 @@ func (ix *Index) Entries() []Entry {
 	return ix.entries
 }
 
-// Search returns all entries satisfying Eqs. 7 and 8 for the query:
-// two binary searches bound the α-window on D^v, then the flat SoA
-// kernel (kernel.go) filters and orders it. Results are ordered by
-// ascending distance to the query in the (D^v, sqrt(VarBA)) plane.
-// The index must be built (ErrNotBuilt otherwise). For a query path
-// with no per-call allocations, use SearchAppend with a reused dst
-// and Scratch.
+// Search returns all entries satisfying Eqs. 7 and 8 for the query,
+// ordered by ascending distance to it in the (D^v, sqrt(VarBA)) plane
+// (Before): SearchAppend into a fresh slice with a pooled scratch. The
+// index must be built (ErrNotBuilt otherwise).
 func (ix *Index) Search(q Query, opt Options) ([]Entry, error) {
 	return ix.SearchAppend(nil, q, opt, nil)
 }
@@ -295,7 +292,8 @@ func (ix *Index) SearchLinear(q Query, opt Options) ([]Entry, error) {
 
 // TopK returns the k entries nearest the query in the (D^v, sqrt(VarBA))
 // plane among those satisfying Eqs. 7–8, the form the retrieval figures
-// (8–10) present. Fewer than k may be returned.
+// (8–10) present: Search's answer cut at k. Fewer than k may be
+// returned.
 func (ix *Index) TopK(q Query, opt Options, k int) ([]Entry, error) {
 	all, err := ix.Search(q, opt)
 	if err != nil {
@@ -308,20 +306,21 @@ func (ix *Index) TopK(q Query, opt Options, k int) ([]Entry, error) {
 }
 
 // TopKExcluding is TopK with the query shot itself removed — retrieval
-// experiments query by an existing shot and want its neighbours.
+// experiments query by an existing shot and want its neighbours. It
+// filters Search's answer in place, so k bounds the result without ever
+// sizing anything: a k beyond the neighbour count returns them all.
 func (ix *Index) TopKExcluding(q Query, opt Options, k int, excludeKey string) ([]Entry, error) {
 	all, err := ix.Search(q, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Entry, 0, k)
+	out := all[:0]
 	for _, e := range all {
-		if e.Key() == excludeKey {
-			continue
-		}
-		out = append(out, e)
-		if len(out) == k {
+		if len(out) >= k {
 			break
+		}
+		if e.Key() != excludeKey {
+			out = append(out, e)
 		}
 	}
 	return out, nil
