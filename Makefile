@@ -7,14 +7,12 @@ GO ?= go
 COVERPKGS   = ./internal/core/...,./internal/server/...,./internal/wal/...,./internal/fsx/...,./internal/segment/...,./internal/segstore/...,./internal/admission/...,./internal/chaos/...,./internal/cluster/...,./internal/obs/...
 COVER_FLOOR = 60
 
-# Fresh benchmark artifacts land in a scratch directory, never the repo
-# root: keeping them apart from the committed baseline under results/
-# means the BENCH_offline_*.json glob always names exactly the artifacts
-# of the current run, even with stale files in the tree.
+# Scratch output of the gate, the smokes and PGO (git-ignored).
 BENCH_DIR = bench-out
-BASELINE  = results/BENCH_offline_baseline.json
+# The commit bench-gate compares this tree against.
+BASE ?= main
 
-.PHONY: all build test test-race vet doccheck check cover cover-gate bench bench-gate bench-micro bench-server cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus pgo clean
+.PHONY: all build test test-race vet doccheck check cover cover-gate bench-gate bench-micro cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus pgo clean
 
 all: build vet test
 
@@ -78,25 +76,16 @@ cover-gate:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f) ? 1 : 0 }' || \
 		{ echo "cover-gate: coverage below $(COVER_FLOOR)% floor"; exit 1; }
 
-# The standing perf baseline: a small fixed-seed vdbbench offline run
-# writing a schema-validated BENCH_offline_<timestamp>.json into
-# $(BENCH_DIR) (see docs/BENCHMARKING.md).
-bench:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/vdbbench -mode offline -scale 0.05 -seed 1 -queries 2000 -batch 16 -out $(BENCH_DIR)
-
-# The CI perf-regression gate: run the smoke benchmark into a clean
-# scratch directory, validate the artifact, then compare it against the
-# committed baseline — ingest frames/sec or query p90 regressing more
-# than 15% fails the build.
+# The CI perf-regression gate: bench/ (the benchmark of record) on
+# $(BASE) and on this tree, every BENCHMARK.json workload three times
+# each, trees alternating; a run that is not correct, or a median worse
+# than its BENCHMARK.json bound, fails. Tables and result lines land in
+# $(BENCH_DIR)/gate/ (see docs/BENCHMARKING.md).
 bench-gate:
-	rm -rf $(BENCH_DIR) && mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/vdbbench -mode offline -scale 0.02 -seed 1 -queries 200 -batch 8 -out $(BENCH_DIR)
-	$(GO) run ./cmd/vdbbench -validate $(BENCH_DIR)/BENCH_offline_*.json
-	$(GO) run ./cmd/vdbbench -compare $(BASELINE) $(BENCH_DIR)/BENCH_offline_*.json -tolerance 0.15
+	./scripts/bench_gate.sh $(BASE)
 
 # Profile-guided optimization: ingest a synthetic corpus, drive a
-# -pprof vdbserver with the benchmark's query mix while capturing a CPU
+# -pprof vdbserver with vdbbench's query mix while capturing a CPU
 # profile, install it as cmd/vdbserver/default.pgo (which the Go
 # toolchain picks up automatically), and rebuild with it. Rerun after
 # hot-path changes; commit the refreshed profile.
@@ -114,24 +103,19 @@ pgo:
 		done; \
 		curl -sf -o $(PGO_DIR)/cpu.pprof "http://$(PGO_ADDR)/debug/pprof/profile?seconds=12" & \
 		prof=$$!; \
-		$(GO) run ./cmd/vdbbench -mode server -target http://$(PGO_ADDR) -concurrency 8 -duration 11s -out $(PGO_DIR); \
+		$(GO) run ./cmd/vdbbench -target http://$(PGO_ADDR) -concurrency 8 -duration 11s; \
 		wait $$prof; \
 		kill $$srv 2>/dev/null; wait $$srv 2>/dev/null; true
 	cp $(PGO_DIR)/cpu.pprof cmd/vdbserver/default.pgo
 	$(GO) build -o $(PGO_DIR)/vdbserver-pgo ./cmd/vdbserver
 	@echo "pgo: wrote cmd/vdbserver/default.pgo"
 
-# Load-test a running vdbserver (start one with `go run ./cmd/vdbserver
-# -data data`); writes BENCH_server_<timestamp>.json.
-bench-server:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) run ./cmd/vdbbench -mode server -target http://localhost:8080 -concurrency 16 -duration 10s -out $(BENCH_DIR)
-
 # End-to-end cluster exercise on loopback: three shard primaries on
 # segment stores, one read replica, a coordinator in front; ingest through the
 # coordinator, load it with vdbbench -cluster while killing a shard
-# mid-run, then assert partial accounting, replica catch-up, and a
-# valid BENCH_cluster artifact (see docs/CLUSTER.md for the topology).
+# mid-run, then assert zero 5xx, partial accounting and replica
+# catch-up from vdbbench's result line (see docs/CLUSTER.md for the
+# topology).
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

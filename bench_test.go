@@ -2,8 +2,9 @@
 // evaluation (SIGMOD 2000, §5), plus the design ablations listed in
 // DESIGN.md §4. Methodology — what is timed, why benchScale is
 // reduced, how to read the index-vs-scan ablations — is documented in
-// docs/BENCHMARKING.md. System-level load testing (ingest throughput,
-// query latency, HTTP serving) lives in cmd/vdbbench.
+// docs/BENCHMARKING.md. System-level performance (ingest, serving,
+// the cluster, the segment store) is measured by bench/, the benchmark
+// of record.
 package videodb_test
 
 import (

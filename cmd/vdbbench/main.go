@@ -1,265 +1,47 @@
-// Command vdbbench is the load generator and benchmark driver for the
-// video database. It measures the two production hot paths — ingest
-// throughput and query latency — and emits a versioned JSON artifact
-// (internal/benchfmt) so successive runs form a perf trajectory that
-// future changes can regress against.
+// Command vdbbench is the HTTP load driver the smoke scripts and
+// `make pgo` run against a live vdbserver or vdbcoord. It is not the
+// benchmark of record: that is bench/ (see bench/README.md), and only
+// its numbers judge a change.
 //
-// Two modes:
+//	vdbbench -target http://localhost:8080 -concurrency 16 -duration 10s
 //
-//	vdbbench -mode offline -scale 0.05 -seed 1 -queries 2000 -batch 16
+// runs -concurrency workers issuing a GET /api/query + GET /api/clips +
+// POST /api/query/batch mix for -duration. 429 answers are shed load,
+// not failures: they are counted apart from the 4xx class (`shed_rate`),
+// so an overload test can assert "shed but never failed". With -cluster
+// the target is a coordinator: answers flagged X-Videodb-Partial are
+// counted, and /api/cluster/status is sampled for replication lag
+// during the run and probed for shard count and the retry and hedge
+// counters after it. With -chaos (implies -cluster) the workers become
+// well-behaved clients — paced, each with a distinct X-Videodb-Client
+// key — beside an unpaced abusive pool sharing one key, tallied apart as
+// abuse_*. -reshard POSTs a membership change to the coordinator at
+// -reshard-at of the run and fails the run if the reshard fails.
 //
-// drives core.Database in-process: synthesizes the 22-clip Table 5
-// corpus at -scale, measures ingest frames/sec and clips/sec, then
-// single-query latency (p50/p90/p99) and batch-query throughput over
-// queries derived from the ingested shots' real feature vectors. A
-// storage phase (-storage-flushes, 0 skips) then flushes the corpus
-// into a segment store, times the mmap reopen (`startup_seconds`),
-// differentially checks every query against the in-memory answers,
-// and records the run's peak RSS (`rss_peak_bytes`).
-//
-//	vdbbench -mode server -target http://localhost:8080 -concurrency 16 -duration 10s
-//
-// drives a running vdbserver over HTTP with -concurrency workers
-// issuing a GET /api/query + GET /api/clips + POST /api/query/batch
-// mix, reporting per-endpoint latency quantiles, total RPS, the error
-// rate, and the 5xx count from HDR-style histograms. 429 answers are
-// shed load, not failures: they are counted apart from the 4xx class
-// (`http_429`, `shed_rate`) and excluded from `error_rate`, so an
-// overload test can assert "shed but never failed". With -cluster the
-// target is a vdbcoord coordinator: partial (degraded) answers are
-// counted via the X-Videodb-Partial header, /api/cluster/status is
-// probed for shard count, fan-out p99, replication lag and the
-// retry/hedge/backpressure counters, and the artifact is written as
-// BENCH_cluster_<timestamp>.json. With -chaos (implies -cluster) the
-// workers become well-behaved clients — paced, each with a distinct
-// X-Videodb-Client key — and an unpaced abusive pool sharing one key
-// runs alongside them; headline metrics cover only the healthy
-// workers, with the abuser tallied separately (abuse_requests,
-// abuse_shed, abuse_shed_rate, abuse_5xx) in a BENCH_chaos artifact.
-// scripts/chaos_smoke.sh drives this scenario end to end.
-//
-// Both modes write BENCH_<mode>_<timestamp>.json into -out.
-//
-//	vdbbench -validate BENCH_offline_20260805T120000Z.json
-//
-// decodes an artifact, checks it against the schema (version, field
-// set, metric well-formedness), prints a one-line summary and exits
-// non-zero on any mismatch — the CI smoke gate.
-//
-//	vdbbench -compare old.json new.json -tolerance 0.15
-//
-// evaluates a candidate artifact against a baseline: the gated
-// hot-path metrics (offline ingest frames/sec, query p90 latency) must
-// not regress by more than -tolerance, or the command prints the gate
-// table and exits non-zero — the CI perf-regression gate.
-//
-// docs/BENCHMARKING.md describes the methodology and every artifact
-// field.
+// The last stdout line is one flat JSON object of the counters the
+// scripts assert on — the same contract bench/ uses.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"time"
-
-	"videodb/internal/benchfmt"
 )
 
 func main() {
-	var (
-		mode        = flag.String("mode", "offline", "benchmark mode: offline | server")
-		out         = flag.String("out", ".", "directory receiving the BENCH_*.json artifact")
-		validate    = flag.String("validate", "", "validate an existing artifact and exit (no benchmark run)")
-		seed        = flag.Uint64("seed", 1, "query-generation seed (fixed seed = reproducible query stream)")
-		queries     = flag.Int("queries", 2000, "offline: single-query measurements to take")
-		batch       = flag.Int("batch", 16, "queries per batch request; 0 skips the batch phase")
-		scale       = flag.Float64("scale", 0.05, "offline: corpus scale factor (> 0; 1 = the paper's Table 5 corpus, >1 extrapolates it)")
-		serial      = flag.Bool("serial", true, "offline: also run the serial (-j 1) ingest reference pass; disable for large -scale runs")
-		compare     = flag.String("compare", "", "baseline artifact; compare against the candidate artifact argument and exit")
-		tolerance   = flag.Float64("tolerance", 0.15, "compare: fractional regression allowed before the gate fails")
-		target      = flag.String("target", "http://localhost:8080", "server: base URL of the vdbserver under test")
-		concurrency = flag.Int("concurrency", 16, "server: concurrent load-generating workers")
-		duration    = flag.Duration("duration", 10*time.Second, "server: measurement length")
-		clusterOn   = flag.Bool("cluster", false, "server: target is a vdbcoord coordinator — count partial answers, probe /api/cluster/status, write a BENCH_cluster artifact")
-		chaosOn     = flag.Bool("chaos", false, "server: overload scenario (implies -cluster) — paced per-key healthy workers plus an unpaced abusive client; artifact separates shed_rate from error_rate and records abuse_* and coord_* counters")
-		reshard     = flag.String("reshard", "", "cluster: POST this JSON body to /api/cluster/reshard mid-run (e.g. '{\"add\":[{\"primary\":\"http://s4:8080\"}]}'); the artifact gains reshard_* metrics and the run fails if the reshard does")
-		reshardAt   = flag.Float64("reshard-at", 0.5, "cluster: fire -reshard at this fraction of -duration")
-		qCache      = flag.Int("query-cache", 4096, "offline: query-result cache capacity (0 disables the cache and skips the cached phase)")
-		storageN    = flag.Int("storage-flushes", 4, "offline: segment flushes the storage phase spreads the corpus across (0 skips the phase)")
-		storageDir  = flag.String("storage-dir", "", "offline: keep the storage phase's segment store in this directory (default: a temp dir, removed)")
-	)
-	var workers int
-	flag.IntVar(&workers, "workers", 0, "offline: per-frame ingest analysis workers (0 = GOMAXPROCS, 1 = serial)")
-	flag.IntVar(&workers, "j", 0, "alias for -workers")
+	var cfg config
+	flag.StringVar(&cfg.Target, "target", "http://localhost:8080", "base URL of the vdbserver or vdbcoord under test")
+	flag.IntVar(&cfg.Concurrency, "concurrency", 16, "concurrent load-generating workers")
+	flag.DurationVar(&cfg.Duration, "duration", 10*time.Second, "measurement length")
+	flag.BoolVar(&cfg.Cluster, "cluster", false, "target is a vdbcoord coordinator: count partial answers and probe /api/cluster/status")
+	flag.BoolVar(&cfg.Chaos, "chaos", false, "overload scenario (implies -cluster): paced per-key healthy workers plus an unpaced abusive client")
+	flag.StringVar(&cfg.Reshard, "reshard", "", "POST this JSON body to /api/cluster/reshard mid-run (e.g. '{\"add\":[{\"primary\":\"http://s4:8080\"}]}')")
+	flag.Float64Var(&cfg.ReshardAt, "reshard-at", 0.5, "fire -reshard at this fraction of -duration")
 	flag.Parse()
 
-	if *validate != "" {
-		if err := validateArtifact(*validate); err != nil {
-			fmt.Fprintf(os.Stderr, "vdbbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare != "" {
-		if err := compareArtifacts(*compare, flag.Args(), *tolerance); err != nil {
-			fmt.Fprintf(os.Stderr, "vdbbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	start := time.Now().UTC()
-	var (
-		rep benchfmt.Report
-		err error
-	)
-	switch *mode {
-	case "offline":
-		rep, err = runOffline(offlineConfig{
-			Scale: *scale, Seed: *seed, Queries: *queries,
-			Batch: *batch, Workers: workers, QueryCache: *qCache,
-			Serial: *serial, StorageFlushes: *storageN, StorageDir: *storageDir,
-		})
-	case "server":
-		rep, err = runServer(serverConfig{
-			Target: *target, Concurrency: *concurrency,
-			Duration: *duration, Seed: *seed, Batch: *batch,
-			Cluster: *clusterOn, Chaos: *chaosOn,
-			Reshard: *reshard, ReshardAt: *reshardAt,
-		})
-	default:
-		err = fmt.Errorf("unknown -mode %q (want offline or server)", *mode)
-	}
-	if err != nil {
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "vdbbench: %v\n", err)
 		os.Exit(1)
 	}
-
-	rep.Timestamp = start
-	path := filepath.Join(*out, benchfmt.Filename(rep.Mode, start))
-	if err := writeArtifact(path, rep); err != nil {
-		fmt.Fprintf(os.Stderr, "vdbbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// environment snapshots where this run executes.
-func environment() benchfmt.Environment {
-	host, _ := os.Hostname()
-	return benchfmt.Environment{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Hostname:  host,
-	}
-}
-
-// writeArtifact writes the report atomically (temp file + rename), so
-// a crashed run never leaves a half-written artifact behind.
-func writeArtifact(path string, rep benchfmt.Report) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bench-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := benchfmt.Encode(tmp, rep); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// compareArtifacts runs the perf-regression gate: decode baseline and
-// candidate, evaluate the gated metrics at the tolerance, print the
-// gate table, and return an error when any metric regressed. rest is
-// everything after the parsed flags — the candidate path plus any
-// trailing flags (`vdbbench -compare old.json new.json -tolerance
-// 0.15` puts -tolerance after the first positional argument, where the
-// stdlib flag parser stops), which are re-parsed here so both flag
-// orders work.
-func compareArtifacts(baselinePath string, rest []string, tol float64) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	tolFlag := fs.Float64("tolerance", tol, "fractional regression allowed before the gate fails")
-	if len(rest) < 1 {
-		return fmt.Errorf("-compare needs a candidate artifact: vdbbench -compare old.json new.json [-tolerance 0.15]")
-	}
-	candidatePath := rest[0]
-	if err := fs.Parse(rest[1:]); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments after candidate artifact: %v", fs.Args())
-	}
-	baseline, err := readArtifact(baselinePath)
-	if err != nil {
-		return err
-	}
-	candidate, err := readArtifact(candidatePath)
-	if err != nil {
-		return err
-	}
-	if !benchfmt.SameEnvironment(baseline.Environment, candidate.Environment) {
-		fmt.Fprintf(os.Stderr, "vdbbench: warning: baseline and candidate environments differ (%s/%s/%s/%dcpu vs %s/%s/%s/%dcpu); deltas include hardware noise\n",
-			baseline.Environment.GoVersion, baseline.Environment.GOOS, baseline.Environment.GOARCH, baseline.Environment.NumCPU,
-			candidate.Environment.GoVersion, candidate.Environment.GOOS, candidate.Environment.GOARCH, candidate.Environment.NumCPU)
-	}
-	comps, err := benchfmt.Compare(baseline, candidate, *tolFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("perf gate: %s vs %s (tolerance %.0f%%)\n",
-		filepath.Base(baselinePath), filepath.Base(candidatePath), *tolFlag*100)
-	regressed := 0
-	for _, c := range comps {
-		fmt.Println("  " + c.String())
-		if c.Regressed {
-			regressed++
-		}
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d of %d gated metrics regressed beyond %.0f%%", regressed, len(comps), *tolFlag*100)
-	}
-	fmt.Printf("perf gate: ok (%d metrics within tolerance)\n", len(comps))
-	return nil
-}
-
-// readArtifact decodes one artifact file.
-func readArtifact(path string) (benchfmt.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return benchfmt.Report{}, err
-	}
-	defer f.Close()
-	rep, err := benchfmt.Decode(f)
-	if err != nil {
-		return benchfmt.Report{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// validateArtifact decodes and re-validates an artifact, printing a
-// one-line summary on success.
-func validateArtifact(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := benchfmt.Decode(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: schema v%d, mode %s, %s, %d metrics — ok\n",
-		filepath.Base(path), rep.Schema, rep.Mode,
-		rep.Timestamp.Format(time.RFC3339), len(rep.Metrics))
-	return nil
 }

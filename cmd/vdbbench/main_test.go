@@ -1,143 +1,144 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"videodb/internal/benchfmt"
-	"videodb/internal/obs"
+	"videodb/internal/core"
+	"videodb/internal/server"
+	"videodb/internal/vtest"
 )
 
-// TestOfflineRunProducesValidArtifact runs the offline driver at the CI
-// smoke scale and pushes its report through the full artifact
-// round-trip (atomic write, decode, schema validation).
-func TestOfflineRunProducesValidArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("offline run synthesizes a corpus; skipped with -short")
-	}
-	rep, err := runOffline(offlineConfig{Scale: 0.02, Seed: 1, Queries: 200, Batch: 8, QueryCache: 4096, Serial: true})
-	if err != nil {
+// runFor drives the load function against target for about a second and
+// decodes the result object from the last line it printed.
+func runFor(t *testing.T, cfg config) map[string]float64 {
+	t.Helper()
+	cfg.Concurrency, cfg.Duration = 2, time.Second
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
-	rep.Timestamp = time.Now().UTC()
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var res map[string]float64
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
+		t.Fatalf("last stdout line is not a flat JSON object: %v\n%s", err, out.String())
+	}
+	return res
+}
 
-	path := filepath.Join(t.TempDir(), benchfmt.Filename(rep.Mode, rep.Timestamp))
-	if err := writeArtifact(path, rep); err != nil {
-		t.Fatal(err)
+// requireKeys fails unless res holds every key.
+func requireKeys(t *testing.T, res map[string]float64, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if _, ok := res[k]; !ok {
+			t.Errorf("result lacks %q: %v", k, res)
+		}
 	}
-	if err := validateArtifact(path); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	f, err := os.Open(path)
+// TestRunAgainstServer drives a real in-memory node: every request
+// answers, nothing fails.
+func TestRunAgainstServer(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := benchfmt.Decode(f)
-	if err != nil {
+	if _, err := db.Ingest(vtest.TwoShotClip("a", 1, 2, 8, 16)); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"ingest_frames_per_sec", "ingest_clips_per_sec",
-		"ingest_workers", "ingest_frames_per_sec_serial", "ingest_parallel_speedup",
-		"query_latency", "batch_latency", "batch_query_throughput",
-		"query_cached_latency", "query_cached_throughput", "query_cache_hit_rate",
-		"allocs_per_query",
+	ts := httptest.NewServer(server.New(db).Handler())
+	defer ts.Close()
+
+	res := runFor(t, config{Target: ts.URL})
+	requireKeys(t, res, "requests", "http_5xx", "transport_errors", "shed_rate")
+	if res["requests"] <= 0 || res["http_5xx"] != 0 || res["transport_errors"] != 0 {
+		t.Errorf("requests=%v http_5xx=%v transport_errors=%v, want >0, 0, 0",
+			res["requests"], res["http_5xx"], res["transport_errors"])
+	}
+}
+
+// fakeCoordinator answers every load request 200, flags every third
+// /api/query answer partial (counting what it flagged), sheds the
+// "abuser" client key with 429, and serves a fixed cluster status and
+// reshard report.
+type fakeCoordinator struct {
+	queries, partial atomic.Int64
+}
+
+const fakeStatus = `{"shards":[{},{},{}],"maxLagBytes":7,"fetches":120,"retries":3,"hedges":5,"hedgeWins":2}`
+
+func (f *fakeCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("X-Videodb-Client") == "abuser" {
+		w.WriteHeader(http.StatusTooManyRequests)
+		return
+	}
+	switch r.URL.Path {
+	case "/api/cluster/status":
+		_, _ = w.Write([]byte(fakeStatus))
+	case "/api/cluster/reshard":
+		_, _ = w.Write([]byte(`{"fromShards":3,"toShards":4,"movedClips":9,"cutoverSeconds":0.01,"dualReadSeconds":0.2}`))
+	case "/api/clips":
+		_, _ = w.Write([]byte("[]"))
+	case "/api/query":
+		if f.queries.Add(1)%3 == 0 {
+			f.partial.Add(1)
+			w.Header().Set("X-Videodb-Partial", "true")
+		} else {
+			w.Header().Set("X-Videodb-Partial", "false")
+		}
+		_, _ = w.Write([]byte(`{"matches":[],"partial":false}`))
+	default:
+		_, _ = w.Write([]byte("{}"))
+	}
+}
+
+// TestRunClusterCopiesCoordinatorCounters: partial answers are counted
+// exactly, the status probe's shard count and coordinator counters are
+// copied through, and a mid-run reshard's report lands in the result.
+func TestRunClusterCopiesCoordinatorCounters(t *testing.T) {
+	fake := &fakeCoordinator{}
+	ts := httptest.NewServer(fake)
+	defer ts.Close()
+
+	res := runFor(t, config{Target: ts.URL, Cluster: true,
+		Reshard: `{"add":[{"primary":"http://s4"}]}`, ReshardAt: 0.5})
+	requireKeys(t, res, "http_5xx", "transport_errors", "partial_answers", "cluster_shards",
+		"coord_fetches", "coord_retries", "coord_hedges", "coord_hedge_wins",
+		"replication_lag_bytes_max", "reshard_moved_clips", "reshard_cutover_seconds", "reshard_dual_read_seconds")
+	if got, want := res["partial_answers"], float64(fake.partial.Load()); got != want || want == 0 {
+		t.Errorf("partial_answers = %v, the fake flagged %v", got, want)
+	}
+	for k, want := range map[string]float64{
+		"cluster_shards": 3, "coord_fetches": 120, "coord_retries": 3, "coord_hedges": 5,
+		"coord_hedge_wins": 2, "replication_lag_bytes_max": 7, "reshard_moved_clips": 9,
+		"reshard_cutover_seconds": 0.01, "reshard_dual_read_seconds": 0.2,
 	} {
-		m, ok := got.Metric(name)
-		if !ok {
-			t.Errorf("artifact missing metric %q", name)
-			continue
+		if res[k] != want {
+			t.Errorf("%s = %v, want %v", k, res[k], want)
 		}
-		switch name {
-		case "query_latency", "batch_latency", "query_cached_latency":
-			if m.Distribution == nil || m.Distribution.Count == 0 {
-				t.Errorf("metric %q has no distribution", name)
-			}
-		case "allocs_per_query":
-			if !raceEnabled && m.Value >= 0.5 {
-				t.Errorf("metric %q = %v, want the steady-state path alloc-free", name, m.Value)
-			}
-		default:
-			if m.Value <= 0 {
-				t.Errorf("metric %q = %v, want > 0", name, m.Value)
-			}
-		}
-	}
-	if m, _ := got.Metric("query_latency"); m.Distribution != nil && m.Distribution.Count != 200 {
-		t.Errorf("query_latency count = %d, want 200", m.Distribution.Count)
-	}
-	if m, ok := got.Metric("query_cache_mismatches"); !ok || m.Value != 0 {
-		t.Errorf("query_cache_mismatches = %+v, want present and 0", m)
 	}
 }
 
-// TestValidateArtifactRejectsGarbage covers the CI gate's failure mode.
-func TestValidateArtifactRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_offline_bogus.json")
-	if err := os.WriteFile(path, []byte(`{"schema": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateArtifact(path); err == nil {
-		t.Error("validateArtifact accepted a wrong-version artifact")
-	}
-	if err := validateArtifact(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("validateArtifact accepted a missing file")
-	}
-}
+// TestRunChaosSeparatesAbuser: the abusive pool's 429s land in abuse_*
+// and never in the healthy workers' shed rate.
+func TestRunChaosSeparatesAbuser(t *testing.T) {
+	ts := httptest.NewServer(&fakeCoordinator{})
+	defer ts.Close()
 
-// TestCompareArtifactsCLI exercises the gate end to end through the
-// same code path the CI bench-gate job invokes, including the ISSUE's
-// literal argument order (candidate path before trailing -tolerance).
-func TestCompareArtifactsCLI(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, fps float64) string {
-		h := obs.NewHistogram()
-		ch := obs.NewHistogram()
-		for i := 1; i <= 100; i++ {
-			h.Record(float64(i) * 1e-4)
-			ch.Record(float64(i) * 1e-6)
-		}
-		rep := benchfmt.Report{
-			Mode:      "offline",
-			Timestamp: time.Now().UTC(),
-			Config:    benchfmt.Config{Scale: 0.02, Seed: 1, Clips: 22, Queries: 100},
-			Environment: benchfmt.Environment{
-				GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64", NumCPU: 8,
-			},
-			Metrics: []benchfmt.Metric{
-				{Name: "ingest_frames_per_sec", Unit: "frames/sec", Value: fps},
-				benchfmt.LatencyMetric("query_latency", h),
-				benchfmt.LatencyMetric("query_cached_latency", ch),
-				{Name: "allocs_per_query", Unit: "allocs/query", Value: 0},
-			},
-		}
-		path := filepath.Join(dir, name)
-		if err := writeArtifact(path, rep); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	res := runFor(t, config{Target: ts.URL, Chaos: true})
+	requireKeys(t, res, "http_5xx", "transport_errors", "shed_rate", "abuse_shed", "abuse_5xx",
+		"coord_hedge_wins", "coord_fetches", "coord_retries", "coord_hedges")
+	if res["abuse_shed"] <= 0 || res["abuse_5xx"] != 0 {
+		t.Errorf("abuse_shed=%v abuse_5xx=%v, want >0 and 0", res["abuse_shed"], res["abuse_5xx"])
 	}
-	old := write("old.json", 1000)
-	same := write("same.json", 1000)
-	slow := write("slow.json", 700) // 30% drop: beyond any sane tolerance
-
-	if err := compareArtifacts(old, []string{same, "-tolerance", "0.15"}, 0.15); err != nil {
-		t.Errorf("identical artifacts failed the gate: %v", err)
-	}
-	if err := compareArtifacts(old, []string{slow}, 0.15); err == nil {
-		t.Error("30%% ingest regression passed the gate")
-	}
-	if err := compareArtifacts(old, nil, 0.15); err == nil {
-		t.Error("missing candidate path accepted")
-	}
-	if err := compareArtifacts(old, []string{slow, "-tolerance", "0.5"}, 0.15); err != nil {
-		t.Errorf("trailing -tolerance not honored: %v", err)
+	if res["shed_rate"] != 0 || res["http_5xx"] != 0 {
+		t.Errorf("healthy shed_rate=%v http_5xx=%v, want 0 and 0", res["shed_rate"], res["http_5xx"])
 	}
 }
 

@@ -569,8 +569,7 @@ func (db *Database) QueryByShot(clip string, shot, k int) ([]Match, error) {
 	}
 	sf := rec.Shots[shot].Feature
 	q := varindex.Query{VarBA: sf.VarBA, VarOA: sf.VarOA, MeanBA: sf.MeanBA}
-	key := varindex.Entry{Clip: clip, Shot: shot}.Key()
-	entries, err := v.index.TopKExcluding(q, db.opts.Query, k, key)
+	entries, err := v.index.TopKExcluding(q, db.opts.Query, k, clip, shot)
 	if err != nil {
 		return nil, err
 	}

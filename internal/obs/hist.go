@@ -87,20 +87,6 @@ func (h *Histogram) Record(seconds float64) {
 // RecordDuration adds one observation.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Seconds()) }
 
-// Merge folds o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.Count() == 0 {
-		return
-	}
-	fold(&h.min, load(&o.min), math.Min)
-	fold(&h.max, load(&o.max), math.Max)
-	fold(&h.sum, load(&o.sum), add)
-	for i := range o.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.count.Add(o.Count())
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

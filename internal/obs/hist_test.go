@@ -31,27 +31,3 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("Mean = %v", mean)
 	}
 }
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, whole := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		v := float64(i) * 1e-4
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(b)
-	a.Merge(nil)
-	if a.Count() != whole.Count() || math.Abs(a.Mean()-whole.Mean()) > 1e-12 {
-		t.Fatalf("merge lost observations: %d/%v vs %d/%v",
-			a.Count(), a.Mean(), whole.Count(), whole.Mean())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("Quantile(%v) differs after merge", q)
-		}
-	}
-}

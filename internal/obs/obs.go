@@ -1,6 +1,6 @@
 // Package obs is the one instrument set of the serving tier: lock-free
 // counters, the latency histogram, and the Prometheus text writer that
-// vdbserver, vdbcoord and vdbbench all count, time and render with.
+// vdbserver and vdbcoord both count, time and render with.
 // Recording never takes a lock, so instruments can sit on the request
 // path of a microsecond-scale lookup.
 package obs

@@ -12,8 +12,7 @@ import (
 // Record and Add from many goroutines while a reader renders, and the
 // final totals are exact. The values are multiples of 2^-20 s, so their
 // float sum is exact in any order, and the concurrently filled histogram
-// must answer every quantile exactly as one filled sequentially — and as
-// the Merge of per-goroutine histograms, the way vdbbench builds its own.
+// must answer every quantile exactly as one filled sequentially.
 func TestConcurrentRecordAddRender(t *testing.T) {
 	const workers, perWorker = 8, 5000
 	value := func(w, i int) float64 { return float64(1+(w*perWorker+i)%4096) / (1 << 20) }
@@ -21,7 +20,6 @@ func TestConcurrentRecordAddRender(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("test_events_total", "Events.")
 	shared := NewHistogram()
-	parts := make([]*Histogram, workers)
 
 	done := make(chan struct{})
 	var renderer sync.WaitGroup
@@ -42,13 +40,11 @@ func TestConcurrentRecordAddRender(t *testing.T) {
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		parts[w] = NewHistogram()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				shared.Record(value(w, i))
-				parts[w].Record(value(w, i))
 				c.Add(2)
 			}
 		}(w)
@@ -57,27 +53,24 @@ func TestConcurrentRecordAddRender(t *testing.T) {
 	close(done)
 	renderer.Wait()
 
-	sequential, merged := NewHistogram(), NewHistogram()
+	sequential := NewHistogram()
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
 			sequential.Record(value(w, i))
 		}
-		merged.Merge(parts[w])
 	}
 	if got := c.Load(); got != 2*workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, 2*workers*perWorker)
 	}
-	for name, h := range map[string]*Histogram{"shared": shared, "merged": merged} {
-		if h.Count() != workers*perWorker {
-			t.Errorf("%s: count = %d, want %d", name, h.Count(), workers*perWorker)
-		}
-		if h.Mean() != sequential.Mean() {
-			t.Errorf("%s: mean = %v, want %v", name, h.Mean(), sequential.Mean())
-		}
-		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			if got, want := h.Quantile(q), sequential.Quantile(q); got != want {
-				t.Errorf("%s: Quantile(%v) = %v, want %v", name, q, got, want)
-			}
+	if shared.Count() != workers*perWorker {
+		t.Errorf("count = %d, want %d", shared.Count(), workers*perWorker)
+	}
+	if shared.Mean() != sequential.Mean() {
+		t.Errorf("mean = %v, want %v", shared.Mean(), sequential.Mean())
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got, want := shared.Quantile(q), sequential.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
 		}
 	}
 }

@@ -8,6 +8,7 @@
 //	  MANIFEST          which segments are live, oldest first
 //	  seg-00000001.vseg immutable columnar segments
 //	  wal.log           journal of mutations since the last flush
+//	  LOCK              flock'd by the one process that has the store open
 //
 // Ingest accumulates in the database's memtable (journaled through
 // wal.log); Flush captures the memtable, pending tombstones and the WAL
@@ -25,10 +26,12 @@
 // leaves either the old or the new state of each; the WAL rotates
 // only after the manifest commit, and replay is idempotent, so every
 // crash window replays into the same state. Orphaned segment files
-// from a crashed flush or compaction are deleted at Open.
+// from a crashed flush or compaction are deleted at Open — which is only
+// safe because Open also makes the caller the directory's one owner.
 package segstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -50,6 +53,13 @@ const WALName = "wal.log"
 // DefaultFanout is how many adjacent same-generation segments a
 // compaction merges when Options.Fanout is zero.
 const DefaultFanout = 4
+
+// lockName is the file Open flocks for as long as the store is open.
+const lockName = "LOCK"
+
+// ErrLocked reports that another open Store, in this process or
+// another, owns the directory.
+var ErrLocked = errors.New("directory is in use by another open store")
 
 // Options configures Open.
 type Options struct {
@@ -107,6 +117,7 @@ type Store struct {
 	j      *wal.ClipJournal
 	replay wal.ReplayResult
 	fanout int
+	lock   *os.File
 
 	mu     sync.Mutex
 	man    segment.Manifest
@@ -118,34 +129,48 @@ type Store struct {
 	compactWG   sync.WaitGroup
 }
 
-// Open opens (or initializes) the segment store in dir: load and
+// Open opens (or initializes) the segment store in dir: take the
+// directory's lock (ErrLocked if another open Store holds it), load and
 // validate the manifest, mmap every live segment, delete orphaned
 // segment files from crashed flushes or compactions, compose the
 // segments into the database's cold tier, then replay and reopen the
-// WAL. The returned store owns the journal; close it with Close after
-// the database has quiesced.
-func Open(dir string, opts Options) (*Store, error) {
+// WAL. The returned store owns the journal and the lock; close it with
+// Close after the database has quiesced. A failed Open releases both
+// and unmaps what it mapped.
+func Open(dir string, opts Options) (_ *Store, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %s: %w", dir, err)
+	}
+	var readers []*segment.Reader
+	defer func() {
+		if err != nil {
+			for _, r := range readers {
+				r.Close()
+			}
+			lock.Close()
+		}
+	}()
+
 	man, err := segment.LoadManifest(dir)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %s: %w", dir, err)
 	}
-
 	segs := make(map[uint64]*segment.Reader, len(man.Segments))
-	readers := make([]*segment.Reader, 0, len(man.Segments))
 	for _, si := range man.Segments {
 		r, err := segment.Open(filepath.Join(dir, si.File))
 		if err != nil {
 			return nil, fmt.Errorf("segstore: opening %s: %w", si.File, err)
 		}
+		readers = append(readers, r)
 		if r.ID() != si.ID {
 			return nil, fmt.Errorf("segstore: %s: header id %d does not match manifest id %d",
 				si.File, r.ID(), si.ID)
 		}
 		segs[si.ID] = r
-		readers = append(readers, r)
 	}
 	if err := removeOrphans(dir, man); err != nil {
 		return nil, err
@@ -163,6 +188,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		db:     db,
 		fanout: opts.Fanout,
+		lock:   lock,
 		man:    man,
 		segs:   segs,
 	}
@@ -513,17 +539,23 @@ func (s *Store) StartCompactor(interval time.Duration, onErr func(error)) {
 	}()
 }
 
-// Close stops the background compactor and closes the WAL. Segment
-// mappings are left to outstanding views and their finalizers; the
-// caller must have quiesced reads if it intends to unmap eagerly.
+// Close stops the background compactor, closes the WAL and then
+// releases the directory lock. Segment mappings are left to outstanding
+// views and their finalizers; the caller must have quiesced reads if it
+// intends to unmap eagerly.
 func (s *Store) Close() error {
 	if s.compactStop != nil {
 		close(s.compactStop)
 		s.compactWG.Wait()
 		s.compactStop = nil
 	}
+	var err error
 	if s.j != nil {
-		return s.j.Close()
+		err = s.j.Close()
 	}
-	return nil
+	if s.lock != nil {
+		err = errors.Join(err, s.lock.Close())
+		s.lock = nil
+	}
+	return err
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"videodb/internal/experiments"
 	"videodb/internal/segstore"
 	"videodb/internal/varindex"
+	"videodb/internal/vtest"
 	"videodb/internal/wal"
 )
 
@@ -499,6 +501,79 @@ func TestOrphanCleanup(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, stray)); err == nil {
 			t.Fatalf("stray file %s survived Open", stray)
 		}
+	}
+}
+
+// TestOpenLocksDirectory: a directory has one owner. A second Open of a
+// live store fails with ErrLocked, naming the directory, and before it
+// can run orphan cleanup — so a segment the owner has written but not
+// yet committed survives it.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	openStore(t, dir, 4)
+	pending := filepath.Join(dir, "seg-00000009.vseg")
+	if err := os.WriteFile(pending, []byte("not yet in the manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions()})
+	if !errors.Is(err, segstore.ErrLocked) {
+		t.Fatalf("second Open of a live store: %v, want ErrLocked", err)
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Errorf("ErrLocked does not name the directory: %v", err)
+	}
+	if _, err := os.Stat(pending); err != nil {
+		t.Fatalf("the refused Open deleted the owner's uncommitted segment: %v", err)
+	}
+}
+
+// TestCloseReleasesLock: after Close the directory opens again, and the
+// new owner holds the lock in turn.
+func TestCloseReleasesLock(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, 4)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	openStore(t, dir, 4)
+	if _, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions()}); !errors.Is(err, segstore.ErrLocked) {
+		t.Fatalf("Open beside the reopened store: %v, want ErrLocked", err)
+	}
+}
+
+// TestFailedOpenReleasesLock: an Open that fails on a corrupt segment
+// gives the lock back, so the directory opens once the file is repaired.
+func TestFailedOpenReleasesLock(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, 4)
+	if _, err := s.DB().Ingest(vtest.TwoShotClip("kept", 1, 2, 8, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, s.Manifest().Segments[0].File)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(good)
+	bad[len(bad)/2] ^= 0xff
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions()}); err == nil || errors.Is(err, segstore.ErrLocked) {
+		t.Fatalf("Open over a corrupt segment: %v, want a corruption error", err)
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir, 4)
+	if _, ok := s2.DB().Clip("kept"); !ok {
+		t.Fatal("the repaired store lost its flushed clip")
 	}
 }
 

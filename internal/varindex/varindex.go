@@ -309,7 +309,7 @@ func (ix *Index) TopK(q Query, opt Options, k int) ([]Entry, error) {
 // experiments query by an existing shot and want its neighbours. It
 // filters Search's answer in place, so k bounds the result without ever
 // sizing anything: a k beyond the neighbour count returns them all.
-func (ix *Index) TopKExcluding(q Query, opt Options, k int, excludeKey string) ([]Entry, error) {
+func (ix *Index) TopKExcluding(q Query, opt Options, k int, clip string, shot int) ([]Entry, error) {
 	all, err := ix.Search(q, opt)
 	if err != nil {
 		return nil, err
@@ -319,7 +319,7 @@ func (ix *Index) TopKExcluding(q Query, opt Options, k int, excludeKey string) (
 		if len(out) >= k {
 			break
 		}
-		if e.Key() != excludeKey {
+		if e.Shot != shot || e.Clip != clip {
 			out = append(out, e)
 		}
 	}

@@ -169,7 +169,7 @@ func TestTopKExcluding(t *testing.T) {
 	ix.Add(entry("c", 1, 25, 4))
 	ix.Add(entry("c", 2, 25, 4))
 	ix.Build()
-	got, err := ix.TopKExcluding(Query{VarBA: 25, VarOA: 4}, DefaultOptions(), 5, "c#1")
+	got, err := ix.TopKExcluding(Query{VarBA: 25, VarOA: 4}, DefaultOptions(), 5, "c", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTopKExcluding(t *testing.T) {
 		t.Fatalf("got %d entries", len(got))
 	}
 	for _, e := range got {
-		if e.Key() == "c#1" {
+		if e.Clip == "c" && e.Shot == 1 {
 			t.Error("excluded entry returned")
 		}
 	}

@@ -111,15 +111,15 @@ done
 [ "${caught_up:-0}" -eq 1 ] || fail "replica never caught up (maxLagBytes != 0)"
 
 log "driving the chaos scenario for $DURATION (6 healthy + abusive pool)"
-"$OUT/vdbbench" -mode server -chaos -target "http://$COORD" \
-    -concurrency 6 -duration "$DURATION" -seed 1 -out "$OUT" \
+"$OUT/vdbbench" -chaos -target "http://$COORD" \
+    -concurrency 6 -duration "$DURATION" >"$OUT/vdbbench.out" \
     || fail "vdbbench exited non-zero"
+cat "$OUT/vdbbench.out"
 
-art=$(ls "$OUT"/BENCH_chaos_*.json) || fail "no BENCH_chaos artifact written"
-"$OUT/vdbbench" -validate "$art" || fail "artifact failed schema validation"
-
+result=$(tail -n 1 "$OUT/vdbbench.out")
+jq -e 'type == "object"' <<<"$result" >/dev/null || fail "vdbbench printed no result line"
 metric() { # name -> value
-    grep -A2 "\"name\": \"$1\"" "$art" | sed -n 's/.*"value": \([0-9.e+-]*\).*/\1/p' | head -1
+    jq -r --arg k "$1" '.[$k] // empty' <<<"$result"
 }
 
 # Healthy traffic: shed nothing (bounded at 1%), fail nothing.
@@ -163,4 +163,4 @@ injected=$(curl -sf "http://$SHARD0/api/metrics" \
 [ "${injected:-0}" -gt 0 ] || fail "shard 0 injected no chaos latency (videodb_chaos_injected_latency_total = ${injected:-missing})"
 
 log "OK — healthy shed_rate=$shed_rate, abuse_shed=$abuse_shed, hedge_wins=$hedge_wins, retries=$retries hedges=$hedges over $fetches fetches, shards shed $total_shed, chaos injected $injected"
-log "artifact at $art"
+log "result at $OUT/vdbbench.out"

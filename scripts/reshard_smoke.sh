@@ -145,10 +145,10 @@ compare_until "$OUT/bench.done" &
 comparer=$!
 pids+=("$comparer")
 bench_ok=1
-"$OUT/vdbbench" -mode server -cluster -target "http://$COORD" \
-    -concurrency 8 -duration "$DURATION" -seed 1 -out "$OUT" \
+"$OUT/vdbbench" -cluster -target "http://$COORD" \
+    -concurrency 8 -duration "$DURATION" \
     -reshard "{\"add\":[{\"primary\":\"http://$SHARD3\"}]}" -reshard-at 0.4 \
-    || bench_ok=0
+    >"$OUT/vdbbench.out" || bench_ok=0
 touch "$OUT/bench.done"
 wait "$comparer" || fail "the answer comparer died"
 [ "$bench_ok" -eq 1 ] || fail "vdbbench exited non-zero (a failed reshard fails the bench)"
@@ -158,11 +158,12 @@ read -r rounds during <"$OUT/compare.count"
 [ "$rounds" -gt 0 ] || fail "the answer comparer completed no round"
 log "answers equal to the control node in all $rounds comparison rounds ($during of them overlapping the migration)"
 
-art=$(ls "$OUT"/BENCH_cluster_*.json) || fail "no BENCH_cluster artifact written"
-"$OUT/vdbbench" -validate "$art" || fail "artifact failed schema validation"
+cat "$OUT/vdbbench.out"
 
+result=$(tail -n 1 "$OUT/vdbbench.out")
+jq -e 'type == "object"' <<<"$result" >/dev/null || fail "vdbbench printed no result line"
 metric() { # name -> value
-    grep -A2 "\"name\": \"$1\"" "$art" | sed -n 's/.*"value": \([0-9.e+-]*\).*/\1/p' | head -1
+    jq -r --arg k "$1" '.[$k] // empty' <<<"$result"
 }
 
 # The membership change must be invisible to clients: no server
@@ -178,11 +179,11 @@ awk -v m="${moved:-0}" 'BEGIN { exit (m + 0 > 0) ? 0 : 1 }' \
     || fail "reshard moved ${moved:-no} clips; the grow must migrate some of the corpus"
 cutover=$(metric reshard_cutover_seconds)
 window=$(metric reshard_dual_read_seconds)
-[ -n "${window:-}" ] || fail "artifact has no reshard_dual_read_seconds metric"
+[ -n "${window:-}" ] || fail "result has no reshard_dual_read_seconds"
 shards=$(metric cluster_shards)
-[ "${shards%%.*}" = "4" ] || fail "artifact records ${shards:-no} shards after the grow, want 4"
+[ "${shards%%.*}" = "4" ] || fail "result records ${shards:-no} shards after the grow, want 4"
 lagmax=$(metric replication_lag_bytes_max)
-[ -n "${lagmax:-}" ] || fail "artifact has no replication_lag_bytes_max (the lag sampler never saw a known lag)"
+[ -n "${lagmax:-}" ] || fail "result has no replication_lag_bytes_max (the lag sampler never saw a known lag)"
 log "reshard: moved $moved clips, write barrier ${cutover}s, dual-read window ${window}s, worst lag ${lagmax}B"
 
 # The new shard must own part of the corpus and take fan-out traffic.
@@ -213,4 +214,4 @@ for q in "${QUERIES[@]}"; do
 done
 log "final corpus and answers byte-identical to the control node"
 
-log "OK — artifact at $art"
+log "OK — result at $OUT/vdbbench.out"
