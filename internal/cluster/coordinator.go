@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -157,6 +158,10 @@ func (c *Coordinator) pinTopology() *topology {
 	}
 }
 
+// discardLogger is the default log of coordinators and replicas:
+// disabled at every level, so nothing is formatted or written.
+var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
 // New builds a coordinator and starts its health prober.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
@@ -199,7 +204,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.probeInterval = 2 * time.Second
 	}
 	if c.log == nil {
-		c.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.log = discardLogger
 	}
 	shards := make([]*shard, 0, len(cfg.Shards))
 	for i, sc := range cfg.Shards {

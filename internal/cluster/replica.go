@@ -78,7 +78,7 @@ func StartReplica(db *core.Database, primaryURL string, opts ...ReplicaOption) *
 		primary:  primaryURL,
 		client:   &http.Client{},
 		interval: 250 * time.Millisecond,
-		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		log:      discardLogger,
 		stop:     make(chan struct{}),
 	}
 	for _, o := range opts {

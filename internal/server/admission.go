@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -87,7 +86,5 @@ func writeBackpressure(w http.ResponseWriter, code int, retryAfter time.Duration
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "reason": reason})
+	writeJSONStatus(w, code, map[string]string{"error": msg, "reason": reason})
 }

@@ -69,12 +69,12 @@ type codeCount struct {
 	n    *obs.Counter
 }
 
-// instrument wraps the route's handler so every request is counted and
-// timed.
+// instrument wraps the route's handler (timeout included) so every
+// request is counted under the status its client got, and timed.
 func (rs *routeStats) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := asStatusWriter(w)
 		next.ServeHTTP(sw, r)
 		h := rs.latency.Load()
 		if h == nil {

@@ -1,24 +1,40 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
-// statusWriter records the status code and body size a handler wrote,
-// so middleware can log and meter responses after the fact.
+// statusWriter is the one wrapper around a request's ResponseWriter: it
+// records the status code and body size a handler wrote, so middleware
+// can log and meter responses after the fact, and it enforces
+// withTimeout's deadline at the first byte (see overdue).
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	bytes int64
+	code     int
+	bytes    int64
+	deadline context.Context // withTimeout's, while the handler runs under it
+	refused  bool            // the timeout answer went out; handler writes fail
+}
+
+// asStatusWriter returns the request's statusWriter, wrapping w only
+// when no outer middleware did.
+func asStatusWriter(w http.ResponseWriter) *statusWriter {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw
+	}
+	return &statusWriter{ResponseWriter: w}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
+	if w.overdue() {
+		return
+	}
 	if w.code == 0 {
 		w.code = code
 	}
@@ -26,12 +42,33 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.overdue() {
+		return 0, http.ErrHandlerTimeout
+	}
 	if w.code == 0 {
 		w.code = http.StatusOK
 	}
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
+}
+
+// errTimedOut is the cause of withTimeout's context when its own
+// deadline, not the client or the server's shutdown, ended it.
+var errTimedOut = errors.New("request timed out")
+
+// overdue answers the timeout 503 in place of the handler's response if
+// nothing was written before withTimeout's own deadline passed (the
+// handler's headers, Content-Length included, are dropped with it), and
+// reports whether the handler's writes are refused from now on.
+func (w *statusWriter) overdue() bool {
+	if w.code == 0 && w.deadline != nil && errors.Is(context.Cause(w.deadline), errTimedOut) {
+		w.deadline = nil
+		clear(w.Header())
+		writeBackpressure(w, http.StatusServiceUnavailable, time.Second, "timeout", errTimedOut.Error())
+		w.refused = true
+	}
+	return w.refused
 }
 
 // status returns the written status, defaulting to 200 for handlers
@@ -43,24 +80,18 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// started reports whether any part of the response reached the wire.
-func (w *statusWriter) started() bool { return w.code != 0 }
-
 // withLogging emits one structured log line per request: method, path,
-// status, response bytes, duration and peer address.
+// status, response bytes, duration and peer address — unless the
+// logger is disabled at info level, which then costs nothing more.
 func (s *Server) withLogging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		s.log.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status(),
-			"bytes", sw.bytes,
-			"duration", time.Since(start),
-			"remote", r.RemoteAddr,
-		)
+		if s.log.Enabled(r.Context(), slog.LevelInfo) {
+			s.log.Info("request", "method", r.Method, "path", r.URL.Path, "status", sw.status(),
+				"bytes", sw.bytes, "duration", time.Since(start), "remote", r.RemoteAddr)
+		}
 	})
 }
 
@@ -77,15 +108,10 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 			if v == http.ErrAbortHandler { //nolint:errorlint // sentinel, by contract
 				panic(v)
 			}
-			s.log.Error("panic in handler",
-				"method", r.Method,
-				"path", r.URL.Path,
-				"panic", fmt.Sprint(v),
-				"stack", string(debug.Stack()),
-			)
-			if sw, ok := w.(*statusWriter); !ok || !sw.started() {
-				WriteError(w, http.StatusInternalServerError,
-					fmt.Errorf("internal server error"))
+			s.log.Error("panic in handler", "method", r.Method, "path", r.URL.Path,
+				"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			if sw, ok := w.(*statusWriter); !ok || sw.code == 0 {
+				WriteError(w, http.StatusInternalServerError, fmt.Errorf("internal server error"))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -105,108 +131,24 @@ func timeoutExempt(r *http.Request) bool {
 	return false
 }
 
-// withTimeout bounds every non-exempt request to s.timeout, answering
-// through writeBackpressure (503 + Retry-After + JSON body, the same
-// contract as admission sheds) when the deadline passes. A timed-out
-// handler keeps running against a canceled context, but its writes land
-// in a discarded buffer — http.TimeoutHandler semantics, reimplemented
-// here because TimeoutHandler cannot set headers on the timeout answer.
+// withTimeout bounds every non-exempt request to s.timeout. The handler
+// runs on the request's goroutine with the deadline in its context and
+// is never abandoned: one that watches the context stops at the
+// deadline, one that does not holds its client (and admission slot)
+// until it returns. A response not started by the deadline is answered
+// through writeBackpressure (503 + Retry-After + JSON body, the
+// contract of admission sheds); one already under way is delivered.
 func (s *Server) withTimeout(next http.Handler) http.Handler {
-	if s.timeout <= 0 {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if timeoutExempt(r) {
+		if s.timeout <= 0 || timeoutExempt(r) {
 			next.ServeHTTP(w, r)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		tw := &timeoutWriter{header: make(http.Header)}
-		done := make(chan struct{})
-		panicChan := make(chan any, 1)
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					panicChan <- v
-				}
-			}()
-			next.ServeHTTP(tw, r)
-			close(done)
-		}()
-		select {
-		case v := <-panicChan:
-			// Re-panic on the request goroutine so withRecovery (outside
-			// this middleware) answers the 500 and logs the stack.
-			panic(v)
-		case <-done:
-			tw.flushTo(w)
-		case <-ctx.Done():
-			tw.timeOut()
-			writeBackpressure(w, http.StatusServiceUnavailable,
-				time.Second, "timeout", "request timed out")
-		}
+		ctx, cancel := context.WithTimeoutCause(r.Context(), s.timeout, errTimedOut)
+		sw := asStatusWriter(w)
+		sw.deadline = ctx
+		defer func() { sw.deadline = nil; cancel() }() // a recovered panic's 500 is not a timeout
+		next.ServeHTTP(sw, r.WithContext(ctx))
+		sw.overdue() // the handler returned without writing
 	})
-}
-
-// timeoutWriter buffers a handler's response so it can be either
-// delivered whole (handler finished in time) or discarded whole
-// (deadline passed first). The mutex arbitrates the race between the
-// handler goroutine finishing its write and the timeout firing.
-type timeoutWriter struct {
-	mu       sync.Mutex
-	header   http.Header
-	code     int
-	buf      bytes.Buffer
-	timedOut bool
-}
-
-func (tw *timeoutWriter) Header() http.Header { return tw.header }
-
-func (tw *timeoutWriter) WriteHeader(code int) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.code == 0 {
-		tw.code = code
-	}
-}
-
-func (tw *timeoutWriter) Write(p []byte) (int, error) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut {
-		return 0, http.ErrHandlerTimeout
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	return tw.buf.Write(p)
-}
-
-// timeOut marks the response abandoned: later handler writes fail with
-// http.ErrHandlerTimeout and a late flushTo becomes a no-op.
-func (tw *timeoutWriter) timeOut() {
-	tw.mu.Lock()
-	tw.timedOut = true
-	tw.mu.Unlock()
-}
-
-// flushTo delivers the buffered response to the real writer.
-func (tw *timeoutWriter) flushTo(w http.ResponseWriter) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut {
-		return
-	}
-	dst := w.Header()
-	for k, v := range tw.header {
-		dst[k] = v
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	w.WriteHeader(tw.code)
-	_, _ = w.Write(tw.buf.Bytes())
 }

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,6 +74,17 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	}
 	if body["error"] == "" {
 		t.Errorf("panic response missing error field: %v", body)
+	}
+}
+
+// TestDefaultLogDisabled: the default logger is off at every level, so
+// withLogging builds no attributes for lines nobody reads.
+func TestDefaultLogDisabled(t *testing.T) {
+	s := New(emptyDB(t))
+	for _, l := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if s.log.Enabled(context.Background(), l) {
+			t.Errorf("default logger enabled at %v", l)
+		}
 	}
 }
 

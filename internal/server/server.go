@@ -16,11 +16,13 @@
 //
 // Every request passes through a middleware stack: panic recovery (a
 // handler panic answers 500 JSON instead of dropping the connection),
-// structured request logging, per-route metrics, optional admission
-// control (rate limits and a concurrency cap; overload sheds 429/503
-// with Retry-After, see WithAdmission), and a per-request timeout
-// (uploads and snapshots are exempt — they legitimately run as long as
-// the analysis takes).
+// structured request logging, optional admission control (rate limits
+// and a concurrency cap; overload sheds 429/503 with Retry-After, see
+// WithAdmission), per-route metrics, and a per-request timeout (uploads
+// and snapshots are exempt). Handlers run on the request's goroutine,
+// are never abandoned (an admission slot is held while one runs), and
+// get the timeout's 503 only if the deadline passes before their first
+// byte.
 package server
 
 import (
@@ -29,8 +31,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"videodb/internal/admission"
@@ -100,7 +105,9 @@ func New(db *core.Database, opts ...Option) *Server {
 	s := &Server{
 		db:      db,
 		metrics: newMetrics(),
-		log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		// Disabled at every level, so a discarded log line costs only
+		// the Enabled check.
+		log:     slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)})),
 		timeout: 30 * time.Second,
 		maxBody: 256 << 20,
 	}
@@ -116,14 +123,16 @@ func New(db *core.Database, opts ...Option) *Server {
 }
 
 // Handler returns the HTTP handler implementing the API, wrapped in the
-// logging → recovery → timeout middleware stack with per-route metrics.
+// logging → recovery → admission → per-route metrics → timeout
+// middleware stack. The metrics sit outside the timeout so that a route
+// counts the status its client got.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	var routes []*routeStats
 	route := func(pattern string, h http.HandlerFunc) {
 		rs := &routeStats{pattern: pattern}
 		routes = append(routes, rs)
-		mux.Handle(pattern, rs.instrument(h))
+		mux.Handle(pattern, rs.instrument(s.withTimeout(h)))
 	}
 	route("GET /api/clips", s.handleClips)
 	route("POST /api/clips", s.handleIngest)
@@ -143,8 +152,8 @@ func (s *Server) Handler() http.Handler {
 	route("POST /api/replication/clip", s.handleReplicationClipPut)
 	route("GET /api/metrics", func(w http.ResponseWriter, _ *http.Request) { s.handleMetrics(w, routes) })
 	route("GET /", s.handleIndex)
+	slices.SortFunc(routes, func(a, b *routeStats) int { return strings.Compare(a.pattern, b.pattern) })
 	var h http.Handler = mux
-	h = s.withTimeout(h)
 	h = s.withAdmission(h)
 	h = s.withRecovery(h)
 	h = s.withLogging(h)
@@ -192,23 +201,21 @@ type MatchJSON struct {
 	Scene string  `json:"scene,omitempty"`
 }
 
-// WriteJSON answers 200 with v as indented JSON — the one answer shape
+// WriteJSON answers 200 with v as compact JSON — the one answer shape
 // of the API, shared with the coordinator.
 func WriteJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
+// writeJSONStatus is the API's one JSON writer: every answer, error and
+// backpressure body goes through it.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError answers code with the API's error body, {"error": text}.
 func WriteError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSONStatus(w, code, map[string]string{"error": err.Error()})
 }
 
 // ReadBody reads a request body of at most limit bytes — the one body

@@ -102,7 +102,7 @@ done
 log "waiting for replica catch-up"
 for _ in $(seq 1 100); do
     if curl -sf "http://$COORD/api/cluster/status" \
-        | grep -q '"maxLagBytes": 0'; then
+        | grep -q '"maxLagBytes": *0'; then
         caught_up=1
         break
     fi

@@ -85,13 +85,13 @@ for f in "$OUT"/corpus/*.vdbf; do
         || fail "ingest of $name through the coordinator"
     ingested=$((ingested + 1))
 done
-listed=$(curl -sf "http://$COORD/api/clips" | grep -c '"name"')
+listed=$(curl -sf "http://$COORD/api/clips" | grep -o '"name"' | wc -l)
 [ "$listed" -eq "$ingested" ] \
     || fail "coordinator lists $listed clips, ingested $ingested"
 log "ingested $ingested clips, merged listing agrees"
 for i in 0 1 2; do
     addr_var="SHARD$i"
-    curl -sf "http://${!addr_var}/api/health" | grep -q '"clips": 0' \
+    curl -sf "http://${!addr_var}/api/health" | grep -q '"clips": *0' \
         && fail "shard $i owns no clips — ring did not spread the corpus"
 done
 
@@ -100,7 +100,7 @@ done
 log "waiting for replica catch-up"
 for _ in $(seq 1 100); do
     if curl -sf "http://$COORD/api/cluster/status" \
-        | grep -q '"maxLagBytes": 0'; then
+        | grep -q '"maxLagBytes": *0'; then
         caught_up=1
         break
     fi
@@ -136,9 +136,9 @@ if [ "$KILL" -eq 1 ]; then
     partial=$(metric partial_answers)
     awk -v p="${partial:-0}" 'BEGIN { exit (p + 0 > 0) ? 0 : 1 }' \
         || fail "no partial answers recorded although a shard died mid-run"
-    echo "$status" | grep -q '"up": false' \
+    echo "$status" | grep -q '"up": *false' \
         || fail "coordinator status does not show the killed shard down"
-    echo "$status" | grep -Eq '"partialQueries": [1-9]' \
+    echo "$status" | grep -Eq '"partialQueries": *[1-9]' \
         || fail "coordinator status shows no partial queries"
     log "shard death degraded gracefully: $partial partial answers, 0 5xx"
 else
@@ -149,7 +149,7 @@ else
 fi
 
 # The surviving shard 0's replica must still be converged after the run.
-echo "$status" | grep -q '"maxLagBytes": 0' \
+echo "$status" | grep -q '"maxLagBytes": *0' \
     || fail "replica lag nonzero after the run: $(echo "$status" | grep maxLagBytes)"
 
 log "OK — result at $OUT/vdbbench.out"

@@ -103,7 +103,7 @@ log "ingested $ingested clips into both"
 log "waiting for replica catch-up"
 for _ in $(seq 1 100); do
     if curl -sf "http://$COORD/api/cluster/status" \
-        | grep -q '"maxLagBytes": 0'; then
+        | grep -q '"maxLagBytes": *0'; then
         caught_up=1
         break
     fi
@@ -127,13 +127,13 @@ compare_until() {
     local rounds=0 during=0 active a b
     while [ ! -e "$1" ]; do
         active=0
-        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": true' && active=1
+        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": *true' && active=1
         for q in "${QUERIES[@]}"; do
             a=$(curl -sf "http://$COORD/api/query?$q" | unwrap) || a="coordinator request failed"
             b=$(curl -sf "http://$CONTROL/api/query?$q" | unwrap) || b="control request failed"
             [ "$a" = "$b" ] || echo "round $rounds (migrating=$active): $q" >>"$OUT/divergent.txt"
         done
-        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": true' && active=1
+        curl -sf "http://$COORD/api/cluster/status" | grep -q '"active": *true' && active=1
         rounds=$((rounds + 1))
         during=$((during + active))
     done
@@ -187,19 +187,19 @@ lagmax=$(metric replication_lag_bytes_max)
 log "reshard: moved $moved clips, write barrier ${cutover}s, dual-read window ${window}s, worst lag ${lagmax}B"
 
 # The new shard must own part of the corpus and take fan-out traffic.
-curl -sf "http://$SHARD3/api/health" | grep -q '"clips": 0' \
+curl -sf "http://$SHARD3/api/health" | grep -q '"clips": *0' \
     && fail "shard 3 owns no clips after the grow"
 for _ in $(seq 1 20); do
     curl -sf "http://$COORD/api/query?varba=25&varoa=10" >/dev/null
 done
 status=$(curl -sf "http://$COORD/api/cluster/status")
-echo "$status" | grep -q '"phase": "done"' \
+echo "$status" | grep -q '"phase": *"done"' \
     || fail "coordinator status does not show the reshard done"
-echo "$status" | grep -o '"fanoutCount": [0-9]*' | grep -q '"fanoutCount": 0' \
-    && fail "a shard took no fan-out traffic after the grow: $(echo "$status" | grep -o '"fanoutCount": [0-9]*' | tr '\n' ' ')"
-echo "$status" | grep -q '"replicaReadsEnabled": true' \
+echo "$status" | grep -o '"fanoutCount": *[0-9]*' | grep -q '"fanoutCount": *0' \
+    && fail "a shard took no fan-out traffic after the grow: $(echo "$status" | grep -o '"fanoutCount": *[0-9]*' | tr '\n' ' ')"
+echo "$status" | grep -q '"replicaReadsEnabled": *true' \
     || fail "status does not advertise replica reads"
-echo "$status" | grep -Eq '"replicaReads": [1-9]' \
+echo "$status" | grep -Eq '"replicaReads": *[1-9]' \
     || fail "no replica served a bounded-staleness read during the run"
 
 # Equivalence against the never-resharded control once the dust has
