@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzApplySnapshot$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzSearchEquivalence -fuzztime 30s ./internal/varindex/
+	$(GO) test -fuzz FuzzReplaceEquivalence -fuzztime 30s ./internal/varindex/
 
 # The segment-store durability gate CI runs as its own job: flip every
 # byte of a valid segment, truncate it at every length, append garbage,

@@ -14,7 +14,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"videodb/internal/segment"
 	"videodb/internal/varindex"
@@ -50,23 +49,6 @@ func (db *Database) SetJournal(j Journal) {
 	db.journal = j
 }
 
-// writeSegment encodes cols and tombs as segment id. The index run is
-// built and sorted here with the same varindex procedure every other
-// index construction uses, so a reopened segment yields bit-identical
-// query results.
-func writeSegment(w io.Writer, id uint64, cols []segment.ClipColumns, tombs []string) error {
-	ix := varindex.New()
-	var all []varindex.Entry
-	for i := range cols {
-		all = cols[i].Entries(all)
-	}
-	for _, e := range all {
-		ix.Add(e)
-	}
-	ix.Build()
-	return segment.Write(w, id, cols, ix.Entries(), tombs)
-}
-
 // EncodeClipRecord serializes one clip's analysis state as a one-clip
 // segment (id 0, no tombstones): the journal's OpIngest payload and the
 // migration payload. The encoding is a pure function of the record, so
@@ -74,7 +56,7 @@ func writeSegment(w io.Writer, id uint64, cols []segment.ClipColumns, tombs []st
 // what was pushed — the comparison online resharding verifies copies by.
 func EncodeClipRecord(rec *ClipRecord) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := writeSegment(&buf, 0, []segment.ClipColumns{clipColumns(rec)}, nil); err != nil {
+	if err := segment.Write(&buf, 0, []segment.ClipColumns{clipColumns(rec)}, nil); err != nil {
 		return nil, fmt.Errorf("core: encoding clip record: %w", err)
 	}
 	// Sized to the record: callers hold payloads (a migration's working
@@ -100,11 +82,15 @@ func decodeClipRecord(payload []byte) (*ClipRecord, []varindex.Entry, error) {
 
 // decodeClip materializes clip idx of seg together with its index
 // entries, derived from the shot columns the record itself is built
-// from.
+// from. As the one decode behind import, replay and snapshot, it refuses
+// a shot feature outside the index's domain as corruption.
 func decodeClip(seg *segment.Reader, idx int) (*ClipRecord, []varindex.Entry, error) {
 	c, err := seg.Clip(idx)
 	if err != nil {
 		return nil, nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("core: %w: %w", segment.ErrCorrupt, err)
 	}
 	rec, err := recordOf(c)
 	if err != nil {

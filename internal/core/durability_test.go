@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"sync"
 	"testing"
 
@@ -194,6 +197,67 @@ func TestApplyIngestRecordRejectsGarbage(t *testing.T) {
 	}
 	if len(db.Clips()) != 0 {
 		t.Fatalf("failed applies left %d clips behind", len(db.Clips()))
+	}
+}
+
+// withFeature returns a copy of a segment payload with every occurrence
+// of the float64 old replaced by v and every checksum recomputed: a
+// well-formed segment carrying a value the encoder refuses to write.
+func withFeature(t *testing.T, payload []byte, old, v float64) []byte {
+	t.Helper()
+	le := func(f float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
+	if n := bytes.Count(payload, le(old)); n != 2 { // shot column + index run
+		t.Fatalf("sentinel %v occurs %d times in the payload, want 2", old, n)
+	}
+	out := bytes.ReplaceAll(payload, le(old), le(v))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	footerLen := int(binary.LittleEndian.Uint32(out[len(out)-8:]))
+	footer := out[len(out)-8-footerLen : len(out)-8]
+	table := footer[:len(footer)-4]
+	for row := table[4:]; len(row) >= 24; row = row[24:] {
+		off, n := binary.LittleEndian.Uint64(row[8:16]), binary.LittleEndian.Uint64(row[16:24])
+		binary.LittleEndian.PutUint32(row[4:8], crc32.Checksum(out[off:off+n], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(footer[len(footer)-4:], crc32.Checksum(table, castagnoli))
+	return out
+}
+
+// A clip record whose features lie outside the similarity model's
+// domain would break the index's D^v order and, once journaled, come
+// back on every restart. Import (and replay, which decodes the same
+// way) refuses it as corrupt, before the journal or the view changes.
+func TestImportRejectsOutOfDomainFeatures(t *testing.T) {
+	j := &recordingJournal{}
+	db := cheapDB(t, 12)
+	db.SetJournal(j)
+	epoch, shots := db.Epoch(), db.ShotCount()
+
+	const sentinel = 1234.5625
+	rec, _ := db.Clip("tiny-0")
+	poison := *rec
+	poison.Name = "poison"
+	poison.Shots = append([]ShotRecord(nil), rec.Shots...)
+	poison.Shots[0].Feature.VarBA = sentinel
+	payload, err := EncodeClipRecord(&poison)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), -4} {
+		bad := withFeature(t, payload, sentinel, v)
+		if _, err := db.ImportClipRecord(bad); !errors.Is(err, segment.ErrCorrupt) {
+			t.Errorf("import with VarBA %v: err = %v, want segment.ErrCorrupt", v, err)
+		}
+		if _, err := db.ApplyIngestRecord(bad); !errors.Is(err, segment.ErrCorrupt) {
+			t.Errorf("replay with VarBA %v: err = %v, want segment.ErrCorrupt", v, err)
+		}
+	}
+	if db.Epoch() != epoch || db.ShotCount() != shots || len(db.Clips()) != 12 || len(j.ingests) != 0 {
+		t.Fatalf("refused records changed the database: epoch %d -> %d, shots %d -> %d, %d clips, %d journaled",
+			epoch, db.Epoch(), shots, db.ShotCount(), len(db.Clips()), len(j.ingests))
+	}
+	// The untouched payload is a valid record.
+	if _, err := db.ImportClipRecord(payload); err != nil {
+		t.Fatalf("import of the in-domain record: %v", err)
 	}
 }
 

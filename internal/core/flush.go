@@ -186,7 +186,7 @@ func (pf *PendingFlush) WriteSegment(w io.Writer, id uint64) error {
 		}
 		cols = append(cols, c)
 	}
-	return writeSegment(w, id, cols, pf.tombs)
+	return segment.Write(w, id, cols, pf.tombs)
 }
 
 // CompleteFlush publishes a finished flush: every captured record
@@ -218,7 +218,8 @@ func (db *Database) CompleteFlush(pf *PendingFlush, seg *segment.Reader) error {
 	for _, name := range pf.tombs {
 		delete(db.store.tombs, name)
 	}
-	next.finish()
+	// Moving clips between tiers leaves the name set as it was.
+	next.names = v.names
 	db.publishLocked(next)
 	return nil
 }

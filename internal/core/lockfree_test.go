@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,6 +363,35 @@ func TestViewRetention(t *testing.T) {
 			t.Fatal("superseded view still reachable after 8 swaps — the query path retains old epochs")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestPinnedListingsSurviveLaterWrites: successors share or copy their
+// predecessor's name listing but never edit it. Inserts in scrambled
+// order grow the listing's array with spare capacity, where an in-place
+// insert or delete would shift a pinned view's names under its reader.
+func TestPinnedListingsSurviveLaterWrites(t *testing.T) {
+	v := emptyView()
+	var pinned []*view
+	var want [][]string
+	pin := func(next *view) {
+		v = next
+		pinned = append(pinned, v)
+		want = append(want, slices.Clone(v.names))
+	}
+	for _, name := range []string{"m", "c", "x", "a", "q", "b", "z", "d", "c"} {
+		pin(v.withClip(&ClipRecord{Name: name}, nil))
+	}
+	for _, name := range []string{"c", "z", "a", "nope"} {
+		pin(v.withoutClip(name))
+	}
+	for i, p := range pinned {
+		if !slices.Equal(p.names, want[i]) {
+			t.Fatalf("view %d lists %v after later writes, published with %v", i, p.names, want[i])
+		}
+	}
+	if got := []string{"b", "d", "m", "q", "x"}; !slices.Equal(v.names, got) {
+		t.Fatalf("final listing %v, want %v", v.names, got)
 	}
 }
 

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,9 +48,9 @@ type coldRef struct {
 
 // view is one immutable publication of the database's queryable state.
 // Every field is frozen at construction: the clip maps are never
-// written after publish, names are sorted once, and the index is built
-// (varindex.Index.Build) before the view becomes visible, so concurrent
-// readers share it without synchronization.
+// written after publish, names is copied before any edit, and the index
+// is built before the view becomes visible, so concurrent readers share
+// it without synchronization.
 type view struct {
 	// epoch counts publications; it tags query-cache entries so a
 	// result computed against one view is never served once a newer
@@ -77,8 +78,8 @@ func emptyView() *view {
 }
 
 // clone derives the successor view skeleton: next epoch, copied clip
-// maps, shared index and cache. Callers adjust the maps and index, then
-// finish().
+// maps, shared index and cache. Callers adjust the maps and index and
+// set names.
 func (v *view) clone() *view {
 	next := &view{
 		epoch: v.epoch + 1,
@@ -98,7 +99,8 @@ func (v *view) clone() *view {
 	return next
 }
 
-// finish derives the sorted name listing from the clip maps.
+// finish derives the sorted name listing from the clip maps; only the
+// bulk constructions (ApplySegmentBase, ApplySnapshot) need it.
 func (v *view) finish() {
 	v.names = make([]string, 0, len(v.clips)+len(v.cold))
 	for n := range v.clips {
@@ -139,39 +141,33 @@ func (v *view) record(name string) (*ClipRecord, bool) {
 }
 
 // withClip returns the successor view with rec installed and its index
-// entries added. A same-named clip — memtable (recovery replay
+// entries merged in. A same-named clip — memtable (recovery replay
 // re-applying a journal record) or cold (re-ingest after a flush) — is
-// replaced wholesale, entries included.
+// replaced wholesale, entries included. A new name goes into a clipped
+// copy of the listing, never into a predecessor's array.
 func (v *view) withClip(rec *ClipRecord, entries []varindex.Entry) *view {
 	next := v.clone()
-	base := v.index
-	if v.has(rec.Name) {
-		base = base.WithoutClip(rec.Name)
-	}
 	delete(next.cold, rec.Name)
 	next.clips[rec.Name] = rec
-	ix := varindex.New()
-	for _, e := range base.Entries() {
-		ix.Add(e)
+	next.index = v.index.Replace(rec.Name, entries)
+	next.names = v.names
+	if i, found := slices.BinarySearch(v.names, rec.Name); !found {
+		next.names = slices.Insert(slices.Clip(v.names), i, rec.Name)
 	}
-	for _, e := range entries {
-		ix.Add(e)
-	}
-	ix.Build()
-	next.index = ix
-	next.finish()
 	return next
 }
 
 // withoutClip returns the successor view with the named clip and its
-// index entries removed, whichever tier holds it. The index copy
-// preserves sort order, so no re-sort happens.
+// index entries removed, whichever tier holds it.
 func (v *view) withoutClip(name string) *view {
 	next := v.clone()
 	delete(next.clips, name)
 	delete(next.cold, name)
-	next.index = v.index.WithoutClip(name)
-	next.finish()
+	next.index = v.index.Replace(name, nil)
+	next.names = v.names
+	if i, found := slices.BinarySearch(v.names, name); found {
+		next.names = slices.Delete(slices.Clone(v.names), i, i+1)
+	}
 	return next
 }
 

@@ -13,7 +13,7 @@ import (
 func FuzzSegmentOpen(f *testing.F) {
 	clips := makeClips(3, 2)
 	var buf bytes.Buffer
-	if err := Write(&buf, 1, clips, sortedEntries(f, clips), []string{"t"}); err != nil {
+	if err := Write(&buf, 1, clips, []string{"t"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

@@ -105,7 +105,8 @@ type ClipColumns struct {
 	Stats       sbd.Stats
 }
 
-// Validate checks the columns' internal alignment.
+// Validate checks the columns' internal alignment and holds every shot
+// feature to the domain rule of varindex.Query.Validate.
 func (c *ClipColumns) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("segment: clip with empty name")
@@ -122,6 +123,12 @@ func (c *ClipColumns) Validate() error {
 	}
 	if len(c.Tree) == 0 {
 		return fmt.Errorf("segment: clip %q has no scene tree", c.Name)
+	}
+	for k, f := range c.Feats {
+		q := varindex.Query{VarBA: f.VarBA, VarOA: f.VarOA, MeanBA: f.MeanBA}
+		if err := q.Validate(); err != nil {
+			return fmt.Errorf("segment: clip %q shot %d: out-of-domain feature (%v)", c.Name, k, err)
+		}
 	}
 	return nil
 }
@@ -140,20 +147,19 @@ func (c *ClipColumns) Entries(dst []varindex.Entry) []varindex.Entry {
 	return dst
 }
 
-// Write encodes one segment: id, the clips in order, their pre-sorted
-// index run (sorted must hold exactly the clips' varindex entries in
-// the index's comparator order — the caller builds and Builds a
-// varindex.Index to produce it), and the tombstones this segment
-// applies to older segments. The signature fits fsx.AtomicWrite.
+// Write encodes one segment: id, the clips in order, their index run —
+// their varindex entries Added in clip and shot order, then Built — and
+// the tombstones this segment applies to older segments. The signature
+// fits fsx.AtomicWrite.
 //
 // Clips must be non-empty or tombstones non-empty: an empty segment has
 // nothing to say and is rejected.
-func Write(w io.Writer, id uint64, clips []ClipColumns, sorted []varindex.Entry, tombs []string) error {
+func Write(w io.Writer, id uint64, clips []ClipColumns, tombs []string) error {
 	if len(clips) == 0 && len(tombs) == 0 {
 		return fmt.Errorf("segment: refusing to write an empty segment")
 	}
 	clipIdx := make(map[string]int, len(clips))
-	var shotTotal int
+	run := varindex.New()
 	for i := range clips {
 		if err := clips[i].Validate(); err != nil {
 			return err
@@ -162,11 +168,11 @@ func Write(w io.Writer, id uint64, clips []ClipColumns, sorted []varindex.Entry,
 			return fmt.Errorf("segment: duplicate clip %q", clips[i].Name)
 		}
 		clipIdx[clips[i].Name] = i
-		shotTotal += len(clips[i].Shots)
+		for _, e := range clips[i].Entries(nil) {
+			run.Add(e)
+		}
 	}
-	if len(sorted) != shotTotal {
-		return fmt.Errorf("segment: index run has %d entries for %d shots", len(sorted), shotTotal)
-	}
+	run.Build()
 
 	enc := newEncoder()
 
@@ -232,12 +238,8 @@ func Write(w io.Writer, id uint64, clips []ClipColumns, sorted []varindex.Entry,
 
 	// Sorted index run.
 	enc.beginSection(secIndex)
-	for _, e := range sorted {
-		ci, ok := clipIdx[e.Clip]
-		if !ok {
-			return fmt.Errorf("segment: index run references unknown clip %q", e.Clip)
-		}
-		enc.u32(uint32(ci))
+	for _, e := range run.Entries() {
+		enc.u32(uint32(clipIdx[e.Clip]))
 		enc.u32(uint32(e.Shot))
 		enc.u32(uint32(e.Start))
 		enc.u32(uint32(e.End))

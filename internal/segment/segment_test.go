@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,28 +56,11 @@ func makeClips(seed uint64, n int) []ClipColumns {
 	return clips
 }
 
-// sortedEntries builds the clips' index run in comparator order by
-// round-tripping through a built varindex.Index — the same procedure
-// the store's flush path uses.
-func sortedEntries(t testing.TB, clips []ClipColumns) []varindex.Entry {
-	t.Helper()
-	ix := varindex.New()
-	var all []varindex.Entry
-	for i := range clips {
-		all = clips[i].Entries(all)
-	}
-	for _, e := range all {
-		ix.Add(e)
-	}
-	ix.Build()
-	return ix.Entries()
-}
-
-// writeSegment encodes a segment into a file and returns its bytes.
-func writeSegment(t testing.TB, dir string, id uint64, clips []ClipColumns, tombs []string) (string, []byte) {
+// writeFile encodes a segment into a file and returns its bytes.
+func writeFile(t testing.TB, dir string, id uint64, clips []ClipColumns, tombs []string) (string, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, id, clips, sortedEntries(t, clips), tombs); err != nil {
+	if err := Write(&buf, id, clips, tombs); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	path := filepath.Join(dir, SegmentFileName(id))
@@ -89,7 +73,7 @@ func writeSegment(t testing.TB, dir string, id uint64, clips []ClipColumns, tomb
 func TestRoundTrip(t *testing.T) {
 	clips := makeClips(7, 9)
 	tombs := []string{"old-one", "old-two"}
-	path, raw := writeSegment(t, t.TempDir(), 42, clips, tombs)
+	path, raw := writeFile(t, t.TempDir(), 42, clips, tombs)
 
 	fromFile, err := Open(path)
 	if err != nil {
@@ -129,7 +113,15 @@ func assertRoundTrip(t *testing.T, r *Reader, clips []ClipColumns, tombs []strin
 			t.Fatalf("Lookup(%q) = %d,%v", clips[i].Name, j, ok)
 		}
 	}
-	want := sortedEntries(t, clips)
+	// The run holds the clips' entries in the order a built index does.
+	ix := varindex.New()
+	for i := range clips {
+		for _, e := range clips[i].Entries(nil) {
+			ix.Add(e)
+		}
+	}
+	ix.Build()
+	want := ix.Entries()
 	got, err := r.AppendEntries(nil)
 	if err != nil {
 		t.Fatalf("AppendEntries: %v", err)
@@ -144,28 +136,37 @@ func assertRoundTrip(t *testing.T, r *Reader, clips []ClipColumns, tombs []strin
 
 func TestWriteRejects(t *testing.T) {
 	clips := makeClips(1, 2)
-	good := sortedEntries(t, clips)
 	var buf bytes.Buffer
-	if err := Write(&buf, 1, nil, nil, nil); err == nil {
+	if err := Write(&buf, 1, nil, nil); err == nil {
 		t.Fatal("empty segment accepted")
 	}
-	if err := Write(&buf, 1, clips, good[:1], nil); err == nil {
-		t.Fatal("short index run accepted")
-	}
 	dup := append(append([]ClipColumns(nil), clips...), clips[0])
-	if err := Write(&buf, 1, dup, good, nil); err == nil {
+	if err := Write(&buf, 1, dup, nil); err == nil {
 		t.Fatal("duplicate clip accepted")
 	}
 	bad := append([]ClipColumns(nil), clips...)
 	bad[0].Reps = bad[0].Reps[:len(bad[0].Reps)-1]
-	if err := Write(&buf, 1, bad, good, nil); err == nil {
+	if err := Write(&buf, 1, bad, nil); err == nil {
 		t.Fatal("misaligned columns accepted")
+	}
+	for name, set := range map[string]func(*feature.ShotFeature){
+		"NaN VarBA":      func(f *feature.ShotFeature) { f.VarBA = math.NaN() },
+		"infinite VarOA": func(f *feature.ShotFeature) { f.VarOA = math.Inf(1) },
+		"negative VarBA": func(f *feature.ShotFeature) { f.VarBA = -4 },
+		"NaN MeanBA":     func(f *feature.ShotFeature) { f.MeanBA[2] = math.NaN() },
+	} {
+		bad := append([]ClipColumns(nil), clips...)
+		bad[1].Feats = append([]feature.ShotFeature(nil), bad[1].Feats...)
+		set(&bad[1].Feats[0])
+		if err := Write(&buf, 1, bad, nil); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestTombstoneOnlySegment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, 3, nil, nil, []string{"gone"}); err != nil {
+	if err := Write(&buf, 3, nil, []string{"gone"}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), SegmentFileName(3))

@@ -22,7 +22,7 @@ func buildFixture(t testing.TB) segFixture {
 	clips := makeClips(11, 4)
 	tombs := []string{"dead-a", "dead-b"}
 	var buf bytes.Buffer
-	if err := Write(&buf, 9, clips, sortedEntries(t, clips), tombs); err != nil {
+	if err := Write(&buf, 9, clips, tombs); err != nil {
 		t.Fatal(err)
 	}
 	return segFixture{raw: buf.Bytes(), clips: clips, tombs: tombs}

@@ -43,7 +43,6 @@ import (
 	"videodb/internal/core"
 	"videodb/internal/fsx"
 	"videodb/internal/segment"
-	"videodb/internal/varindex"
 	"videodb/internal/wal"
 )
 
@@ -422,14 +421,12 @@ func (s *Store) CompactOnce() (bool, error) {
 	sort.Strings(names)
 
 	cols := make([]segment.ClipColumns, 0, len(names))
-	shotTotal := 0
 	for _, name := range names {
 		o := owner[name]
 		c, err := o.r.Clip(o.idx)
 		if err != nil {
 			return false, fmt.Errorf("segstore: compacting %s: %w", o.r.Path(), err)
 		}
-		shotTotal += len(c.Shots)
 		cols = append(cols, c)
 	}
 
@@ -445,17 +442,8 @@ func (s *Store) CompactOnce() (bool, error) {
 	if len(cols) > 0 || len(tombs) > 0 {
 		id := s.man.NextID
 		path := filepath.Join(s.dir, segment.SegmentFileName(id))
-		ix := varindex.New()
-		var all []varindex.Entry
-		for i := range cols {
-			all = cols[i].Entries(all)
-		}
-		for _, e := range all {
-			ix.Add(e)
-		}
-		ix.Build()
 		bytes, err := fsx.AtomicWrite(path, func(w io.Writer) error {
-			return segment.Write(w, id, cols, ix.Entries(), tombs)
+			return segment.Write(w, id, cols, tombs)
 		})
 		if err != nil {
 			return false, fmt.Errorf("segstore: writing merged segment %d: %w", id, err)
@@ -467,7 +455,7 @@ func (s *Store) CompactOnce() (bool, error) {
 		}
 		next.Segments = append(next.Segments, segment.SegmentInfo{
 			File: segment.SegmentFileName(id), ID: id, Gen: gen,
-			Clips: len(cols), Shots: shotTotal, Tombs: len(tombs), Bytes: bytes,
+			Clips: len(cols), Shots: merged.NumShots(), Tombs: len(tombs), Bytes: bytes,
 		})
 		next.NextID = id + 1
 	}

@@ -135,7 +135,7 @@ func TestUnbuiltReadsFail(t *testing.T) {
 		call func()
 	}{
 		{"Entries", func() { ix.Entries() }},
-		{"WithoutClip", func() { ix.WithoutClip("a") }},
+		{"Replace", func() { ix.Replace("a", nil) }},
 	} {
 		func() {
 			defer func() {

@@ -153,9 +153,8 @@ func (o Options) meanMatches(q Query, e Entry) bool {
 // index is immutable — reads never mutate it, so a built index may be
 // shared freely across goroutines without locks; reads on an unbuilt
 // index fail with ErrNotBuilt instead of building implicitly, which
-// would be a write. Mutation is by copy: WithoutClip returns a new
-// index with a clip's entries filtered out, leaving the receiver
-// untouched.
+// would be a write. Mutation is by copy: Replace merges a clip's new
+// entries into a new index, leaving the receiver untouched.
 type Index struct {
 	entries []Entry
 	dvs     []float64 // exact Dv per entry, aligned with entries
@@ -186,7 +185,7 @@ func (ix *Index) Len() int { return len(ix.entries) }
 // shadows the query kernel scans — finishing construction. It is
 // idempotent and cheap on an already-built index. Build must run
 // before the index is read or shared: reads fail with ErrNotBuilt on
-// an unbuilt index.
+// an unbuilt index. It is the package's one sort: Replace uses it too.
 func (ix *Index) Build() {
 	if ix.built {
 		return
@@ -194,19 +193,28 @@ func (ix *Index) Build() {
 	sort.SliceStable(ix.entries, func(i, j int) bool {
 		return ix.entries[i].Dv() < ix.entries[j].Dv()
 	})
-	ix.dvs = ix.dvs[:0]
-	ix.sqrts = ix.sqrts[:0]
-	ix.sq32 = ix.sq32[:0]
-	ix.mean32 = ix.mean32[:0]
-	for _, e := range ix.entries {
-		s := e.SqrtBA()
-		ix.dvs = append(ix.dvs, e.Dv())
-		ix.sqrts = append(ix.sqrts, s)
-		ix.sq32 = append(ix.sq32, float32(s))
-		ix.mean32 = append(ix.mean32,
-			float32(e.MeanBA[0]), float32(e.MeanBA[1]), float32(e.MeanBA[2]))
+	sorted := ix.entries
+	*ix = *withCap(len(sorted))
+	for _, e := range sorted {
+		ix.push(e, e.Dv(), e.SqrtBA())
 	}
-	ix.built = true
+}
+
+// withCap returns an empty built index with room for exactly n entries.
+func withCap(n int) *Index {
+	return &Index{entries: make([]Entry, 0, n), dvs: make([]float64, 0, n),
+		sqrts: make([]float64, 0, n), sq32: make([]float32, 0, n),
+		mean32: make([]float32, 0, 3*n), built: true}
+}
+
+// push appends e with its exact keys dv and sqrtBA and their float32
+// shadows.
+func (ix *Index) push(e Entry, dv, sqrtBA float64) {
+	ix.entries = append(ix.entries, e)
+	ix.dvs = append(ix.dvs, dv)
+	ix.sqrts = append(ix.sqrts, sqrtBA)
+	ix.sq32 = append(ix.sq32, float32(sqrtBA))
+	ix.mean32 = append(ix.mean32, float32(e.MeanBA[0]), float32(e.MeanBA[1]), float32(e.MeanBA[2]))
 }
 
 // mustBuilt panics on an unbuilt index — the invariant guard for
@@ -217,23 +225,35 @@ func (ix *Index) mustBuilt(method string) {
 	}
 }
 
-// WithoutClip returns a new built index holding every entry except the
-// named clip's. The receiver must be built (it is left unchanged — the
-// method is a pure copy, never a lazy build). Filtering preserves the
-// sort order, so no re-sort happens: entries and their cached keys are
-// copied in lockstep.
-func (ix *Index) WithoutClip(clip string) *Index {
-	ix.mustBuilt("WithoutClip")
-	out := &Index{built: true}
-	for i, e := range ix.entries {
-		if e.Clip == clip {
-			continue
+// Replace returns a new built index holding the receiver's entries
+// except clip's, plus entries: an insert, a re-ingest, or (with nil
+// entries) a delete. The receiver must be built and is left unchanged.
+// Only entries is sorted and keyed (by Build); one pass then merges it
+// into the receiver's run, survivors keeping their cached keys and
+// coming first on a D^v tie — the order Build gives when entries are
+// Added after the receiver's, so the result is bit-identical to a
+// rebuild. It is sized exactly and shares no memory with its inputs.
+func (ix *Index) Replace(clip string, entries []Entry) *Index {
+	ix.mustBuilt("Replace")
+	add := &Index{entries: append([]Entry(nil), entries...)}
+	add.Build()
+	n := len(entries)
+	for i := range ix.entries {
+		if ix.entries[i].Clip != clip {
+			n++
 		}
-		out.entries = append(out.entries, e)
-		out.dvs = append(out.dvs, ix.dvs[i])
-		out.sqrts = append(out.sqrts, ix.sqrts[i])
-		out.sq32 = append(out.sq32, ix.sq32[i])
-		out.mean32 = append(out.mean32, ix.mean32[3*i], ix.mean32[3*i+1], ix.mean32[3*i+2])
+	}
+	out := withCap(n)
+	for i, j := 0, 0; i < len(ix.entries) || j < len(add.entries); {
+		if i < len(ix.entries) && (j == len(add.entries) || !(add.dvs[j] < ix.dvs[i])) {
+			if ix.entries[i].Clip != clip {
+				out.push(ix.entries[i], ix.dvs[i], ix.sqrts[i])
+			}
+			i++
+		} else {
+			out.push(add.entries[j], add.dvs[j], add.sqrts[j])
+			j++
+		}
 	}
 	return out
 }

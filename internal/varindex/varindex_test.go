@@ -295,19 +295,19 @@ func BenchmarkSearchLinear10k(b *testing.B) {
 	}
 }
 
-func TestWithoutClip(t *testing.T) {
+func TestReplaceRemovesClip(t *testing.T) {
 	ix := New()
 	ix.Add(entry("a", 0, 25, 4))
 	ix.Add(entry("b", 0, 25, 4))
 	ix.Add(entry("a", 1, 16, 1))
 	ix.Build()
-	out := ix.WithoutClip("a")
+	out := ix.Replace("a", nil)
 	if out.Len() != 1 {
 		t.Fatalf("len = %d after removal", out.Len())
 	}
-	// The receiver is untouched — WithoutClip is a pure copy.
+	// The receiver is untouched — Replace is a pure copy.
 	if ix.Len() != 3 {
-		t.Fatalf("receiver len = %d after WithoutClip, want 3", ix.Len())
+		t.Fatalf("receiver len = %d after Replace, want 3", ix.Len())
 	}
 	got, err := out.Search(Query{VarBA: 25, VarOA: 4}, DefaultOptions())
 	if err != nil {
@@ -316,7 +316,7 @@ func TestWithoutClip(t *testing.T) {
 	if len(got) != 1 || got[0].Clip != "b" {
 		t.Fatalf("post-removal search = %v", got)
 	}
-	same := out.WithoutClip("missing")
+	same := out.Replace("missing", nil)
 	if same.Len() != out.Len() {
 		t.Errorf("removing a missing clip changed the length: %d", same.Len())
 	}
@@ -331,6 +331,6 @@ func TestWithoutClip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(fresh) != len(got) || fresh[0].Key() != got[0].Key() {
-		t.Errorf("WithoutClip copy disagrees with a rebuilt index: %v vs %v", got, fresh)
+		t.Errorf("Replace copy disagrees with a rebuilt index: %v vs %v", got, fresh)
 	}
 }
