@@ -154,6 +154,7 @@ fuzz:
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzSearchEquivalence -fuzztime 30s ./internal/varindex/
 	$(GO) test -fuzz FuzzReplaceEquivalence -fuzztime 30s ./internal/varindex/
+	$(GO) test -fuzz FuzzMergeEquivalence -fuzztime 30s ./internal/cluster/
 
 # The segment-store durability gate CI runs as its own job: flip every
 # byte of a valid segment, truncate it at every length, append garbage,

@@ -43,9 +43,9 @@
 // reads from primaries only. POST /api/cluster/reshard grows or
 // shrinks the cluster online — clips stream to their new owners, the
 // ring cuts over atomically under a write barrier, and a brief
-// dual-read window (both owners answering, the merger deduping) closes
-// when the old copies are deleted. See "Growing the cluster" in
-// docs/CLUSTER.md.
+// dual-read window (both owners answering, the merge collapsing the
+// identical copies) closes when the old copies are deleted. See
+// "Growing the cluster" in docs/CLUSTER.md.
 package main
 
 import (

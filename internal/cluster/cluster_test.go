@@ -221,6 +221,95 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchShortShardAnswerIsPartial: a shard that answers a batch
+// with fewer result lists than queries is dropped from the gather like
+// an undecodable body — the answer is marked partial and counted —
+// instead of silently losing that shard's matches for the missing
+// queries.
+func TestBatchShortShardAnswerIsPartial(t *testing.T) {
+	clips := makeClips(t, 6)
+	ring := NewRing(2, 0)
+	dbs := []*core.Database{newDB(t), newDB(t)}
+	for _, clip := range clips {
+		if _, err := dbs[ring.Owner(clip.Name)].Ingest(clip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, db := range dbs {
+		if len(db.Clips()) == 0 {
+			t.Fatalf("shard %d owns no clip; the test needs both shards populated", i)
+		}
+	}
+	whole := httptest.NewServer(server.New(dbs[0]).Handler())
+	t.Cleanup(whole.Close)
+	inner := server.New(dbs[1]).Handler()
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/query/batch" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var resp server.BatchResponseJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Errorf("decoding the wrapped node's batch answer: %v", err)
+		}
+		resp.Results = resp.Results[:1]
+		server.WriteJSON(w, resp)
+	}))
+	t.Cleanup(short.Close)
+	coord, err := New(Config{
+		Shards:        []ShardConfig{{Primary: whole.URL}, {Primary: short.URL}},
+		ProbeInterval: 200 * time.Millisecond, Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+
+	ba, oa, wide := 25.0, 25.0, 1e6
+	body, _ := json.Marshal(server.BatchRequestJSON{
+		Queries: []server.BatchQueryJSON{{VarBA: &ba, VarOA: &oa}, {VarBA: &oa, VarOA: &ba}},
+		Alpha:   &wide, Beta: &wide,
+	})
+	post := func(url string, out any) (int, http.Header) {
+		resp, err := http.Post(url+"/api/query/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("decoding %s: %v\n%s", url, err, data)
+		}
+		return resp.StatusCode, resp.Header
+	}
+	var got BatchResponseJSON
+	code, hdr := post(front.URL, &got)
+	if code != http.StatusOK {
+		t.Fatalf("coordinator batch: status %d, want 200", code)
+	}
+	if !got.Partial || hdr.Get(HeaderPartial) != "true" {
+		t.Fatalf("short shard answer: partial=%v header=%q, want true", got.Partial, hdr.Get(HeaderPartial))
+	}
+	// The short shard contributes to no query: every result list is
+	// the whole shard's own answer.
+	var want server.BatchResponseJSON
+	post(whole.URL, &want)
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("partial batch is not the whole shard's answer\n got: %+v\nwant: %+v", got.Results, want.Results)
+	}
+	var st StatusJSON
+	if code, _ := getJSON(t, front.URL+"/api/cluster/status", &st); code != http.StatusOK {
+		t.Fatalf("status endpoint: %d", code)
+	}
+	if st.PartialQueries != 1 {
+		t.Errorf("status counted %d partial answers, want 1", st.PartialQueries)
+	}
+}
+
 func TestClipsListingMerged(t *testing.T) {
 	clips := makeClips(t, 6)
 	tc := newTestCluster(t, 3, clips)

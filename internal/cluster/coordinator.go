@@ -288,12 +288,6 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 	order := c.readOrder(sh)
 	do := func(n *node) ([]byte, error) { return c.nodeDo(ctx, n, sh, method, pathq, body) }
 
-	finish := func(body []byte) error {
-		if out == nil {
-			return nil
-		}
-		return json.Unmarshal(body, out)
-	}
 	classify := func(err error) (*shardError, bool) {
 		var se *shardError
 		if errors.As(err, &se) {
@@ -351,7 +345,7 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 				if r.hedged {
 					c.metrics.hedgeWins.Add(1)
 				}
-				return finish(r.body)
+				return json.Unmarshal(r.body, out)
 			}
 			if se, ok := classify(r.err); ok {
 				return se
@@ -386,7 +380,7 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 			backoff++
 			body, err := do(n)
 			if err == nil {
-				return finish(body)
+				return json.Unmarshal(body, out)
 			}
 			if se, ok := classify(err); ok {
 				return se
@@ -465,15 +459,15 @@ func (c *Coordinator) nodeDo(ctx context.Context, n *node, sh *shard, method, pa
 
 // scatter sends one request to every shard of the current topology
 // concurrently and gathers the decoded answers. A shard whose fetch
-// fails contributes nothing and flips partial, which scatter counts and
-// announces in the X-Videodb-Partial header. ok is false when scatter
-// has already answered: a 4xx from any shard aborts the gather and is
-// relayed as is (the same request would 4xx everywhere), and with no
-// shard reachable the answer is 503. The topology is pinned for the
-// whole gather, so a reshard landing mid-gather can neither tear the
-// shard list nor start deleting moved clips from the sources this gather
-// is still reading.
-func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, method, pathq string, body []byte) (parts []T, partial, ok bool) {
+// fails, or whose answer a non-nil check rejects, contributes nothing
+// and flips partial, which scatter counts and announces in the
+// X-Videodb-Partial header. ok is false when scatter has already
+// answered: a 4xx from any shard aborts the gather and is relayed as is
+// (the same request would 4xx everywhere), and with no shard reachable
+// the answer is 503. The topology is pinned for the whole gather, so a
+// reshard landing mid-gather can neither tear the shard list nor start
+// deleting moved clips from the sources this gather is still reading.
+func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, method, pathq string, body []byte, check func(*T) error) (parts []T, partial, ok bool) {
 	ctx := clientContext(r)
 	t := c.pinTopology()
 	defer t.release()
@@ -485,6 +479,9 @@ func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, meth
 		go func(i int, sh *shard) {
 			defer wg.Done()
 			errs[i] = c.shardFetch(ctx, sh, method, pathq, body, &results[i])
+			if errs[i] == nil && check != nil {
+				errs[i] = check(&results[i])
+			}
 		}(i, sh)
 	}
 	wg.Wait()
@@ -529,7 +526,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	parts, partial, ok := scatter[[]server.MatchJSON](c, w, r, http.MethodGet, "/api/query?"+r.URL.RawQuery, nil)
+	parts, partial, ok := scatter[[]server.MatchJSON](c, w, r, http.MethodGet, "/api/query?"+r.URL.RawQuery, nil, nil)
 	if !ok {
 		return
 	}
@@ -552,18 +549,21 @@ func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, code, err)
 		return
 	}
-	parts, partial, ok := scatter[server.BatchResponseJSON](c, w, r, http.MethodPost, "/api/query/batch", b.Body)
+	parts, partial, ok := scatter(c, w, r, http.MethodPost, "/api/query/batch", b.Body, func(p *server.BatchResponseJSON) error {
+		if len(p.Results) != len(b.Queries) {
+			return fmt.Errorf("batch answer has %d result lists for %d queries", len(p.Results), len(b.Queries))
+		}
+		return nil
+	})
 	if !ok {
 		return
 	}
 	c.metrics.batches.Add(1)
 	merged := make([][]server.MatchJSON, len(b.Queries))
+	per := make([][]server.MatchJSON, len(parts))
 	for i, point := range b.Queries {
-		per := make([][]server.MatchJSON, 0, len(parts))
-		for _, p := range parts {
-			if i < len(p.Results) {
-				per = append(per, p.Results[i])
-			}
+		for j, p := range parts {
+			per[j] = p.Results[i]
 		}
 		merged[i] = mergeMatches(point, per)
 	}
@@ -571,9 +571,9 @@ func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleClips(w http.ResponseWriter, r *http.Request) {
-	parts, _, ok := scatter[[]server.ClipSummary](c, w, r, http.MethodGet, "/api/clips", nil)
+	parts, _, ok := scatter[[]server.ClipSummary](c, w, r, http.MethodGet, "/api/clips", nil, nil)
 	if ok {
-		server.WriteJSON(w, mergeClipLists(parts))
+		server.WriteJSON(w, mergeListings(parts))
 	}
 }
 

@@ -2,76 +2,79 @@ package cluster
 
 import (
 	"math"
-	"sort"
-	"strconv"
+	"slices"
 
 	"videodb/internal/server"
 	"videodb/internal/varindex"
 )
 
-// mergeMatches combines per-shard match lists into the order a single
-// node holding the union corpus would return: varindex.Before, the
-// comparator the shards' own kernel sorted by. The distance is
-// recomputed here from each match's VarBA/VarOA, which survive the JSON
-// round trip exactly (float64 in, float64 out), so the merged order is
-// bit-equivalent to the single-node order, not merely close.
-//
-// Duplicates — the same clip#shot arriving from two shards, possible
-// mid-reshard or after a misrouted ingest — collapse to one entry.
-func mergeMatches(q varindex.Query, parts [][]server.MatchJSON) []server.MatchJSON {
+// mergeSorted merges lists already ascending under before into one:
+// each step emits the least head, ties to the lower part, and drops a
+// head equal to the element just emitted. key runs once per element.
+// The parts' order is trusted, not checked (docs/CLUSTER.md says why).
+func mergeSorted[T, K any](parts [][]T, key func(*T) K, before func(a, b *K) bool) []T {
+	type head struct {
+		rest []T
+		key  K
+	}
+	heads := make([]head, 0, len(parts))
 	total := 0
 	for _, p := range parts {
 		total += len(p)
-	}
-	out := make([]server.MatchJSON, 0, total)
-	seen := make(map[string]struct{}, total)
-	for _, p := range parts {
-		for _, m := range p {
-			k := m.Clip + "#" + strconv.Itoa(m.Shot)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, m)
+		if len(p) > 0 {
+			heads = append(heads, head{p, key(&p[0])})
 		}
 	}
-	dq, sq := q.Dv(), math.Sqrt(q.VarBA)
-	dists := make([]float64, len(out))
-	for i, m := range out {
-		dd := (math.Sqrt(m.VarBA) - math.Sqrt(m.VarOA)) - dq
-		ds := math.Sqrt(m.VarBA) - sq
-		dists[i] = dd*dd + ds*ds
+	out := make([]T, 0, total)
+	var last K
+	for len(heads) > 0 {
+		least := 0
+		for i := 1; i < len(heads); i++ {
+			if before(&heads[i].key, &heads[least].key) {
+				least = i
+			}
+		}
+		h := &heads[least]
+		if len(out) == 0 || before(&last, &h.key) || before(&h.key, &last) {
+			out = append(out, h.rest[0])
+			last = h.key
+		}
+		if h.rest = h.rest[1:]; len(h.rest) > 0 {
+			h.key = key(&h.rest[0])
+		} else {
+			heads = slices.Delete(heads, least, least+1)
+		}
 	}
-	order := make([]int, len(out))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		return varindex.Before(dists[i], dists[j], &out[i].Clip, &out[j].Clip, &out[i].Shot, &out[j].Shot)
-	})
-	sorted := make([]server.MatchJSON, len(out))
-	for a, i := range order {
-		sorted[a] = out[i]
-	}
-	return sorted
+	return out
 }
 
-// mergeClipLists combines per-shard clip listings, dropping duplicate
-// names and sorting by name so the coordinator's GET /api/clips is
-// deterministic regardless of which shard answered first.
-func mergeClipLists(parts [][]server.ClipSummary) []server.ClipSummary {
-	var out []server.ClipSummary
-	seen := make(map[string]struct{})
-	for _, p := range parts {
-		for _, c := range p {
-			if _, dup := seen[c.Name]; dup {
-				continue
-			}
-			seen[c.Name] = struct{}{}
-			out = append(out, c)
-		}
+// mergeMatches merges per-shard answers into the varindex.Before order
+// one node over the union returns, bit for bit: the distance is
+// recomputed with the kernel's arithmetic from VarBA/VarOA, which the
+// JSON round trip keeps exact. Identical copies of a match collapse to
+// the lower shard's; copies that differ both show.
+func mergeMatches(q varindex.Query, parts [][]server.MatchJSON) []server.MatchJSON {
+	type matchKey struct {
+		dist float64
+		m    *server.MatchJSON
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	dq, sq := q.Dv(), math.Sqrt(q.VarBA)
+	return mergeSorted(parts, func(m *server.MatchJSON) matchKey {
+		s := math.Sqrt(m.VarBA)
+		dd, ds := (s-math.Sqrt(m.VarOA))-dq, s-sq
+		return matchKey{dd*dd + ds*ds, m}
+	}, func(a, b *matchKey) bool {
+		return varindex.Before(a.dist, b.dist, &a.m.Clip, &b.m.Clip, &a.m.Shot, &b.m.Shot)
+	})
+}
+
+// mergeListings merges name-ordered shard listings, each name once. An
+// empty listing stays nil, the JSON null a node answers with.
+func mergeListings(parts [][]server.ClipSummary) []server.ClipSummary {
+	out := mergeSorted(parts, func(c *server.ClipSummary) string { return c.Name },
+		func(a, b *string) bool { return *a < *b })
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }

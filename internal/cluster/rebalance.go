@@ -18,12 +18,13 @@
 //     proportional to the write traffic during the copy, not to the
 //     corpus.
 //  3. Cleanup (dual-read window): sources still hold the moved clips,
-//     so scatter answers briefly contain both copies — the merger
-//     already dedupes identical records, which is precisely the
-//     dual-read semantics — until the moved clips are deleted from the
-//     surviving sources. The first delete waits for every read that
-//     pinned the old topology to finish (topology.readers): such a read
-//     asks only the old owners. The window's length is reported.
+//     so scatter answers briefly contain both copies — the merge
+//     collapses matches two shards return identically, which is
+//     precisely the dual-read semantics — until the moved clips are
+//     deleted from the surviving sources. The first delete waits for
+//     every read that pinned the old topology to finish
+//     (topology.readers): such a read asks only the old owners. The
+//     window's length is reported.
 //
 // Any failure before the swap rolls back: the old topology stays, and
 // every clip already imported to a destination is best-effort deleted,
@@ -42,6 +43,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,8 +111,8 @@ type ReshardReport struct {
 	// CopySeconds is the online bulk-copy phase; CutoverSeconds is how
 	// long the write barrier was held (the write stall); DualReadSeconds
 	// is the window between the ring swap and the last source cleanup,
-	// during which both owners served the moved clips and the merger
-	// deduped; TotalSeconds spans the whole operation.
+	// during which both owners served the moved clips and the merge
+	// collapsed the copies; TotalSeconds spans the whole operation.
 	CopySeconds     float64 `json:"copySeconds"`
 	CutoverSeconds  float64 `json:"cutoverSeconds"`
 	DualReadSeconds float64 `json:"dualReadSeconds"`
@@ -364,10 +366,8 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 		if err != nil {
 			return fmt.Errorf("cutover listing: %w", err)
 		}
-		present := make(map[string]bool, len(finalNames))
 		finalMoved := 0
 		for _, name := range finalNames {
-			present[name] = true
 			if !diff.Moved(name) {
 				continue
 			}
@@ -384,7 +384,7 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 		// Clips copied in phase 1 but deleted since: the copy must not
 		// resurrect them.
 		for name, dst := range run.dest {
-			if !present[name] {
+			if _, present := slices.BinarySearch(finalNames, name); !present {
 				if err := run.deleteClip(ctx, dst, name); err != nil {
 					return fmt.Errorf("cutover delete of clip %q: %w", name, err)
 				}
@@ -421,8 +421,8 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 	// moved clips from their old owners. Only surviving sources need it
 	// (a removed shard is no longer queried); a failed delete is
 	// retried, and a clip that ultimately cannot be deleted is logged —
-	// the merger keeps deduping its two identical copies, so the window
-	// degrades to "longer", never to "wrong".
+	// the merge collapses the copies while identical; after a newer write
+	// to the owner the stale copy shows too, until removed by hand.
 	c.reshard.setPhase("cleanup")
 	surviving := make(map[*shard]bool, len(target))
 	for _, sh := range target {
@@ -434,7 +434,7 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 			continue
 		}
 		if err := run.deleteClip(ctx, src, name); err != nil {
-			c.log.Warn("reshard cleanup delete failed; duplicate copy remains (merger dedupes)",
+			c.log.Warn("reshard cleanup delete failed; duplicate copy remains (merge collapses it while identical)",
 				"clip", name, "shard", src.id, "err", err)
 			continue
 		}
@@ -451,17 +451,14 @@ func (run *reshardRun) route(diff *RingDiff, oldShards, target []*shard, name st
 	return oldShards[from], target[to]
 }
 
-// listAll returns the union of every shard primary's clip listing.
-// Unlike the scatter path it has no partial mode: a migration must see
-// the complete corpus or not run, so any unreachable primary fails the
-// listing (after retries).
+// listAll returns the union of every shard primary's clip listing, in
+// name order. Unlike the scatter path it has no partial mode: a
+// migration must see the complete corpus or not run, so any unreachable
+// primary fails the listing (after retries).
 func (run *reshardRun) listAll(ctx context.Context, shards []*shard) ([]string, error) {
-	var all []string
-	seen := make(map[string]bool)
-	for _, sh := range shards {
-		var clips []struct {
-			Name string `json:"name"`
-		}
+	parts := make([][]server.ClipSummary, len(shards))
+	for i, sh := range shards {
+		clips := &parts[i]
 		err := run.retry(ctx, func() error {
 			body, status, err := run.do(ctx, http.MethodGet, sh.primary().url+"/api/clips", nil)
 			if err != nil {
@@ -470,19 +467,18 @@ func (run *reshardRun) listAll(ctx context.Context, shards []*shard) ([]string, 
 			if status != http.StatusOK {
 				return fmt.Errorf("shard %d listing: status %d", sh.id, status)
 			}
-			return json.Unmarshal(body, &clips)
+			return json.Unmarshal(body, clips)
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, cl := range clips {
-			if !seen[cl.Name] {
-				seen[cl.Name] = true
-				all = append(all, cl.Name)
-			}
-		}
 	}
-	return all, nil
+	merged := mergeListings(parts)
+	names := make([]string, len(merged))
+	for i, cl := range merged {
+		names[i] = cl.Name
+	}
+	return names, nil
 }
 
 // copyClip migrates one clip: export from the source primary, import
@@ -609,7 +605,7 @@ func (run *reshardRun) deleteClip(ctx context.Context, sh *shard, name string) e
 // in force) is also the only place the moved clips live. Best effort —
 // an unreachable destination keeps its copies, which is harmless under
 // the old ring (nothing routes to an added shard; a shrink destination
-// serves a duplicate the merger dedupes) and logged for the operator.
+// serves a copy the merge collapses) and logged for the operator.
 func (run *reshardRun) rollback(ctx context.Context) {
 	run.rep.RolledBack = true
 	for name, dst := range run.dest {

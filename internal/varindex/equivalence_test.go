@@ -1,7 +1,6 @@
 package varindex
 
 import (
-	"math"
 	"testing"
 
 	"videodb/internal/rng"
@@ -10,8 +9,7 @@ import (
 // The property-based differential suite: for randomized entry sets and
 // queries — empty indexes, tiny and extreme (but NaN-free) variances,
 // α/β/γ at and around their boundaries — the indexed Search must return
-// exactly what the linear-scan baseline returns, and QuantizedSearch
-// must be contained in a slightly widened Search. These are the
+// exactly what the linear-scan baseline returns. These are the
 // invariants the lock-free core view relies on: a published index
 // answers every query identically to a full scan of its entries.
 
@@ -91,7 +89,7 @@ func sameResults(t *testing.T, label string, a, b []Entry) {
 	}
 }
 
-// checkSearchEquivalence runs the three differential properties on one
+// checkSearchEquivalence runs the two differential properties on one
 // built index and query. Shared by the property test and the fuzz
 // target.
 func checkSearchEquivalence(t *testing.T, ix *Index, q Query, opt Options) {
@@ -114,37 +112,10 @@ func checkSearchEquivalence(t *testing.T, ix *Index, q Query, opt Options) {
 		t.Fatalf("SearchAppend: %v", err)
 	}
 	sameResults(t, "SearchAppend vs SearchLinear", app, linear)
-
-	if opt.Alpha > 0 && opt.Beta > 0 {
-		quant, err := ix.QuantizedSearch(q, opt)
-		if err != nil {
-			t.Fatalf("QuantizedSearch: %v", err)
-		}
-		// Cell-mates differ by strictly less than one cell width in real
-		// arithmetic; the widening absorbs the floor-division rounding at
-		// extreme magnitudes.
-		wide := opt
-		wide.Alpha = opt.Alpha*(1+1e-9) + 1e-9*(math.Abs(q.Dv())+1)
-		wide.Beta = opt.Beta*(1+1e-9) + 1e-9*(math.Sqrt(q.VarBA)+1)
-		widened, err := ix.Search(q, wide)
-		if err != nil {
-			t.Fatalf("widened Search: %v", err)
-		}
-		inWide := make(map[string]bool, len(widened))
-		for _, e := range widened {
-			inWide[e.Key()] = true
-		}
-		for _, e := range quant {
-			if !inWide[e.Key()] {
-				t.Fatalf("QuantizedSearch result %s (Dv %g, sqrtBA %g) outside widened Search (query Dv %g, α %g β %g)",
-					e.Key(), e.Dv(), e.SqrtBA(), q.Dv(), opt.Alpha, opt.Beta)
-			}
-		}
-	}
 }
 
 // TestSearchEquivalenceProperty is the randomized differential proof:
-// hundreds of random indexes, thousands of random queries, three
+// hundreds of random indexes, thousands of random queries, two
 // invariants each.
 func TestSearchEquivalenceProperty(t *testing.T) {
 	r := rng.New(7)

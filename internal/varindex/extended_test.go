@@ -85,14 +85,10 @@ func TestGammaConsistentAcrossSearchPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := ix.QuantizedSearch(q, opt)
-	if err != nil {
-		t.Fatal(err)
+	if len(idx) != 1 || len(lin) != 1 {
+		t.Fatalf("paths disagree: indexed %d, linear %d", len(idx), len(lin))
 	}
-	if len(idx) != 1 || len(lin) != 1 || len(quant) != 1 {
-		t.Fatalf("paths disagree: indexed %d, linear %d, quantized %d", len(idx), len(lin), len(quant))
-	}
-	if idx[0].Clip != "a" || lin[0].Clip != "a" || quant[0].Clip != "a" {
+	if idx[0].Clip != "a" || lin[0].Clip != "a" {
 		t.Error("wrong entry survived the gamma filter")
 	}
 }

@@ -28,10 +28,9 @@ func fuzzFloat(data []byte, limit float64) (float64, []byte) {
 }
 
 // FuzzSearchEquivalence drives the Search ≡ SearchLinear and
-// QuantizedSearch ⊆ widened Search properties with fuzzer-chosen
-// entries, query and tolerances. Variances are clamped to 1e12 and
-// tolerances floored at 1e-6 so the quantized grid's cell numbers stay
-// within int range; NaN and negative variances are sanitized out — the
+// SearchAppend ≡ SearchLinear properties with fuzzer-chosen entries,
+// query and tolerances. Variances are clamped to 1e12 and tolerances
+// floored at 1e-6; NaN and negative variances are sanitized out — the
 // analysis pipeline never produces them, and they would make the sort
 // order itself undefined.
 func FuzzSearchEquivalence(f *testing.F) {

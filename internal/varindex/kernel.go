@@ -162,10 +162,11 @@ func (ix *Index) scan(q Query, opt Options, dq, sq float64, lo, hi int, sc *Scra
 // *shotB). The names are passed by address so that they are loaded only
 // on a distance tie: sorting a wide answer then reads no entry memory
 // for most comparisons (passed by value, the loads cost the kernel a
-// tenth of its time at 10k entries). The kernel's sorter and the
-// cluster coordinator's merge both order by this function, which makes
-// a merged answer single-node order by construction; the SearchLinear
-// oracle keeps its own copy on purpose.
+// tenth of its time at 10k entries). The kernel's sorter orders by this
+// function and the cluster coordinator merges the shards' sorted
+// answers on it without re-sorting them, which makes a merged answer
+// single-node order by construction; the SearchLinear oracle keeps its
+// own copy on purpose.
 func Before(da, db float64, clipA, clipB *string, shotA, shotB *int) bool {
 	if da != db {
 		return da < db

@@ -85,20 +85,18 @@ func TestBadInputsRejectedByEveryEntryPoint(t *testing.T) {
 	badQ := Query{VarBA: math.NaN()}
 
 	for name, err := range map[string]error{
-		"Search bad opt":          func() error { _, e := ix.Search(q, badOpt); return e }(),
-		"SearchAppend bad opt":    func() error { _, e := ix.SearchAppend(nil, q, badOpt, nil); return e }(),
-		"SearchLinear bad opt":    func() error { _, e := ix.SearchLinear(q, badOpt); return e }(),
-		"QuantizedSearch bad opt": func() error { _, e := ix.QuantizedSearch(q, badOpt); return e }(),
+		"Search bad opt":       func() error { _, e := ix.Search(q, badOpt); return e }(),
+		"SearchAppend bad opt": func() error { _, e := ix.SearchAppend(nil, q, badOpt, nil); return e }(),
+		"SearchLinear bad opt": func() error { _, e := ix.SearchLinear(q, badOpt); return e }(),
 	} {
 		if !errors.Is(err, ErrBadTolerance) {
 			t.Errorf("%s: err = %v, want ErrBadTolerance", name, err)
 		}
 	}
 	for name, err := range map[string]error{
-		"Search bad query":          func() error { _, e := ix.Search(badQ, opt); return e }(),
-		"SearchAppend bad query":    func() error { _, e := ix.SearchAppend(nil, badQ, opt, nil); return e }(),
-		"SearchLinear bad query":    func() error { _, e := ix.SearchLinear(badQ, opt); return e }(),
-		"QuantizedSearch bad query": func() error { _, e := ix.QuantizedSearch(badQ, opt); return e }(),
+		"Search bad query":       func() error { _, e := ix.Search(badQ, opt); return e }(),
+		"SearchAppend bad query": func() error { _, e := ix.SearchAppend(nil, badQ, opt, nil); return e }(),
+		"SearchLinear bad query": func() error { _, e := ix.SearchLinear(badQ, opt); return e }(),
 	} {
 		if !errors.Is(err, ErrBadQuery) {
 			t.Errorf("%s: err = %v, want ErrBadQuery", name, err)
@@ -119,11 +117,10 @@ func TestUnbuiltReadsFail(t *testing.T) {
 	q, opt := Query{VarBA: 25, VarOA: 4}, DefaultOptions()
 
 	for name, err := range map[string]error{
-		"Search":          func() error { _, e := ix.Search(q, opt); return e }(),
-		"SearchAppend":    func() error { _, e := ix.SearchAppend(nil, q, opt, nil); return e }(),
-		"SearchLinear":    func() error { _, e := ix.SearchLinear(q, opt); return e }(),
-		"QuantizedSearch": func() error { _, e := ix.QuantizedSearch(q, opt); return e }(),
-		"TopK":            func() error { _, e := ix.TopK(q, opt, 1); return e }(),
+		"Search":       func() error { _, e := ix.Search(q, opt); return e }(),
+		"SearchAppend": func() error { _, e := ix.SearchAppend(nil, q, opt, nil); return e }(),
+		"SearchLinear": func() error { _, e := ix.SearchLinear(q, opt); return e }(),
+		"TopK":         func() error { _, e := ix.TopK(q, opt, 1); return e }(),
 	} {
 		if !errors.Is(err, ErrNotBuilt) {
 			t.Errorf("%s on unbuilt index: err = %v, want ErrNotBuilt", name, err)

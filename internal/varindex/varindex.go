@@ -12,8 +12,7 @@
 //
 // with α = β = 1.0 in the paper's system. The index keeps entries sorted
 // by D^v so Eq. 7 is a binary-search range scan; Eq. 8 filters the
-// survivors. A quantised matching mode (the "other common way to handle
-// inexact queries" the paper mentions) is also provided.
+// survivors.
 package varindex
 
 import (
@@ -376,35 +375,4 @@ func sortByDistance(entries []Entry, dq, sq float64) {
 		sorted[a] = entries[i]
 	}
 	copy(entries, sorted)
-}
-
-// QuantizedSearch implements the alternative inexact-matching strategy
-// the paper mentions: both queries and entries are quantised onto a grid
-// with cell sizes α (in D^v) and β (in sqrt(VarBA)); entries in the
-// query's cell match. Cheaper than a range scan but coarser at cell
-// borders.
-func (ix *Index) QuantizedSearch(q Query, opt Options) ([]Entry, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Alpha == 0 || opt.Beta == 0 {
-		return nil, fmt.Errorf("%w: quantized search needs positive tolerances", ErrBadTolerance)
-	}
-	if !ix.built {
-		return nil, ErrNotBuilt
-	}
-	cellD := func(dv float64) int { return int(math.Floor(dv / opt.Alpha)) }
-	cellS := func(s float64) int { return int(math.Floor(s / opt.Beta)) }
-	qd, qs := cellD(q.Dv()), cellS(math.Sqrt(q.VarBA))
-	var out []Entry
-	for _, e := range ix.entries {
-		if cellD(e.Dv()) == qd && cellS(e.SqrtBA()) == qs && opt.meanMatches(q, e) {
-			out = append(out, e)
-		}
-	}
-	sortByDistance(out, q.Dv(), math.Sqrt(q.VarBA))
-	return out, nil
 }

@@ -183,24 +183,6 @@ func TestTopKExcluding(t *testing.T) {
 	}
 }
 
-func TestQuantizedSearch(t *testing.T) {
-	ix := New()
-	ix.Add(entry("a", 0, 25, 4))   // Dv=3, sqrtBA=5 → cell (3,5)
-	ix.Add(entry("a", 1, 27, 4.5)) // Dv≈3.07, sqrtBA≈5.2 → cell (3,5)
-	ix.Add(entry("b", 0, 100, 4))  // Dv=8, sqrtBA=10 → far cell
-	ix.Build()
-	got, err := ix.QuantizedSearch(Query{VarBA: 25.5, VarOA: 4.1}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %v, want the two cell-(3,5) entries", got)
-	}
-	if _, err := ix.QuantizedSearch(Query{}, Options{Alpha: 0, Beta: 1}); err == nil {
-		t.Error("zero alpha accepted for quantized search")
-	}
-}
-
 func TestEntriesSortedByDv(t *testing.T) {
 	ix := New()
 	r := rng.New(5)
