@@ -28,19 +28,23 @@ func makeClips(t *testing.T, n int) []*video.Clip {
 	clips := make([]*video.Clip, n)
 	genres := []synth.Genre{synth.GenreDrama, synth.GenreNews, synth.GenreCartoon}
 	for i := range clips {
-		spec, err := synth.BuildClip(genres[i%len(genres)], synth.ClipParams{
-			Name: fmt.Sprintf("clip-%02d", i), Shots: 5, DurationSec: 20, Seed: uint64(900 + i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clip, _, err := synth.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clips[i] = clip
+		clips[i] = makeClip(t, genres[i%len(genres)], fmt.Sprintf("clip-%02d", i), uint64(900+i))
 	}
 	return clips
+}
+
+// makeClip synthesizes one small clip of the given genre, name and seed.
+func makeClip(t *testing.T, g synth.Genre, name string, seed uint64) *video.Clip {
+	t.Helper()
+	spec, err := synth.BuildClip(g, synth.ClipParams{Name: name, Shots: 5, DurationSec: 20, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip, _, err := synth.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clip
 }
 
 func newDB(t *testing.T) *core.Database {
@@ -66,12 +70,19 @@ type testCluster struct {
 // coordinator routes with, and ingests the union into a single node.
 func newTestCluster(t *testing.T, k int, clips []*video.Clip) *testCluster {
 	t.Helper()
+	return newWrappedCluster(t, k, clips, func(_ int, h http.Handler) http.Handler { return h })
+}
+
+// newWrappedCluster is newTestCluster with each shard's handler passed
+// through wrap (given the shard's ordinal) before it starts serving.
+func newWrappedCluster(t *testing.T, k int, clips []*video.Clip, wrap func(int, http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{union: newDB(t)}
 	ring := NewRing(k, 0)
 	cfg := Config{ProbeInterval: 200 * time.Millisecond, Timeout: 5 * time.Second}
 	for i := 0; i < k; i++ {
 		db := newDB(t)
-		ts := httptest.NewServer(server.New(db).Handler())
+		ts := httptest.NewServer(wrap(i, server.New(db).Handler()))
 		t.Cleanup(ts.Close)
 		tc.shardDBs = append(tc.shardDBs, db)
 		tc.backends = append(tc.backends, ts)

@@ -23,33 +23,56 @@ type node struct {
 	url     string
 	replica bool
 
-	mu        sync.Mutex
-	up        bool
-	fails     int
-	lastErr   string
-	lastProbe time.Time
-	health    map[string]any // last /api/health document
+	mu      sync.Mutex
+	up      bool
+	fails   int
+	lastErr string
+	health  map[string]any // last /api/health document
+	// probeStart is when the probe whose result the node holds started.
+	probeStart time.Time
 }
 
 func (n *node) markUp(doc map[string]any) {
 	n.mu.Lock()
-	n.up = true
-	n.fails = 0
-	n.lastErr = ""
-	n.lastProbe = time.Now()
-	if doc != nil {
-		n.health = doc
-	}
+	n.set(doc, nil)
 	n.mu.Unlock()
 }
 
 func (n *node) markDown(err error) {
 	n.mu.Lock()
-	n.up = false
-	n.fails++
-	n.lastErr = err.Error()
-	n.lastProbe = time.Now()
+	n.set(nil, err)
 	n.mu.Unlock()
+}
+
+// probed records the result of a health probe that started at start,
+// unless the node holds the result of one that started later. Probes
+// overlap — background rounds, a reshard's pre-flight, explicit rounds
+// — and an older answer must never overwrite a newer one: it could
+// hand a replica reads across a journal rotation the coordinator has
+// already seen.
+func (n *node) probed(start time.Time, doc map[string]any, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if start.Before(n.probeStart) {
+		return
+	}
+	n.probeStart = start
+	n.set(doc, err)
+}
+
+// set records one observation: up (keeping the last health document
+// when doc is nil) if err is nil, down otherwise. n.mu must be held.
+func (n *node) set(doc map[string]any, err error) {
+	n.up = err == nil
+	if err != nil {
+		n.fails++
+		n.lastErr = err.Error()
+		return
+	}
+	n.fails, n.lastErr = 0, ""
+	if doc != nil {
+		n.health = doc
+	}
 }
 
 func (n *node) isUp() bool {
@@ -245,32 +268,35 @@ func (sh *shard) hedgeDelay(floor, timeout time.Duration) time.Duration {
 	return d
 }
 
-// probe polls one node's /api/health.
+// probe polls one node's /api/health and records the answer.
 func (c *Coordinator) probe(ctx context.Context, n *node) {
+	start := time.Now()
+	doc, err := c.fetchHealth(ctx, n.url)
+	n.probed(start, doc, err)
+}
+
+// fetchHealth fetches and decodes one node's /api/health document.
+func (c *Coordinator) fetchHealth(ctx context.Context, url string) (map[string]any, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/api/health", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/health", nil)
 	if err != nil {
-		n.markDown(err)
-		return
+		return nil, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		n.markDown(err)
-		return
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil || resp.StatusCode != http.StatusOK {
-		n.markDown(fmt.Errorf("health probe: status %d: %v", resp.StatusCode, err))
-		return
+		return nil, fmt.Errorf("health probe: status %d: %v", resp.StatusCode, err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(body, &doc); err != nil {
-		n.markDown(fmt.Errorf("health probe: %w", err))
-		return
+		return nil, fmt.Errorf("health probe: %w", err)
 	}
-	n.markUp(doc)
+	return doc, nil
 }
 
 func (c *Coordinator) probeTimeout() time.Duration {

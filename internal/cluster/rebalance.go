@@ -1,22 +1,19 @@
 // Online resharding: the coordinator-driven migration engine behind
 // POST /api/cluster/reshard. Growing or shrinking the shard list is a
-// three-phase protocol built on the ring's minimal-movement guarantee:
+// three-phase protocol built on the ring's minimal-movement guarantee.
+// Phases 1 and 2 run one move pass, reshardRun.sync, which makes every
+// new owner hold exactly the moved clips its sources hold.
 //
-//  1. Copy (online): compute the moved clip set from the old->new ring
-//     diff, stream each moved clip from its current owner to its new
-//     owner through the per-clip replication endpoints, and verify
-//     every copy record for record (the destination's re-export must be
-//     byte-identical to the pushed payload — a record is a one-clip
-//     segment, a pure function of the clip's state, so byte equality is
-//     record equality). Reads and writes flow normally; writes are
-//     still routed by the old ring.
+//  1. Copy (online): the first sync moves every clip the old->new ring
+//     diff moves, through the per-clip replication endpoints, each
+//     copy verified record for record. Reads and writes flow normally;
+//     writes are still routed by the old ring.
 //  2. Cutover (write barrier): take the reshard write lock — in-flight
-//     writes drain, new writes queue — re-list the corpus, delta-sync
-//     clips that were written or deleted during the copy phase, then
-//     swap the ring and shard list as one atomic topology pointer.
-//     Reads never block; the barrier holds only for the delta, which is
-//     proportional to the write traffic during the copy, not to the
-//     corpus.
+//     writes drain, new writes queue — sync again, which moves only
+//     the clips written or deleted during the copy phase, then swap the
+//     ring and shard list as one atomic topology pointer. Reads never
+//     block; the barrier holds for one listing and one source export
+//     per moved clip plus the delta, not for a copy of the moved set.
 //  3. Cleanup (dual-read window): sources still hold the moved clips,
 //     so scatter answers briefly contain both copies — the merge
 //     collapses matches two shards return identically, which is
@@ -43,7 +40,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"slices"
 	"sync"
 	"time"
 
@@ -55,8 +51,9 @@ import (
 var ErrReshardBusy = errors.New("cluster: a reshard is already in progress")
 
 // errClipGone marks a migration source answering 404 for a clip: a
-// concurrent delete won the race, and the clip simply no longer needs
-// moving.
+// concurrent delete won the race, and sync drops the clip from its
+// destination. A destination answering 404 to the verify re-export is
+// a verification failure instead.
 var errClipGone = errors.New("cluster: clip deleted during migration")
 
 // reshardAttempts is how many times each per-clip migration operation
@@ -89,15 +86,16 @@ type ReshardReport struct {
 	// MovedFraction is the fraction of the keyspace that changed owner
 	// — the minimal-movement evidence (about 1/new for a grow by one).
 	MovedFraction float64 `json:"movedFraction"`
-	// MovedClips is the final moved set's size; CopiedClips counts copy
-	// operations performed (including cutover re-copies of clips that
-	// changed during the copy phase); VerifiedClips counts byte-for-byte
-	// copy verifications that passed.
+	// MovedClips is the number of moved clips the destinations hold at
+	// the swap; CopiedClips counts copy operations performed (including
+	// cutover re-copies of clips that changed during the copy phase);
+	// VerifiedClips counts byte-for-byte copy verifications that passed.
 	MovedClips    int `json:"movedClips"`
 	CopiedClips   int `json:"copiedClips"`
 	VerifiedClips int `json:"verifiedClips"`
-	// DeltaResynced is how many clips the cutover barrier had to copy or
-	// re-copy because they were written during the online copy phase;
+	// DeltaResynced is how many clips the cutover barrier had to copy,
+	// re-copy or drop because they were written or deleted during the
+	// online copy phase;
 	// DeletedFromSource counts the cleanup deletions that closed the
 	// dual-read window.
 	DeltaResynced     int `json:"deltaResynced"`
@@ -120,7 +118,9 @@ type ReshardReport struct {
 }
 
 // ReshardStatus is the /api/cluster/status slice describing the
-// running or most recent reshard.
+// running or most recent reshard. MovedClips is how many moved clips
+// the destinations hold so far; CopiedClips counts the copy operations
+// of both phases so far.
 type ReshardStatus struct {
 	Active      bool           `json:"active"`
 	Phase       string         `json:"phase"`
@@ -267,8 +267,8 @@ func (c *Coordinator) Reshard(ctx context.Context, req ReshardRequest) (*Reshard
 	}
 	start := time.Now()
 	rep := &ReshardReport{FromShards: from, ToShards: to}
-	run := &reshardRun{c: c, rep: rep}
-	err := run.execute(ctx, old, target)
+	run := &reshardRun{c: c, rep: rep, old: old.shards, target: target}
+	err := run.execute(ctx, old)
 	rep.TotalSeconds = time.Since(start).Seconds()
 	if err != nil {
 		rep.Error = err.Error()
@@ -282,42 +282,47 @@ func (c *Coordinator) Reshard(ctx context.Context, req ReshardRequest) (*Reshard
 			"dualReadSeconds", rep.DualReadSeconds)
 	}
 	c.reshard.finish(rep)
-	if err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // reshardRun carries one migration's working state.
 type reshardRun struct {
 	c   *Coordinator
 	rep *ReshardReport
-	// copied maps each clip imported to a destination to the sha256 of
-	// the payload that was pushed — the cutover delta compares a fresh
-	// source export against it to decide whether a re-copy is needed,
-	// and the rollback path deletes exactly these.
-	copied map[string][32]byte
-	// dest maps copied clips to their destination shard.
-	dest map[string]*shard
+	// old and target are the shard lists before and after the reshard;
+	// diff names each clip's owner in both.
+	old, target []*shard
+	diff        *RingDiff
+	// pushed maps each moved clip a destination holds to what sync last
+	// pushed there: the next sync re-imports the clip only when a fresh
+	// source export hashes differently, and rollback and cleanup visit
+	// exactly these.
+	pushed map[string]pushedClip
+}
+
+// pushedClip is the sha256 of the record last pushed for a moved clip
+// and the destination shard that holds it.
+type pushedClip struct {
+	sum [32]byte
+	dst *shard
 }
 
 // execute runs the three phases against the old topology and the
 // target shard list. On any error before the topology swap it rolls
 // back (deleting already-imported clips from destinations) and leaves
 // the old topology in place.
-func (run *reshardRun) execute(ctx context.Context, old *topology, target []*shard) error {
+func (run *reshardRun) execute(ctx context.Context, old *topology) error {
 	c := run.c
-	newRing := NewRing(len(target), c.vnodes)
-	diff := old.ring.Diff(newRing)
-	run.rep.MovedFraction = diff.MovedFraction()
-	run.copied = make(map[string][32]byte)
-	run.dest = make(map[string]*shard)
+	newRing := NewRing(len(run.target), c.vnodes)
+	run.diff = old.ring.Diff(newRing)
+	run.rep.MovedFraction = run.diff.MovedFraction()
+	run.pushed = make(map[string]pushedClip)
 
 	// Added shards must be reachable before a single byte moves: probe
 	// them now (the background prober only learns about them after the
 	// swap). A dead destination fails fast, with nothing to roll back.
-	if len(target) > len(old.shards) {
-		for _, sh := range target[len(old.shards):] {
+	if len(run.target) > len(run.old) {
+		for _, sh := range run.target[len(run.old):] {
 			for _, n := range sh.nodes {
 				c.probe(ctx, n)
 			}
@@ -328,74 +333,30 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 	}
 
 	// Phase 1 — online copy. Writes still flow, routed by the old ring;
-	// whatever they change is reconciled by the cutover delta.
+	// whatever they change is reconciled by the cutover's sync.
 	copyStart := time.Now()
-	names, err := run.listAll(ctx, old.shards)
-	if err != nil {
-		return fmt.Errorf("listing corpus: %w", err)
-	}
-	var moved []string
-	for _, name := range names {
-		if diff.Moved(name) {
-			moved = append(moved, name)
-		}
-	}
-	c.reshard.progress(len(moved), 0)
-	for i, name := range moved {
-		src, dst := run.route(diff, old.shards, target, name)
-		if err := run.copyClip(ctx, name, src, dst); err != nil {
-			if errors.Is(err, errClipGone) {
-				continue // deleted mid-copy; the cutover delta confirms
-			}
-			run.rollback(ctx)
-			return fmt.Errorf("copying clip %q to shard %d: %w", name, dst.id, err)
-		}
-		c.reshard.progress(len(moved), i+1)
+	if _, err := run.sync(ctx); err != nil {
+		run.rollback(ctx)
+		return err
 	}
 	run.rep.CopySeconds = time.Since(copyStart).Seconds()
 
 	// Phase 2 — cutover under the write barrier. In-flight writes
 	// drain, new writes queue; reads keep flowing against the old
-	// topology until the swap.
+	// topology until the swap. The same sync runs again: it moves only
+	// what changed since phase 1.
 	c.reshard.setPhase("cutover")
 	cutStart := time.Now()
-	err = func() error {
+	err := func() error {
 		c.reshardMu.Lock()
 		defer c.reshardMu.Unlock()
-		finalNames, err := run.listAll(ctx, old.shards)
+		changed, err := run.sync(ctx)
 		if err != nil {
-			return fmt.Errorf("cutover listing: %w", err)
+			return fmt.Errorf("cutover: %w", err)
 		}
-		finalMoved := 0
-		for _, name := range finalNames {
-			if !diff.Moved(name) {
-				continue
-			}
-			finalMoved++
-			src, dst := run.route(diff, old.shards, target, name)
-			changed, err := run.syncClip(ctx, name, src, dst)
-			if err != nil {
-				return fmt.Errorf("cutover sync of clip %q: %w", name, err)
-			}
-			if changed {
-				run.rep.DeltaResynced++
-			}
-		}
-		// Clips copied in phase 1 but deleted since: the copy must not
-		// resurrect them.
-		for name, dst := range run.dest {
-			if _, present := slices.BinarySearch(finalNames, name); !present {
-				if err := run.deleteClip(ctx, dst, name); err != nil {
-					return fmt.Errorf("cutover delete of clip %q: %w", name, err)
-				}
-				delete(run.copied, name)
-				delete(run.dest, name)
-				run.rep.DeltaResynced++
-			}
-		}
-		run.rep.MovedClips = finalMoved
-		c.reshard.progress(finalMoved, run.rep.CopiedClips)
-		c.topo.Store(newTopology(newRing, target))
+		run.rep.DeltaResynced = changed
+		run.rep.MovedClips = len(run.pushed)
+		c.topo.Store(newTopology(newRing, run.target))
 		return nil
 	}()
 	run.rep.CutoverSeconds = time.Since(cutStart).Seconds()
@@ -419,20 +380,18 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 
 	// Phase 3 — cleanup: close the dual-read window by deleting the
 	// moved clips from their old owners. Only surviving sources need it
-	// (a removed shard is no longer queried); a failed delete is
-	// retried, and a clip that ultimately cannot be deleted is logged —
-	// the merge collapses the copies while identical; after a newer write
-	// to the owner the stale copy shows too, until removed by hand.
+	// (a removed shard is no longer queried, and shard identity is the
+	// list ordinal); a failed delete is retried, and a clip that
+	// ultimately cannot be deleted is logged — the merge collapses the
+	// copies while identical; after a newer write to the owner the stale
+	// copy shows too, until removed by hand.
 	c.reshard.setPhase("cleanup")
-	surviving := make(map[*shard]bool, len(target))
-	for _, sh := range target {
-		surviving[sh] = true
-	}
-	for name := range run.copied {
-		src, _ := run.route(diff, old.shards, target, name)
-		if !surviving[src] {
+	for name := range run.pushed {
+		from, _ := run.diff.Owners(name)
+		if from >= len(run.target) {
 			continue
 		}
+		src := run.old[from]
 		if err := run.deleteClip(ctx, src, name); err != nil {
 			c.log.Warn("reshard cleanup delete failed; duplicate copy remains (merge collapses it while identical)",
 				"clip", name, "shard", src.id, "err", err)
@@ -444,20 +403,71 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 	return nil
 }
 
-// route returns a moved clip's source shard (old topology) and
-// destination shard (target list).
-func (run *reshardRun) route(diff *RingDiff, oldShards, target []*shard, name string) (src, dst *shard) {
-	from, to := diff.Owners(name)
-	return oldShards[from], target[to]
+// sync makes the destinations hold exactly the moved clips the old
+// shards hold as of one listing, and returns how many clips it copied
+// or dropped. Each moved clip is exported from its source; it is
+// imported and verified only when the payload's hash differs from what
+// the last sync pushed. Verification re-exports the destination's copy
+// and requires byte equality with the pushed payload: a record is a
+// one-clip segment, a pure function of the clip's state, so byte
+// equality is record equality. A moved clip the source no longer holds
+// — absent from the listing, or listed but answering 404 to its export
+// — is dropped from its destination: that is the one rule for a clip
+// deleted mid-migration, so a copy never resurrects it.
+func (run *reshardRun) sync(ctx context.Context) (changed int, err error) {
+	names, err := run.listAll(ctx)
+	if err != nil {
+		return 0, fmt.Errorf("listing corpus: %w", err)
+	}
+	held := make(map[string]bool)
+	for _, name := range names {
+		if !run.diff.Moved(name) {
+			continue
+		}
+		from, to := run.diff.Owners(name)
+		src, dst := run.old[from], run.target[to]
+		payload, err := run.exportClip(ctx, src, name)
+		if errors.Is(err, errClipGone) {
+			continue
+		}
+		if err != nil {
+			return changed, fmt.Errorf("exporting clip %q from shard %d: %w", name, src.id, err)
+		}
+		held[name] = true
+		sum := sha256.Sum256(payload)
+		if p, ok := run.pushed[name]; ok && p.sum == sum {
+			continue
+		}
+		// Recorded before the import, so a rollback also sweeps a copy
+		// whose import or verification failed half-way.
+		run.pushed[name] = pushedClip{sum: sum, dst: dst}
+		if err := run.importAndVerify(ctx, name, payload, dst); err != nil {
+			return changed, fmt.Errorf("copying clip %q to shard %d: %w", name, dst.id, err)
+		}
+		changed++
+		run.c.reshard.progress(len(run.pushed), run.rep.CopiedClips)
+	}
+	for name, p := range run.pushed {
+		if held[name] {
+			continue
+		}
+		if err := run.deleteClip(ctx, p.dst, name); err != nil {
+			return changed, fmt.Errorf("dropping clip %q from shard %d: %w", name, p.dst.id, err)
+		}
+		delete(run.pushed, name)
+		changed++
+	}
+	run.c.reshard.progress(len(run.pushed), run.rep.CopiedClips)
+	return changed, nil
 }
 
-// listAll returns the union of every shard primary's clip listing, in
-// name order. Unlike the scatter path it has no partial mode: a
+// listAll returns the union of every old shard primary's clip listing,
+// in name order. Unlike the scatter path it has no partial mode: a
 // migration must see the complete corpus or not run, so any unreachable
 // primary fails the listing (after retries).
-func (run *reshardRun) listAll(ctx context.Context, shards []*shard) ([]string, error) {
-	parts := make([][]server.ClipSummary, len(shards))
-	for i, sh := range shards {
+func (run *reshardRun) listAll(ctx context.Context) ([]string, error) {
+	parts := make([][]server.ClipSummary, len(run.old))
+	for i, sh := range run.old {
 		clips := &parts[i]
 		err := run.retry(ctx, func() error {
 			body, status, err := run.do(ctx, http.MethodGet, sh.primary().url+"/api/clips", nil)
@@ -479,58 +489,6 @@ func (run *reshardRun) listAll(ctx context.Context, shards []*shard) ([]string, 
 		names[i] = cl.Name
 	}
 	return names, nil
-}
-
-// copyClip migrates one clip: export from the source primary, import
-// into the destination primary, then re-export from the destination
-// and require byte equality with the pushed payload — record-for-record
-// verification, sound because the record encoding is deterministic.
-func (run *reshardRun) copyClip(ctx context.Context, name string, src, dst *shard) error {
-	payload, err := run.exportClip(ctx, src, name)
-	if err != nil {
-		return err
-	}
-	if err := run.importAndVerify(ctx, name, payload, dst); err != nil {
-		return err
-	}
-	run.copied[name] = sha256.Sum256(payload)
-	run.dest[name] = dst
-	return nil
-}
-
-// syncClip is the cutover-barrier reconciliation of one moved clip: a
-// fresh source export is compared against what phase 1 copied; only a
-// clip that is new or changed since is (re)imported. Returns whether a
-// copy happened.
-func (run *reshardRun) syncClip(ctx context.Context, name string, src, dst *shard) (bool, error) {
-	payload, err := run.exportClip(ctx, src, name)
-	if errors.Is(err, errClipGone) {
-		// Listed but gone before we could export: a delete raced the
-		// listing. If phase 1 copied it, the absence pass below-cutover
-		// handles it via the fresh listing on the next reshard; here the
-		// destination copy must go too.
-		if _, ok := run.copied[name]; ok {
-			if derr := run.deleteClip(ctx, dst, name); derr != nil {
-				return false, derr
-			}
-			delete(run.copied, name)
-			delete(run.dest, name)
-			return true, nil
-		}
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if prev, ok := run.copied[name]; ok && prev == sha256.Sum256(payload) {
-		return false, nil
-	}
-	if err := run.importAndVerify(ctx, name, payload, dst); err != nil {
-		return false, err
-	}
-	run.copied[name] = sha256.Sum256(payload)
-	run.dest[name] = dst
-	return true, nil
 }
 
 // exportClip fetches one clip's record from a shard's primary.
@@ -573,6 +531,9 @@ func (run *reshardRun) importAndVerify(ctx context.Context, name string, payload
 	}
 	run.rep.CopiedClips++
 	echo, err := run.exportClip(ctx, dst, name)
+	if errors.Is(err, errClipGone) {
+		return fmt.Errorf("verification failed: destination shard %d does not hold the imported record", dst.id)
+	}
 	if err != nil {
 		return fmt.Errorf("verify re-export: %w", err)
 	}
@@ -608,10 +569,10 @@ func (run *reshardRun) deleteClip(ctx context.Context, sh *shard, name string) e
 // serves a copy the merge collapses) and logged for the operator.
 func (run *reshardRun) rollback(ctx context.Context) {
 	run.rep.RolledBack = true
-	for name, dst := range run.dest {
-		if err := run.deleteClip(ctx, dst, name); err != nil {
+	for name, p := range run.pushed {
+		if err := run.deleteClip(ctx, p.dst, name); err != nil {
 			run.c.log.Warn("reshard rollback: could not delete copied clip from destination",
-				"clip", name, "shard", dst.id, "err", err)
+				"clip", name, "shard", p.dst.id, "err", err)
 		}
 	}
 }

@@ -59,11 +59,6 @@ func WithReplicaInterval(d time.Duration) ReplicaOption {
 	return func(r *Replica) { r.interval = d }
 }
 
-// WithReplicaClient overrides the HTTP client (tests).
-func WithReplicaClient(cl *http.Client) ReplicaOption {
-	return func(r *Replica) { r.client = cl }
-}
-
 // WithReplicaLogger directs the replication log; nil discards.
 func WithReplicaLogger(l *slog.Logger) ReplicaOption {
 	return func(r *Replica) { r.log = l }

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"videodb/internal/core"
 	"videodb/internal/server"
 	"videodb/internal/store"
+	"videodb/internal/synth"
 	"videodb/internal/video"
 )
 
@@ -418,4 +420,114 @@ func TestReshardRollbackOnDeadDestination(t *testing.T) {
 	}
 	assertEquivalence(t, tc.front.URL, oracle.URL, tc.union, "after failed reshard")
 	assertPlacement(t, tc.union, tc.shardDBs)
+}
+
+// TestReshardCutoverDelta pins the cutover's delta on a 3->4 grow,
+// without sleeps: the old shards' handlers change the source databases
+// exactly when the cutover lists the corpus (each shard's second
+// GET /api/clips; the copy phase's listing is the first). Before that
+// listing is served, moved clip A is deleted, moved clip B is
+// re-written with different features and a new moved clip C is
+// ingested; right after its owner serves the listing, moved clip D is
+// deleted, so D is listed but its export answers 404. The delta must
+// move exactly those four, and the grown cluster must hold the corpus
+// as it stands after them.
+func TestReshardCutoverDelta(t *testing.T) {
+	oldRing := NewRing(3, 0)
+	diff := oldRing.Diff(NewRing(4, 0))
+	// The first four moved names are A, B, C and D; the first two
+	// unmoved ones stay on their shard throughout.
+	var moved []string
+	var initial []*video.Clip
+	for i, unmoved := 0, 0; len(moved) < 4 || unmoved < 2; i++ {
+		name := fmt.Sprintf("clip-%02d", i)
+		switch {
+		case diff.Moved(name) && len(moved) < 4:
+			moved = append(moved, name)
+			if len(moved) != 3 {
+				initial = append(initial, makeClip(t, synth.GenreDrama, name, uint64(900+i)))
+			}
+		case !diff.Moved(name) && unmoved < 2:
+			unmoved++
+			initial = append(initial, makeClip(t, synth.GenreCartoon, name, uint64(900+i)))
+		}
+	}
+	a, b, d := moved[0], moved[1], moved[3]
+	c := makeClip(t, synth.GenreDrama, moved[2], 3)
+	rewrite := makeClip(t, synth.GenreNews, b, 7)
+
+	var tc *testCluster
+	var listings [3]atomic.Int32
+	remove := func(name string) {
+		if err := tc.shardDBs[oldRing.Owner(name)].Remove(name); err != nil {
+			t.Errorf("removing %s from its source: %v", name, err)
+		}
+	}
+	ingest := func(clip *video.Clip) {
+		if _, err := tc.shardDBs[oldRing.Owner(clip.Name)].Ingest(clip); err != nil {
+			t.Errorf("ingesting %s into its source: %v", clip.Name, err)
+		}
+	}
+	tc = newWrappedCluster(t, 3, initial, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			cutover := r.Method == http.MethodGet && r.URL.Path == "/api/clips" && listings[i].Add(1) == 2
+			if cutover && i == 0 {
+				remove(a)
+				remove(b)
+				ingest(rewrite)
+				ingest(c)
+			}
+			h.ServeHTTP(w, r)
+			if cutover && i == oldRing.Owner(d) {
+				remove(d)
+			}
+		})
+	})
+
+	destDB, destTS := addBackend(t)
+	rep, err := tc.coord.Reshard(context.Background(), ReshardRequest{Add: []ReshardShard{{Primary: destTS.URL}}})
+	if err != nil {
+		t.Fatalf("reshard: %v (report %+v)", err, rep)
+	}
+	if got := listings[0].Load(); got != 2 {
+		t.Fatalf("shard 0 served %d listings, want 2 (copy phase and cutover)", got)
+	}
+	if rep.DeltaResynced != 4 {
+		t.Errorf("cutover delta moved %d clips, want 4 (A dropped, B re-copied, C copied, D dropped)", rep.DeltaResynced)
+	}
+
+	// The oracle is the union node taken through the same changes.
+	oracleDB := tc.union
+	old, _ := oracleDB.Clip(b)
+	for _, name := range []string{a, b, d} {
+		if err := oracleDB.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, clip := range []*video.Clip{rewrite, c} {
+		if _, err := oracleDB.Ingest(clip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := httptest.NewServer(server.New(oracleDB).Handler())
+	t.Cleanup(oracle.Close)
+
+	for _, name := range []string{a, d} {
+		if _, ok := destDB.Clip(name); ok {
+			t.Errorf("destination holds %s, deleted from its source during the migration", name)
+		}
+	}
+	if _, ok := destDB.Clip(c.Name); !ok {
+		t.Errorf("destination lacks %s, ingested during the migration", c.Name)
+	}
+	got, ok := destDB.Clip(b)
+	want, _ := oracleDB.Clip(b)
+	if reflect.DeepEqual(old.Shots, want.Shots) {
+		t.Fatal("the re-write of B did not change its shots")
+	}
+	if !ok || !reflect.DeepEqual(got.Shots, want.Shots) {
+		t.Errorf("destination does not hold the re-written %s", b)
+	}
+	assertPlacement(t, oracleDB, append(append([]*core.Database{}, tc.shardDBs...), destDB))
+	assertEquivalence(t, tc.front.URL, oracle.URL, oracleDB, "after a cutover delta")
 }

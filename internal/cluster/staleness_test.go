@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -48,6 +49,13 @@ func (fb *fakeBackend) setDoc(doc map[string]any) {
 	fb.mu.Unlock()
 }
 
+// testContext returns a context canceled when the test ends.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // primaryDoc/replicaDoc build the health-document fields the lag
 // computation reads, in the shape the real server emits.
 func primaryDoc(walSize int64, gen string) map[string]any {
@@ -79,7 +87,7 @@ func newStalenessCluster(t *testing.T, bound int64) (*Coordinator, *httptest.Ser
 	t.Cleanup(c.Close)
 	front := httptest.NewServer(c.Handler())
 	t.Cleanup(front.Close)
-	c.probeAll(t.Context())
+	c.probeAll(testContext(t))
 	return c, front, p, r
 }
 
@@ -149,7 +157,7 @@ func TestStalenessBoundProperty(t *testing.T) {
 		cut := primarySize - int64(rng.Intn(2*bound+1))
 		p.setDoc(primaryDoc(primarySize, gen))
 		r.setDoc(replicaDoc(cut, "g1"))
-		c.probeAll(t.Context())
+		c.probeAll(testContext(t))
 		for j := 0; j < 3; j++ {
 			order := c.readOrder(sh)
 			if len(order) == 0 {
@@ -194,7 +202,7 @@ func TestGenerationBumpFallsBackToPrimary(t *testing.T) {
 	}
 
 	p.setDoc(primaryDoc(1200, "g2")) // rotation: new generation
-	c.probeAll(t.Context())
+	c.probeAll(testContext(t))
 	before := sh.primaryReads.Load()
 	for i := 0; i < 20; i++ {
 		if c.readOrder(sh)[0].replica {
@@ -259,7 +267,7 @@ func TestReplicaReadsServeTrafficAndCount(t *testing.T) {
 	// probes hourly here, so force the new health state in.
 	r.setDoc(replicaDoc(0, "g1"))
 	stale := st.Shards[0].ReplicaReads
-	c.probeAll(t.Context())
+	c.probeAll(testContext(t))
 	for i := 0; i < n; i++ {
 		get()
 	}
@@ -275,5 +283,51 @@ func TestReplicaReadsServeTrafficAndCount(t *testing.T) {
 	// Counters are monotone: they only ever grow.
 	if st.Shards[0].PrimaryReads < shardSt.PrimaryReads || st.Shards[0].ReplicaReads < shardSt.ReplicaReads {
 		t.Error("read-balance counters went backward")
+	}
+}
+
+// TestOlderProbeNeverOverwritesNewer: two probes of one node overlap
+// and the one that started first answers last, carrying the health
+// document from before a journal rotation. The node must keep the
+// newer probe's document.
+func TestOlderProbeNeverOverwritesNewer(t *testing.T) {
+	var mu sync.Mutex
+	doc := primaryDoc(1000, "g1")
+	var first atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		captured := doc
+		mu.Unlock()
+		if first.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(captured)
+	}))
+	t.Cleanup(ts.Close)
+
+	c := &Coordinator{client: &http.Client{}}
+	n := &node{url: ts.URL, up: true}
+	ctx := testContext(t)
+	older := make(chan struct{})
+	go func() {
+		defer close(older)
+		c.probe(ctx, n)
+	}()
+	<-entered
+	mu.Lock()
+	doc = primaryDoc(1200, "g2")
+	mu.Unlock()
+	c.probe(ctx, n)
+	close(release)
+	<-older
+
+	if gen, _ := n.healthString("walGen"); gen != "g2" {
+		t.Fatalf("node holds walGen %q after the older probe finished, want the newer probe's g2", gen)
+	}
+	if !n.isUp() {
+		t.Fatal("node marked down after two successful probes")
 	}
 }
