@@ -33,7 +33,8 @@ test-race:
 # runs on every push (see docs/QUERYPATH.md) — then the node edge's
 # timeout, inflight-cap, hangup and panic suites, then the
 # coordinator's probe and staleness suites, then the reshard suites
-# twenty times with and without the race detector: their bugs are
+# twenty times with and without the race detector, then the journal's
+# recovery, replay and rotation suites: their bugs are
 # schedule-dependent, and one green run proves nothing.
 stress:
 	$(GO) test -race -run 'Concurrent|Cache|Equivalence' -count=5 ./internal/core/ ./internal/varindex/
@@ -41,6 +42,7 @@ stress:
 	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads' -count=20 ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -race -run 'Reshard' -count=20 -timeout 60m ./internal/cluster/
+	$(GO) test -race -run 'Journal|Recover|Replay|Rotate' -count=20 ./internal/wal/
 
 # Every package must carry a package comment (// Package x ... for
 # libraries, // Command x ... for binaries) — the revive-style
@@ -151,7 +153,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadClip -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzReadY4M -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/impression/
-	$(GO) test -fuzz '^FuzzApplyIngestRecord$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzImportClipRecord$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzApplySnapshot$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzSearchEquivalence -fuzztime 30s ./internal/varindex/

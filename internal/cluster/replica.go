@@ -19,7 +19,8 @@ import (
 // Replica follows a primary: it bootstraps the database from the
 // primary's replication snapshot, then tails the primary's journal,
 // replaying each shipped record through the same idempotent apply path
-// startup recovery uses (wal.ApplyRecord). State only ever enters the
+// startup recovery uses (wal.ApplyRecord: ImportClipRecord and Remove,
+// on a database that never has a journal). State only ever enters the
 // database through that stream — the process runs the HTTP API
 // read-only — so the replica is a consistent, possibly slightly stale
 // copy of the primary at all times.
@@ -103,7 +104,8 @@ type ReplicaStats struct {
 	// first successful bootstrap).
 	Gen string
 	// LagBytes is Cut's distance behind the primary's journal size as
-	// of the last poll — 0 means caught up.
+	// of the last poll — 0 means caught up, -1 unknown (no stream
+	// position: never bootstrapped, or re-bootstrapping).
 	LagBytes int64
 	// Applied is the count of records replayed since start.
 	Applied int64
@@ -119,9 +121,9 @@ type ReplicaStats struct {
 func (r *Replica) Stats() ReplicaStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	lag := r.primarySize - r.cut
-	if lag < 0 || r.gen == "" {
-		lag = 0
+	lag := int64(-1)
+	if r.gen != "" {
+		lag = max(r.primarySize-r.cut, 0)
 	}
 	return ReplicaStats{
 		Cut: r.cut, Gen: r.gen, LagBytes: lag,

@@ -28,7 +28,6 @@ func newPrimary(t *testing.T) (*core.Database, *wal.ClipJournal, *httptest.Serve
 		t.Fatalf("fresh journal damaged: %s", res.Reason)
 	}
 	t.Cleanup(func() { _ = j.Close() })
-	db.SetJournal(j)
 	ts := httptest.NewServer(server.New(db, server.WithJournal(j)).Handler())
 	t.Cleanup(ts.Close)
 	return db, j, ts
@@ -112,6 +111,34 @@ func TestReplicaCatchUp(t *testing.T) {
 	waitFor(t, "WAL catch-up", func() bool { return sameRecords(db, rdb) == nil })
 	if st := rep.Stats(); st.Applied < 3 {
 		t.Errorf("replica applied %d records, want >= 3 (2 ingests + 1 delete)", st.Applied)
+	}
+}
+
+// TestReplicaLagUnknownWithoutStream: a replica that has never
+// bootstrapped holds no stream position, so its lag is unknown (-1) —
+// not 0, which would read as "caught up" in /api/health and
+// /api/metrics while its primary refuses every request.
+func TestReplicaLagUnknownWithoutStream(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(down.Close)
+	rep := StartReplica(newDB(t), down.URL, WithReplicaInterval(10*time.Millisecond))
+	defer rep.Close()
+	waitFor(t, "a failed bootstrap", func() bool { return rep.Stats().LastError != "" })
+
+	if st := rep.Stats(); st.LagBytes != -1 || st.Gen != "" {
+		t.Fatalf("replica without a stream reports lag %d (gen %q), want -1", st.LagBytes, st.Gen)
+	}
+	doc := map[string]any{}
+	rep.HealthInfo(doc)
+	if got := doc["replicationLagBytes"]; got != int64(-1) {
+		t.Errorf("health replicationLagBytes = %v, want -1", got)
+	}
+	counters, gauges := map[string]float64{}, map[string]float64{}
+	rep.Metrics(counters, gauges)
+	if got := gauges["videodb_replica_lag_bytes"]; got != -1 {
+		t.Errorf("videodb_replica_lag_bytes = %v, want -1", got)
 	}
 }
 

@@ -4,10 +4,13 @@
 // segment (internal/segment): a one-clip segment is the journal's
 // OpIngest payload and the migration payload, a segment of every live
 // clip is the replica bootstrap body, and segstore's flushed files are
-// the same thing on disk. Replay goes through ApplyIngestRecord and
-// ApplyDelete, both idempotent, so a crash between "segment committed"
-// and "journal rotated" only makes replay re-apply state the segment
-// already holds. docs/STORAGE.md has the whole lifecycle.
+// the same thing on disk. Every clip record enters through
+// ImportClipRecord and leaves through Remove — a live write, crash
+// recovery, a replica's WAL tail and a reshard import alike. Replay
+// runs before a journal is installed, so it is never re-journaled, and
+// re-applying state is idempotent, so a crash between "segment
+// committed" and "journal rotated" only makes replay re-apply state the
+// segment already holds. docs/STORAGE.md has the whole lifecycle.
 
 package core
 
@@ -19,15 +22,6 @@ import (
 	"videodb/internal/varindex"
 )
 
-// SnapshotCutter is the optional Journal refinement BeginFlush and
-// BeginSnapshot consult: CutPoint reports the journal's current end
-// offset. Read under the database lock — which serializes all journal
-// appends — it marks the exact boundary between records a capture holds
-// and records it does not, so rotation can discard precisely the former.
-type SnapshotCutter interface {
-	CutPoint() int64
-}
-
 // Journal receives every mutation before it commits. Implementations
 // (wal.ClipJournal) persist the record under their sync policy and
 // return only once it is as durable as that policy promises; an error
@@ -38,11 +32,19 @@ type Journal interface {
 	LogIngest(rec *ClipRecord) error
 	// LogDelete records a removal about to apply.
 	LogDelete(name string) error
+	// Size reports the journal's current end offset. Read under the
+	// database lock — which serializes all journal appends — it is the
+	// cut point BeginFlush and BeginSnapshot capture: the exact boundary
+	// between records a capture holds and records it does not, so
+	// rotation can discard precisely the former.
+	Size() int64
 }
 
 // SetJournal installs (or, with nil, removes) the database's
-// write-ahead journal. Install it after replay and before serving
-// traffic: records applied during recovery are not re-journaled.
+// write-ahead journal. wal.RecoverAndOpen calls it once its replay is
+// done: ImportClipRecord and Remove journal whenever a journal is
+// installed, so one installed before replay would re-journal every
+// recovered record.
 func (db *Database) SetJournal(j Journal) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -99,34 +101,17 @@ func decodeClip(seg *segment.Reader, idx int) (*ClipRecord, []varindex.Entry, er
 	return rec, c.Entries(nil), nil
 }
 
-// ApplyIngestRecord decodes an EncodeClipRecord payload and installs
-// the clip, bypassing the journal — this is the replay side of
-// recovery. It is idempotent: re-applying a clip the database already
-// holds (a crash between flush and journal rotation) replaces it and
-// its index entries wholesale. The payload is fully validated before
-// any state changes, so a corrupt record never half-applies.
-func (db *Database) ApplyIngestRecord(payload []byte) (string, error) {
-	rec, entries, err := decodeClipRecord(payload)
-	if err != nil {
-		return "", err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// withClip replaces a same-named clip and its index entries
-	// wholesale, which is exactly replay idempotence.
-	db.publishLocked(db.view.Load().withClip(rec, entries))
-	return rec.Name, nil
-}
-
 // ImportClipRecord decodes an EncodeClipRecord payload and installs the
-// clip as a first-class write: unlike ApplyIngestRecord it goes through
-// the write-ahead journal, so an imported clip survives a crash exactly
-// like an ingested one. This is the migration-destination entry point —
-// a reshard streams already-analyzed clips between primaries, and the
-// receiving node must own them durably, not merely mirror them. Like
-// the replay path it is idempotent: re-importing a clip the database
-// already holds replaces it and its index entries wholesale, which is
-// what lets a migration retry after a half-applied copy.
+// clip, journaling it first when a journal is installed. It is the one
+// way a clip record enters a database: crash recovery and a replica's
+// WAL tail (through wal.ApplyRecord, on a database with no journal yet
+// or none at all) and a reshard import (a first-class write the
+// receiving node must own durably, so it is journaled like an ingest).
+// It is idempotent: re-importing a clip the database already holds
+// replaces it and its index entries wholesale, which is what makes
+// replay safe after a flush and lets a migration retry after a
+// half-applied copy. The payload is fully validated before any state
+// changes, so a corrupt record never half-applies.
 func (db *Database) ImportClipRecord(payload []byte) (string, error) {
 	rec, entries, err := decodeClipRecord(payload)
 	if err != nil {
@@ -145,28 +130,14 @@ func (db *Database) ImportClipRecord(payload []byte) (string, error) {
 	return rec.Name, nil
 }
 
-// ApplyDelete removes a clip during replay, bypassing the journal.
-// Deleting a clip that is not present is a no-op, for the same
-// idempotence reason as ApplyIngestRecord.
-func (db *Database) ApplyDelete(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	v := db.view.Load()
-	if !v.has(name) {
-		return
-	}
-	db.recordTombstoneLocked(name)
-	db.publishLocked(v.withoutClip(name))
-}
-
 // BeginSnapshot captures every live clip — memtable records and cold
-// references alike — and, if a journal implementing SnapshotCutter is
-// installed, its cut point, under a single read-lock hold: the capture
-// a replica bootstraps from. Holding the read lock excludes writers, so
-// the captured clips and the journal offset describe the same instant;
-// queries, which never take the lock, keep flowing. WriteSegment encodes
-// it outside any lock, copying cold clips column-wise from their
-// segments: nothing is materialized, and the clip cache is not touched.
+// references alike — and, if a journal is installed, its cut point,
+// under a single read-lock hold: the capture a replica bootstraps from.
+// Holding the read lock excludes writers, so the captured clips and the
+// journal offset describe the same instant; queries, which never take
+// the lock, keep flowing. WriteSegment encodes it outside any lock,
+// copying cold clips column-wise from their segments: nothing is
+// materialized, and the clip cache is not touched.
 func (db *Database) BeginSnapshot() *PendingFlush {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -179,15 +150,15 @@ func (db *Database) BeginSnapshot() *PendingFlush {
 			pf.cold = append(pf.cold, v.cold[name])
 		}
 	}
-	if sc, ok := db.journal.(SnapshotCutter); ok {
-		pf.cut, pf.hasCut = sc.CutPoint(), true
+	if db.journal != nil {
+		pf.cut, pf.hasCut = db.journal.Size(), true
 	}
 	return pf
 }
 
 // ApplySnapshot replaces the database's entire queryable state with the
 // clips of a BeginSnapshot segment, bypassing the journal — the bulk
-// counterpart of ApplyIngestRecord. It is the replica bootstrap (and
+// counterpart of ImportClipRecord. It is the replica bootstrap (and
 // re-sync) entry point: a read replica loads a primary's snapshot
 // wholesale, then tails its WAL from the cut point the snapshot was
 // captured at. The payload is verified and every clip decoded before

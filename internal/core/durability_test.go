@@ -109,14 +109,15 @@ func damagedSweep(t *testing.T, payload []byte, apply func(*Database, []byte) er
 
 // A clip record off a damaged journal or a torn transfer must never
 // half-apply: every flip and every truncation is rejected whole, or
-// changes nothing that is stored.
+// changes nothing that is stored. The import runs on a database with
+// no journal, as replay does.
 func TestApplyIngestRecordRejectsDamage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture is not short")
 	}
 	payload := exported(t, cheapDB(t, 1), "tiny-0")
 	damagedSweep(t, payload,
-		func(db *Database, p []byte) error { _, err := db.ApplyIngestRecord(p); return err },
+		func(db *Database, p []byte) error { _, err := db.ImportClipRecord(p); return err },
 		func(db *Database) bool { return bytes.Equal(exported(t, db, "tiny-0"), payload) })
 }
 
@@ -163,7 +164,7 @@ func TestApplyIngestRecordIdempotent(t *testing.T) {
 
 	dst := openDB(t)
 	for round := 0; round < 3; round++ {
-		name, err := dst.ApplyIngestRecord(payload)
+		name, err := dst.ImportClipRecord(payload)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -191,7 +192,7 @@ func TestApplyIngestRecordIdempotent(t *testing.T) {
 func TestApplyIngestRecordRejectsGarbage(t *testing.T) {
 	db := openDB(t)
 	for _, payload := range [][]byte{nil, {}, []byte("not a segment"), snapshotBytes(t, cheapDB(t, 2))} {
-		if _, err := db.ApplyIngestRecord(payload); err == nil {
+		if _, err := db.ImportClipRecord(payload); err == nil {
 			t.Errorf("garbage payload %q applied", payload)
 		}
 	}
@@ -224,8 +225,9 @@ func withFeature(t *testing.T, payload []byte, old, v float64) []byte {
 
 // A clip record whose features lie outside the similarity model's
 // domain would break the index's D^v order and, once journaled, come
-// back on every restart. Import (and replay, which decodes the same
-// way) refuses it as corrupt, before the journal or the view changes.
+// back on every restart. Import refuses it as corrupt, before the
+// journal or the view changes — with a journal installed (a live
+// import) and without one (replay).
 func TestImportRejectsOutOfDomainFeatures(t *testing.T) {
 	j := &recordingJournal{}
 	db := cheapDB(t, 12)
@@ -247,7 +249,7 @@ func TestImportRejectsOutOfDomainFeatures(t *testing.T) {
 		if _, err := db.ImportClipRecord(bad); !errors.Is(err, segment.ErrCorrupt) {
 			t.Errorf("import with VarBA %v: err = %v, want segment.ErrCorrupt", v, err)
 		}
-		if _, err := db.ApplyIngestRecord(bad); !errors.Is(err, segment.ErrCorrupt) {
+		if _, err := openDB(t).ImportClipRecord(bad); !errors.Is(err, segment.ErrCorrupt) {
 			t.Errorf("replay with VarBA %v: err = %v, want segment.ErrCorrupt", v, err)
 		}
 	}
@@ -258,19 +260,6 @@ func TestImportRejectsOutOfDomainFeatures(t *testing.T) {
 	// The untouched payload is a valid record.
 	if _, err := db.ImportClipRecord(payload); err != nil {
 		t.Fatalf("import of the in-domain record: %v", err)
-	}
-}
-
-func TestApplyDeleteIdempotent(t *testing.T) {
-	db := cheapDB(t, 1)
-	db.ApplyDelete("no-such-clip") // must not panic or disturb state
-	if len(db.Clips()) != 1 {
-		t.Fatalf("deleting a missing clip changed the database")
-	}
-	db.ApplyDelete("tiny-0")
-	db.ApplyDelete("tiny-0")
-	if len(db.Clips()) != 0 || db.ShotCount() != 0 {
-		t.Fatalf("delete left residue: %d clips, %d shots", len(db.Clips()), db.ShotCount())
 	}
 }
 
@@ -303,6 +292,8 @@ func (j *recordingJournal) LogDelete(name string) error {
 	j.deletes = append(j.deletes, name)
 	return nil
 }
+
+func (j *recordingJournal) Size() int64 { return 0 }
 
 func TestJournalSeesEveryMutation(t *testing.T) {
 	j := &recordingJournal{}

@@ -18,7 +18,7 @@
 // clip between tiers changes where its record lives, not its entries.
 //
 // Tombstone discipline: once a segment base is installed, every
-// delete (Remove, ApplyDelete) records the name as a pending
+// delete (Remove) records the name as a pending
 // tombstone. The next flush writes the pending set into its segment,
 // deleting the name from all strictly older segments at the next open;
 // tombstones for names no older segment holds are harmless. A
@@ -126,10 +126,10 @@ type PendingFlush struct {
 }
 
 // BeginFlush captures the memtable, the pending tombstone set, and (if
-// the installed journal supports SnapshotCutter) the WAL cut point. It
-// returns nil when there is nothing to flush — no memtable clips and
-// no pending tombstones. The expensive encoding happens later in
-// WriteSegment, outside any lock.
+// a journal is installed) the WAL cut point. It returns nil when there
+// is nothing to flush — no memtable clips and no pending tombstones.
+// The expensive encoding happens later in WriteSegment, outside any
+// lock.
 func (db *Database) BeginFlush() (*PendingFlush, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -150,8 +150,8 @@ func (db *Database) BeginFlush() (*PendingFlush, error) {
 	if len(pf.clips) == 0 && len(pf.tombs) == 0 {
 		return nil, nil
 	}
-	if sc, ok := db.journal.(SnapshotCutter); ok {
-		pf.cut, pf.hasCut = sc.CutPoint(), true
+	if db.journal != nil {
+		pf.cut, pf.hasCut = db.journal.Size(), true
 	}
 	return pf, nil
 }

@@ -53,18 +53,18 @@ func seeded(t *testing.T, base []byte) *Database {
 	return db
 }
 
-// FuzzApplyIngestRecord: the record decoder faces whatever is in the
+// FuzzImportClipRecord: the record decoder faces whatever is in the
 // journal after a crash, or on the wire mid-migration. Arbitrary bytes
 // must never panic it and never half-apply (a rejected payload leaves
 // the epoch where it was); anything it accepts must leave an internally
 // consistent database.
-func FuzzApplyIngestRecord(f *testing.F) {
+func FuzzImportClipRecord(f *testing.F) {
 	base := snapshotBytes(f, cheapDB(f, 1))
 	fuzzSeeds(f, exported(f, cheapDB(f, 1), "tiny-0"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := seeded(t, base)
 		epoch := db.Epoch()
-		if _, err := db.ApplyIngestRecord(data); err != nil {
+		if _, err := db.ImportClipRecord(data); err != nil {
 			if db.Epoch() != epoch {
 				t.Fatalf("rejected record moved the epoch: %v", err)
 			}

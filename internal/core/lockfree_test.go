@@ -344,8 +344,10 @@ func TestViewRetention(t *testing.T) {
 	_ = old
 
 	for i := 0; i < 8; i++ {
-		db.ApplyDelete("ret")
-		if _, err := db.ApplyIngestRecord(payload); err != nil {
+		if err := db.Remove("ret"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ImportClipRecord(payload); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := db.Query(varindex.Query{VarBA: 1}); err != nil {
@@ -412,7 +414,9 @@ func TestQueryPathSpawnsNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.ApplyDelete("g")
+	if err := db.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
 	// Allow any stray goroutine a moment to exit before counting.
 	var after int
 	for i := 0; i < 50; i++ {

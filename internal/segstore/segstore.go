@@ -78,9 +78,6 @@ type Options struct {
 	// same-generation segments merges into one of the next generation
 	// (0 = DefaultFanout).
 	Fanout int
-	// NoWAL disables the journal entirely (offline bulk loads that
-	// flush explicitly and accept losing the memtable on a crash).
-	NoWAL bool
 }
 
 // FlushResult reports one completed flush.
@@ -194,13 +191,9 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	if s.fanout <= 1 {
 		s.fanout = DefaultFanout
 	}
-	if !opts.NoWAL {
-		j, res, err := wal.RecoverAndOpen(db, filepath.Join(dir, WALName), opts.Policy, opts.SyncInterval)
-		if err != nil {
-			return nil, fmt.Errorf("segstore: recovering WAL: %w", err)
-		}
-		db.SetJournal(j)
-		s.j, s.replay = j, res
+	s.j, s.replay, err = wal.RecoverAndOpen(db, filepath.Join(dir, WALName), opts.Policy, opts.SyncInterval)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: recovering WAL: %w", err)
 	}
 	return s, nil
 }
@@ -238,7 +231,7 @@ func removeOrphans(dir string, man segment.Manifest) error {
 // DB returns the database the store backs.
 func (s *Store) DB() *core.Database { return s.db }
 
-// Journal returns the store's WAL (nil with Options.NoWAL).
+// Journal returns the store's WAL.
 func (s *Store) Journal() *wal.ClipJournal { return s.j }
 
 // Replay reports what WAL recovery did at Open.
@@ -325,7 +318,7 @@ func (s *Store) Flush() (FlushResult, error) {
 		Flushed: true, SegmentID: id, Bytes: n,
 		Clips: pf.Clips(), Tombstones: pf.Tombstones(),
 	}
-	if cut, ok := pf.JournalCut(); ok && s.j != nil {
+	if cut, ok := pf.JournalCut(); ok {
 		if err := s.j.RotateTo(cut); err != nil {
 			return res, fmt.Errorf("segstore: rotating WAL: %w", err)
 		}
@@ -537,10 +530,7 @@ func (s *Store) Close() error {
 		s.compactWG.Wait()
 		s.compactStop = nil
 	}
-	var err error
-	if s.j != nil {
-		err = s.j.Close()
-	}
+	err := s.j.Close()
 	if s.lock != nil {
 		err = errors.Join(err, s.lock.Close())
 		s.lock = nil

@@ -65,11 +65,11 @@ func corpus(t testing.TB) [][]byte {
 	return payloads
 }
 
-// seed applies payloads[lo:hi] to db through the replay entry point.
+// seed imports payloads into db, journaling them when db has a journal.
 func seed(t testing.TB, db *core.Database, payloads [][]byte) {
 	t.Helper()
 	for _, p := range payloads {
-		if _, err := db.ApplyIngestRecord(p); err != nil {
+		if _, err := db.ImportClipRecord(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,19 +371,8 @@ func TestWALRecoveryWithoutFlush(t *testing.T) {
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// These two stay in the memtable, reaching disk only via the WAL...
-	// but ApplyIngestRecord bypasses the journal, so route them through
-	// the journal the way live ingest does: re-apply and re-log.
-	for _, p := range payloads[2:4] {
-		name, err := s.DB().ApplyIngestRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, _ := s.DB().Clip(name)
-		if err := s.Journal().LogIngest(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// These two stay in the memtable, reaching disk only via the WAL.
+	seed(t, s.DB(), payloads[2:4])
 	// Delete a flushed clip; the WAL carries the delete, the next open
 	// must honor it before any flush wrote a tombstone segment.
 	victim := s.DB().Clips()[0]

@@ -91,7 +91,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		doc["role"] = s.readOnly
 	}
 	if s.journal != nil {
-		doc["walSize"] = s.journal.CutPoint()
+		doc["walSize"] = s.journal.Size()
 		doc["walGen"] = s.journal.Gen()
 	}
 	if s.storage != nil {
@@ -236,7 +236,7 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter gen is required"))
 		return
 	}
-	data, size, gen, err := s.journal.StreamFrom(from, walChunkLimit)
+	data, size, gen, err := s.journal.TailFrom(from, walChunkLimit)
 	if gen != "" && gen != wantGen {
 		w.Header().Set(HeaderWalGen, gen)
 		WriteError(w, http.StatusConflict,

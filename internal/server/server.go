@@ -81,8 +81,9 @@ func WithMaxBody(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
 // WithJournal attaches the database's write-ahead journal so the
 // server can ship it to replicas and export its counters at
-// /api/metrics. The caller keeps ownership: install it on the database
-// with SetJournal and close it at shutdown.
+// /api/metrics. The caller keeps ownership: wal.RecoverAndOpen (or
+// segstore.Open) has already installed it on the database, and the
+// caller closes it at shutdown.
 func WithJournal(j *wal.ClipJournal) Option { return func(s *Server) { s.journal = j } }
 
 // WithRecoveryInfo records the startup journal-replay outcome so

@@ -39,7 +39,6 @@ func journaledDB(t testing.TB, path string, policy Policy) (*core.Database, *Cli
 	if res.Damaged {
 		t.Fatalf("fresh journal reported damage: %+v", res)
 	}
-	db.SetJournal(j)
 	t.Cleanup(func() { j.Close() })
 	return db, j
 }
@@ -227,7 +226,7 @@ func TestRecoverDatabaseTruncatesUndecodableRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clips.wal")
 	db, j := journaledDB(t, path, PolicyAlways)
 	ingestTiny(t, db, "good", 80)
-	if err := j.w.Append(OpIngest, []byte("not a clip record")); err != nil {
+	if err := j.Append(OpIngest, []byte("not a clip record")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -255,7 +254,7 @@ func TestRecoverDatabaseTruncatesUndecodableRecord(t *testing.T) {
 	// The cut tail must not resurface: a second recovery is clean and
 	// identical, and the journal accepts appends again.
 	again := openCoreDB(t)
-	res2, err := RecoverDatabase(again, path)
+	j2, res2, err := RecoverAndOpen(again, path, PolicyAlways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +263,6 @@ func TestRecoverDatabaseTruncatesUndecodableRecord(t *testing.T) {
 	}
 	assertSameDB(t, again, recovered)
 
-	w, err := OpenWriter(path, PolicyAlways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2 := NewClipJournal(w)
-	again.SetJournal(j2)
 	ingestTiny(t, again, "after-cut", 90)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
@@ -373,4 +366,120 @@ func TestClipJournalConcurrentInterval(t *testing.T) {
 		t.Fatalf("replay result %+v, want 4 clean records", res)
 	}
 	assertSameDB(t, recovered, db)
+}
+
+// A delete replayed for a clip the database no longer holds — one a
+// later segment already dropped, or one replayed twice — changes
+// nothing and is not an error.
+func TestApplyDeleteIdempotent(t *testing.T) {
+	db := openCoreDB(t)
+	ingestTiny(t, db, "tiny-0", 1)
+	del := func(name string) {
+		t.Helper()
+		if err := ApplyRecord(db, Record{Op: OpDelete, Data: []byte(name)}); err != nil {
+			t.Fatalf("replaying the delete of %q: %v", name, err)
+		}
+	}
+	del("no-such-clip")
+	if len(db.Clips()) != 1 {
+		t.Fatalf("deleting a missing clip changed the database")
+	}
+	del("tiny-0")
+	del("tiny-0")
+	if len(db.Clips()) != 0 || db.ShotCount() != 0 {
+		t.Fatalf("delete left residue: %d clips, %d shots", len(db.Clips()), db.ShotCount())
+	}
+}
+
+// An undecodable record is cut together with every record behind it,
+// acknowledged ones included; TruncatedBytes must count the whole cut.
+func TestRecoverDatabaseReportsWholeCut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "clips.wal")
+	db, j := journaledDB(t, path, PolicyAlways)
+	ingestTiny(t, db, "good", 80)
+	if err := j.Append(OpIngest, []byte("not a clip record")); err != nil {
+		t.Fatal(err)
+	}
+	ingestTiny(t, db, "behind-the-damage", 82)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := RecoverDatabase(openCoreDB(t), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Damaged || res.Records != 1 || after.Size() != res.ValidBytes {
+		t.Fatalf("recovery %+v left a %d-byte journal, want damage after 1 record", res, after.Size())
+	}
+	if cut := before.Size() - after.Size(); res.TruncatedBytes() != cut || res.TotalBytes != before.Size() {
+		t.Fatalf("cut %d bytes of %d, result reports %d truncated of %d",
+			cut, before.Size(), res.TruncatedBytes(), res.TotalBytes)
+	}
+}
+
+// Replay imports and removes through the same calls a live write
+// makes, and those journal whenever a journal is installed: recovery
+// must finish before RecoverAndOpen installs one, or every restart
+// would append the journal to itself.
+func TestRecoverAndOpenDoesNotRejournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "clips.wal")
+	db, j := journaledDB(t, path, PolicyAlways)
+	for i, name := range []string{"a", "b", "c"} {
+		ingestTiny(t, db, name, uint64(10*i+1))
+	}
+	if err := db.Remove("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	again := openCoreDB(t)
+	j2, res, err := RecoverAndOpen(again, path, PolicyAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j2.Close() })
+	assertSameDB(t, again, db)
+	if res.Records != 4 || res.Damaged {
+		t.Fatalf("recovery %+v, want 4 clean records", res)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, raw) || j2.Stats().Records != 0 {
+		t.Fatalf("recovery rewrote the journal: %d -> %d bytes, %d records appended",
+			len(raw), len(got), j2.Stats().Records)
+	}
+
+	// A live write after recovery is journaled, exactly once.
+	ingestTiny(t, again, "live", 70)
+	if n := j2.Stats().Records; n != 1 {
+		t.Fatalf("one live ingest appended %d records", n)
+	}
+	got, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, raw) {
+		t.Fatal("a live ingest rewrote the recovered journal")
+	}
+	tail, err := ReplayRecords(bytes.NewReader(got[len(raw):]), nil)
+	if err != nil || tail.Damaged || tail.Records != 1 {
+		t.Fatalf("bytes past the recovered journal: %+v, %v; want one whole record", tail, err)
+	}
 }

@@ -381,7 +381,7 @@ func (w *Writer) genLocked() string {
 // TailFrom reads up to max bytes of the journal starting at offset
 // from, returning the chunk, the journal's current size and generation.
 // from must lie on a record boundary of the current generation — any
-// Size()/CutPoint() value observed since the last rotation qualifies,
+// Size() value observed since the last rotation qualifies,
 // as does headerSize for "every record". A caught-up reader (from ==
 // size) gets an empty chunk. Serving reads under the writer lock means
 // a chunk never ends mid-append, so every returned byte range is a
@@ -589,7 +589,8 @@ type ReplayResult struct {
 	// ValidBytes is the length of the longest valid prefix, header
 	// included.
 	ValidBytes int64
-	// TotalBytes is the input length actually seen.
+	// TotalBytes is the input length actually seen; for Recover and
+	// RecoverDatabase, the journal's length before any cut.
 	TotalBytes int64
 	// Damaged reports that the input ended in a torn or corrupt record
 	// (TotalBytes > ValidBytes).
@@ -598,7 +599,8 @@ type ReplayResult struct {
 	Reason string
 }
 
-// TruncatedBytes is the tail length a damaged journal loses.
+// TruncatedBytes is the tail length a damaged journal loses: for
+// Recover and RecoverDatabase, everything they cut.
 func (r ReplayResult) TruncatedBytes() int64 { return r.TotalBytes - r.ValidBytes }
 
 // Replay streams records from r, calling apply for each valid record in
@@ -712,11 +714,19 @@ func replayRecords(r io.Reader, apply func(Record) error, res ReplayResult) (Rep
 
 // Recover replays the journal at path into apply and, if the file ends
 // in a torn or corrupt record, truncates it back to the longest valid
-// prefix so a Writer can append again. A missing file is an empty
-// journal. Recovery never fails on corruption — only on I/O errors, an
-// apply error, or a journal of another format version (ErrVersion),
-// which is left untouched.
+// prefix so a Writer can append again; the result's TotalBytes is the
+// file's length before the cut, so TruncatedBytes counts every byte
+// removed. A missing file is an empty journal. Recovery never fails on
+// corruption — only on I/O errors, an apply error, or a journal of
+// another format version (ErrVersion), which is left untouched.
 func Recover(path string, apply func(Record) error) (ReplayResult, error) {
+	return recoverFile(path, apply, false)
+}
+
+// recoverFile is Recover, and with cutRefused also RecoverDatabase: a
+// record apply refuses then counts as damage — the replay stops there
+// and the journal is cut before it — instead of failing the recovery.
+func recoverFile(path string, apply func(Record) error, cutRefused bool) (ReplayResult, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return ReplayResult{}, nil
@@ -725,17 +735,34 @@ func Recover(path string, apply func(Record) error) (ReplayResult, error) {
 		return ReplayResult{}, err
 	}
 	defer f.Close()
-	res, err := Replay(f, apply)
+	var refused error
+	res, err := Replay(f, func(r Record) error {
+		if apply == nil {
+			return nil
+		}
+		refused = apply(r)
+		return refused
+	})
+	if refused != nil && cutRefused {
+		// The frame was intact but the payload was not a valid mutation:
+		// same stance as a checksum failure — keep the prefix, cut the rest.
+		res.Damaged = true
+		res.Reason = fmt.Sprintf("record %d undecodable: %v", res.Records, refused)
+		err = nil
+	}
+	if err != nil || !res.Damaged {
+		return res, err
+	}
+	st, err := f.Stat()
 	if err != nil {
 		return res, err
 	}
-	if res.Damaged {
-		if err := f.Truncate(res.ValidBytes); err != nil {
-			return res, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return res, fmt.Errorf("wal: syncing truncation: %w", err)
-		}
+	res.TotalBytes = st.Size()
+	if err := f.Truncate(res.ValidBytes); err != nil {
+		return res, fmt.Errorf("wal: truncating torn tail: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return res, fmt.Errorf("wal: syncing truncation: %w", err)
 	}
 	return res, nil
 }

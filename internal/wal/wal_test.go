@@ -605,3 +605,32 @@ func (n nopFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	return copy(p, b[off:]), nil
 }
+
+// TestRecoverReportsWholeCut: damage mid-journal cuts every byte after
+// the last valid record, and TruncatedBytes must count all of them —
+// not just the bytes the replay read before it stopped.
+func TestRecoverReportsWholeCut(t *testing.T) {
+	path := journalPath(t)
+	appendN(t, path, 4)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload byte of record 2 of 4: its CRC no longer matches.
+	second := int64(headerSize + frameHeaderSize + len(testPayload(0)) + 2)
+	raw[second+frameHeaderSize+2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, res := collect(t, path)
+	if !res.Damaged || len(recs) != 1 || res.ValidBytes != second {
+		t.Fatalf("recovery %+v after %d records, want damage after 1 record at %d", res, len(recs), second)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut := int64(len(raw)) - st.Size(); res.TruncatedBytes() != cut || res.TotalBytes != int64(len(raw)) {
+		t.Fatalf("cut %d bytes of %d, result reports %d truncated of %d", cut, len(raw), res.TruncatedBytes(), res.TotalBytes)
+	}
+}
