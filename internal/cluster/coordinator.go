@@ -162,6 +162,16 @@ func (c *Coordinator) pinTopology() *topology {
 // disabled at every level, so nothing is formatted or written.
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
+// newTransport is the coordinator's and the replica's transport. The
+// default keeps 2 idle connections per host, so under more concurrent
+// fan-outs than that every extra request dialed a new connection; 64
+// per node is more than the fan-outs one coordinator runs at once.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost, t.MaxIdleConns = 64, 256
+	return t
+}
+
 // New builds a coordinator and starts its health prober.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
@@ -190,7 +200,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.hedgeFloor = 50 * time.Millisecond
 	}
 	if c.client == nil {
-		c.client = &http.Client{}
+		c.client = &http.Client{Transport: newTransport()}
 	}
 	if c.timeout <= 0 {
 		c.timeout = 10 * time.Second
@@ -216,10 +226,12 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the health prober.
+// Close stops the health prober and closes the idle shard connections,
+// which a shard's graceful shutdown may otherwise wait seconds for.
 func (c *Coordinator) Close() {
 	close(c.stop)
 	c.wg.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // Handler returns the coordinator's HTTP handler. It serves the same
@@ -282,7 +294,7 @@ func (e *shardError) backpressure() bool { return e.code == http.StatusTooManyRe
 // request), and a 429 returns immediately as backpressure. A POST body
 // is a byte slice, so every attempt resends identical bytes (batch
 // queries are idempotent, which is also what makes them safe to hedge).
-func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq string, body []byte, out any) error {
+func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq string, body []byte) ([]byte, error) {
 	c.budget.deposit()
 	c.metrics.fetches.Add(1)
 	order := c.readOrder(sh)
@@ -328,7 +340,7 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 	for inflight > 0 {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
 			if !c.budget.take() {
@@ -345,10 +357,10 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 				if r.hedged {
 					c.metrics.hedgeWins.Add(1)
 				}
-				return json.Unmarshal(r.body, out)
+				return r.body, nil
 			}
 			if se, ok := classify(r.err); ok {
-				return se
+				return nil, se
 			}
 			lastErr = r.err
 		}
@@ -369,27 +381,27 @@ func (c *Coordinator) shardFetch(ctx context.Context, sh *shard, method, pathq s
 			if !c.budget.take() {
 				c.metrics.retriesSuppressed.Add(1)
 				c.metrics.shardFailures.Add(1)
-				return fmt.Errorf("shard %d: retry budget exhausted: %w", sh.id, lastErr)
+				return nil, fmt.Errorf("shard %d: retry budget exhausted: %w", sh.id, lastErr)
 			}
 			c.metrics.retries.Add(1)
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			case <-time.After(time.Duration(25<<min(backoff, 4)) * time.Millisecond):
 			}
 			backoff++
 			body, err := do(n)
 			if err == nil {
-				return json.Unmarshal(body, out)
+				return body, nil
 			}
 			if se, ok := classify(err); ok {
-				return se
+				return nil, se
 			}
 			lastErr = err
 		}
 	}
 	c.metrics.shardFailures.Add(1)
-	return fmt.Errorf("shard %d unreachable: %w", sh.id, lastErr)
+	return nil, fmt.Errorf("shard %d unreachable: %w", sh.id, lastErr)
 }
 
 // clientKeyCtx carries the inbound request's client identity through a
@@ -435,8 +447,10 @@ func (c *Coordinator) nodeDo(ctx context.Context, n *node, sh *shard, method, pa
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// One read buffer, sized from Content-Length up to 64 MiB: a header
+	// alone cannot make the coordinator allocate more up front.
+	buf := bytes.NewBuffer(make([]byte, 0, bytes.MinRead+min(max(resp.ContentLength, 0), 64<<20)))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		n.markDown(err)
 		return nil, err
 	}
@@ -450,16 +464,16 @@ func (c *Coordinator) nodeDo(ctx context.Context, n *node, sh *shard, method, pa
 	if resp.StatusCode != http.StatusOK {
 		return nil, &shardError{
 			code:       resp.StatusCode,
-			body:       string(data),
+			body:       buf.String(),
 			retryAfter: resp.Header.Get("Retry-After"),
 		}
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // scatter sends one request to every shard of the current topology
-// concurrently and gathers the decoded answers. A shard whose fetch
-// fails, or whose answer a non-nil check rejects, contributes nothing
+// concurrently and gathers the answers, each read by decode. A shard
+// whose fetch fails, or whose answer decode refuses, contributes nothing
 // and flips partial, which scatter counts and announces in the
 // X-Videodb-Partial header. ok is false when scatter has already
 // answered: a 4xx from any shard aborts the gather and is relayed as is
@@ -467,7 +481,7 @@ func (c *Coordinator) nodeDo(ctx context.Context, n *node, sh *shard, method, pa
 // the answer is 503. The topology is pinned for the whole gather, so a
 // reshard landing mid-gather can neither tear the shard list nor start
 // deleting moved clips from the sources this gather is still reading.
-func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, method, pathq string, body []byte, check func(*T) error) (parts []T, partial, ok bool) {
+func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, method, pathq string, body []byte, decode func([]byte) (T, error)) (parts []T, partial, ok bool) {
 	ctx := clientContext(r)
 	t := c.pinTopology()
 	defer t.release()
@@ -478,10 +492,11 @@ func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, meth
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			errs[i] = c.shardFetch(ctx, sh, method, pathq, body, &results[i])
-			if errs[i] == nil && check != nil {
-				errs[i] = check(&results[i])
+			answer, err := c.shardFetch(ctx, sh, method, pathq, body)
+			if err == nil {
+				results[i], err = decode(answer)
 			}
+			errs[i] = err
 		}(i, sh)
 	}
 	wg.Wait()
@@ -526,12 +541,13 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	parts, partial, ok := scatter[[]server.MatchJSON](c, w, r, http.MethodGet, "/api/query?"+r.URL.RawQuery, nil, nil)
+	parts, partial, ok := scatter(c, w, r, http.MethodGet, "/api/query?"+r.URL.RawQuery, nil, server.ScanMatches)
 	if !ok {
 		return
 	}
 	c.metrics.queries.Add(1)
-	server.WriteJSON(w, QueryResponseJSON{Matches: mergeMatches(q, parts), Partial: partial})
+	merged := [][]server.RawMatch{mergeMatches(q, parts)}
+	server.WriteJSONBody(w, relayAnswer(`{"matches":`, merged, "", partial))
 }
 
 // BatchResponseJSON is the coordinator's POST /api/query/batch answer:
@@ -549,29 +565,34 @@ func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, code, err)
 		return
 	}
-	parts, partial, ok := scatter(c, w, r, http.MethodPost, "/api/query/batch", b.Body, func(p *server.BatchResponseJSON) error {
-		if len(p.Results) != len(b.Queries) {
-			return fmt.Errorf("batch answer has %d result lists for %d queries", len(p.Results), len(b.Queries))
+	parts, partial, ok := scatter(c, w, r, http.MethodPost, "/api/query/batch", b.Body, func(answer []byte) ([][]server.RawMatch, error) {
+		lists, err := server.ScanBatch(answer)
+		if err == nil && len(lists) != len(b.Queries) {
+			err = fmt.Errorf("batch answer has %d result lists for %d queries", len(lists), len(b.Queries))
 		}
-		return nil
+		return lists, err
 	})
 	if !ok {
 		return
 	}
 	c.metrics.batches.Add(1)
-	merged := make([][]server.MatchJSON, len(b.Queries))
-	per := make([][]server.MatchJSON, len(parts))
+	merged := make([][]server.RawMatch, len(b.Queries))
+	per := make([][]server.RawMatch, len(parts))
 	for i, point := range b.Queries {
 		for j, p := range parts {
-			per[j] = p.Results[i]
+			per[j] = p[i]
 		}
 		merged[i] = mergeMatches(point, per)
 	}
-	server.WriteJSON(w, BatchResponseJSON{Results: merged, Partial: partial})
+	server.WriteJSONBody(w, relayAnswer(`{"results":[`, merged, "]", partial))
 }
 
 func (c *Coordinator) handleClips(w http.ResponseWriter, r *http.Request) {
-	parts, _, ok := scatter[[]server.ClipSummary](c, w, r, http.MethodGet, "/api/clips", nil, nil)
+	parts, _, ok := scatter(c, w, r, http.MethodGet, "/api/clips", nil, func(answer []byte) ([]server.ClipSummary, error) {
+		var listing []server.ClipSummary
+		err := json.Unmarshal(answer, &listing)
+		return listing, err
+	})
 	if ok {
 		server.WriteJSON(w, mergeListings(parts))
 	}
@@ -642,7 +663,10 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 // backend's status and body verbatim.
 func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, sh *shard) {
 	var raw json.RawMessage
-	err := c.shardFetch(clientContext(r), sh, http.MethodGet, r.URL.RequestURI(), nil, &raw)
+	answer, err := c.shardFetch(clientContext(r), sh, http.MethodGet, r.URL.RequestURI(), nil)
+	if err == nil {
+		err = json.Unmarshal(answer, &raw)
+	}
 	if err != nil {
 		var se *shardError
 		if errors.As(err, &se) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"slices"
+	"strconv"
 
 	"videodb/internal/server"
 	"videodb/internal/varindex"
@@ -51,21 +52,50 @@ func mergeSorted[T, K any](parts [][]T, key func(*T) K, before func(a, b *K) boo
 // mergeMatches merges per-shard answers into the varindex.Before order
 // one node over the union returns, bit for bit: the distance is
 // recomputed with the kernel's arithmetic from VarBA/VarOA, which the
-// JSON round trip keeps exact. Identical copies of a match collapse to
-// the lower shard's; copies that differ both show.
-func mergeMatches(q varindex.Query, parts [][]server.MatchJSON) []server.MatchJSON {
+// wire keeps exact. Identical copies of a match collapse to the lower
+// shard's; copies that differ both show.
+func mergeMatches(q varindex.Query, parts [][]server.RawMatch) []server.RawMatch {
 	type matchKey struct {
 		dist float64
-		m    *server.MatchJSON
+		m    *server.RawMatch
 	}
 	dq, sq := q.Dv(), math.Sqrt(q.VarBA)
-	return mergeSorted(parts, func(m *server.MatchJSON) matchKey {
+	return mergeSorted(parts, func(m *server.RawMatch) matchKey {
 		s := math.Sqrt(m.VarBA)
 		dd, ds := (s-math.Sqrt(m.VarOA))-dq, s-sq
 		return matchKey{dd*dd + ds*ds, m}
 	}, func(a, b *matchKey) bool {
 		return varindex.Before(a.dist, b.dist, &a.m.Clip, &b.m.Clip, &a.m.Shot, &b.m.Shot)
 	})
+}
+
+// relayAnswer splices merged match lists into a scatter-gather answer
+// in one presized buffer: head, the lists as comma-separated JSON arrays
+// of the bytes their shards sent, tail, and the partial marker.
+func relayAnswer(head string, lists [][]server.RawMatch, tail string, partial bool) []byte {
+	size := len(head) + len(tail) + len(`,"partial":false}`+"\n")
+	for _, ms := range lists {
+		size += 3 + len(ms)
+		for i := range ms {
+			size += len(ms[i].JSON)
+		}
+	}
+	out := append(make([]byte, 0, size), head...)
+	for i, ms := range lists {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '[')
+		for j := range ms {
+			if j > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, ms[j].JSON...)
+		}
+		out = append(out, ']')
+	}
+	out = append(append(out, tail...), `,"partial":`...)
+	return append(strconv.AppendBool(out, partial), "}\n"...)
 }
 
 // mergeListings merges name-ordered shard listings, each name once. An

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"videodb/internal/core"
 	"videodb/internal/rng"
 	"videodb/internal/server"
 	"videodb/internal/varindex"
@@ -71,17 +73,34 @@ func referenceMergeListings(parts [][]server.ClipSummary) []server.ClipSummary {
 	return out
 }
 
-// toMatchJSON converts an index answer field for field the way the
-// node's query handler does.
-func toMatchJSON(es []varindex.Entry) []server.MatchJSON {
-	out := make([]server.MatchJSON, 0, len(es))
-	for _, e := range es {
-		out = append(out, server.MatchJSON{
-			Clip: e.Clip, Shot: e.Shot, Start: e.Start, End: e.End,
-			VarBA: e.VarBA, VarOA: e.VarOA, Dv: e.Dv(),
-		})
+// nodeBody is the body a node's query handler answers an index answer
+// with.
+func nodeBody(es []varindex.Entry) []byte {
+	ms := make([]core.Match, len(es))
+	for i, e := range es {
+		ms[i].Entry = e
+	}
+	return append(server.AppendMatches(nil, ms), '\n')
+}
+
+// decodeMatches decodes a match array with encoding/json.
+func decodeMatches(t testing.TB, body []byte) []server.MatchJSON {
+	t.Helper()
+	var out []server.MatchJSON
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
 	}
 	return out
+}
+
+// scanMatches reads a node body the way the coordinator does.
+func scanMatches(t testing.TB, body []byte) []server.RawMatch {
+	t.Helper()
+	ms, err := server.ScanMatches(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
 }
 
 // mergeLayout is one cluster drawn from a byte string: 1–4 shards, clips
@@ -136,9 +155,9 @@ func layoutFromBytes(data []byte) mergeLayout {
 	return l
 }
 
-// answer builds an index over entries and returns its answer to q and
-// its clip listing, in the shapes a node serves them.
-func answer(t *testing.T, entries []varindex.Entry, q varindex.Query, opt varindex.Options) ([]server.MatchJSON, []server.ClipSummary) {
+// answer builds an index over entries and returns the node body of its
+// answer to q, and its clip listing.
+func answer(t *testing.T, entries []varindex.Entry, q varindex.Query, opt varindex.Options) ([]byte, []server.ClipSummary) {
 	t.Helper()
 	ix := varindex.New()
 	shots := make(map[string]int)
@@ -156,7 +175,7 @@ func answer(t *testing.T, entries []varindex.Entry, q varindex.Query, opt varind
 		listing = append(listing, server.ClipSummary{Name: name, Shots: n})
 	}
 	sort.Slice(listing, func(i, j int) bool { return listing[i].Name < listing[j].Name })
-	return toMatchJSON(found), listing
+	return nodeBody(found), listing
 }
 
 // checkMergeEquivalence holds the k-way merge of the layout's shard
@@ -166,13 +185,21 @@ func checkMergeEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	l := layoutFromBytes(data)
 	matchParts := make([][]server.MatchJSON, len(l.shards))
+	rawParts := make([][]server.RawMatch, len(l.shards))
 	listParts := make([][]server.ClipSummary, len(l.shards))
 	for i, entries := range l.shards {
-		matchParts[i], listParts[i] = answer(t, entries, l.q, l.opt)
+		var body []byte
+		body, listParts[i] = answer(t, entries, l.q, l.opt)
+		matchParts[i], rawParts[i] = decodeMatches(t, body), scanMatches(t, body)
 	}
-	single, singleListing := answer(t, l.union, l.q, l.opt)
+	singleBody, singleListing := answer(t, l.union, l.q, l.opt)
+	single := decodeMatches(t, singleBody)
 
-	got := mergeMatches(l.q, matchParts)
+	var relayed QueryResponseJSON
+	if err := json.Unmarshal(relayAnswer(`{"matches":`, [][]server.RawMatch{mergeMatches(l.q, rawParts)}, "", false), &relayed); err != nil {
+		t.Fatal(err)
+	}
+	got := relayed.Matches
 	if ref := referenceMergeMatches(l.q, matchParts); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("merge differs from the sort-based merge\n got: %+v\nwant: %+v", got, ref)
 	}

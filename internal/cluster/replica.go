@@ -72,7 +72,7 @@ func StartReplica(db *core.Database, primaryURL string, opts ...ReplicaOption) *
 	r := &Replica{
 		db:       db,
 		primary:  primaryURL,
-		client:   &http.Client{},
+		client:   &http.Client{Transport: newTransport()},
 		interval: 250 * time.Millisecond,
 		log:      discardLogger,
 		stop:     make(chan struct{}),
@@ -87,12 +87,13 @@ func StartReplica(db *core.Database, primaryURL string, opts ...ReplicaOption) *
 	return r
 }
 
-// Close stops the replication loop and waits for it to exit. The
-// database keeps the last applied state.
+// Close stops the replication loop, waits for it to exit and closes its
+// idle connections. The database keeps the last applied state.
 func (r *Replica) Close() {
 	close(r.stop)
 	r.cancel()
 	r.wg.Wait()
+	r.client.CloseIdleConnections()
 }
 
 // ReplicaStats is a snapshot of the replication progress.

@@ -35,8 +35,8 @@ type BatchRequestJSON struct {
 	Beta    *float64         `json:"beta,omitempty"`
 }
 
-// BatchResponseJSON is the response of POST /api/query/batch: one
-// match slice per query, in request order.
+// BatchResponseJSON is the shape of the POST /api/query/batch answer,
+// one match slice per query in request order, written by AppendMatches.
 type BatchResponseJSON struct {
 	Results [][]MatchJSON `json:"results"`
 }
@@ -129,9 +129,16 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.batches.Add(1)
 	s.metrics.batchQueries.Add(int64(len(b.Queries)))
-	resp := BatchResponseJSON{Results: make([][]MatchJSON, len(batches))}
-	for i, matches := range batches {
-		resp.Results[i] = matchesJSON(matches)
+	n := 0
+	for _, matches := range batches {
+		n += len(matches)
 	}
-	WriteJSON(w, resp)
+	body := append(make([]byte, 0, matchBytes*n+3*len(batches)+16), `{"results":[`...)
+	for i, matches := range batches {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = AppendMatches(body, matches)
+	}
+	WriteJSONBody(w, append(body, "]}\n"...))
 }

@@ -190,7 +190,10 @@ type NodeJSON struct {
 	Children []NodeJSON `json:"children,omitempty"`
 }
 
-// MatchJSON is the JSON shape of one query match.
+// MatchJSON is the JSON shape of one query match: the specification of
+// the match wire, which AppendMatches writes and ScanMatches reads
+// (matchwire.go). A member added here lands in both in the same change;
+// TestAppendMatchesIsEncodingJSON and FuzzScanMatches fail otherwise.
 type MatchJSON struct {
 	Clip  string  `json:"clip"`
 	Shot  int     `json:"shot"`
@@ -206,8 +209,8 @@ type MatchJSON struct {
 // of the API, shared with the coordinator.
 func WriteJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
-// writeJSONStatus is the API's one JSON writer: every answer, error and
-// backpressure body goes through it.
+// writeJSONStatus is the API's reflecting JSON writer: every answer but
+// a match answer (WriteJSONBody), and every error and backpressure body.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -356,7 +359,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, matchesJSON(matches))
+	writeMatches(w, matches)
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
@@ -382,21 +385,5 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	WriteJSON(w, matchesJSON(matches))
-}
-
-func matchesJSON(matches []core.Match) []MatchJSON {
-	out := make([]MatchJSON, 0, len(matches))
-	for _, m := range matches {
-		mj := MatchJSON{
-			Clip: m.Entry.Clip, Shot: m.Entry.Shot,
-			Start: m.Entry.Start, End: m.Entry.End,
-			VarBA: m.Entry.VarBA, VarOA: m.Entry.VarOA, Dv: m.Entry.Dv(),
-		}
-		if m.Scene != nil {
-			mj.Scene = m.Scene.Name()
-		}
-		out = append(out, mj)
-	}
-	return out
+	writeMatches(w, matches)
 }
