@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"testing"
 
@@ -66,6 +68,36 @@ func TestClipRecordEncodingIsAFunctionOfTheRecord(t *testing.T) {
 		}
 		if echo := encode(got); !bytes.Equal(echo, first[i]) {
 			t.Fatalf("clip %q: re-export differs from the imported record (%d vs %d bytes)", rec.Name, len(echo), len(first[i]))
+		}
+	}
+}
+
+// TestTable5RecordDigest pins the reproduction: the 22 Table-5 clips at
+// scale 0.02, ingested serially and with one worker per CPU, must
+// encode to the same records, byte for byte, as when this digest was
+// taken. Any change to the per-frame reduction, the shot detector, the
+// shot features or the scene tree that moves a single bit of output
+// fails here, whatever the worker count.
+func TestTable5RecordDigest(t *testing.T) {
+	const (
+		wantDigest = "0471aea9a5e5b9e642b1f27dc3366a7f6968bebec1f04efb46a512de3927daa9"
+		wantBytes  = 18704
+	)
+	clips := table5Clips(t, 0.02)
+	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
+		db := ingestAt(t, clips, workers)
+		h := sha256.New()
+		n := 0
+		for _, rec := range db.Records() {
+			p, err := core.EncodeClipRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(p)
+			n += len(p)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest || n != wantBytes {
+			t.Errorf("workers=%d: records digest %s over %d bytes, want %s over %d", workers, got, n, wantDigest, wantBytes)
 		}
 	}
 }
