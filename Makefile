@@ -160,6 +160,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReplaceEquivalence -fuzztime 30s ./internal/varindex/
 	$(GO) test -fuzz FuzzMergeEquivalence -fuzztime 30s ./internal/cluster/
 	$(GO) test -fuzz '^FuzzScanMatches$$' -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz '^FuzzAnalyzeEquivalence$$' -fuzztime 30s ./internal/feature/
 
 # The segment-store durability gate CI runs as its own job: flip every
 # byte of a valid segment, truncate it at every length, append garbage,

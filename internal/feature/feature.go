@@ -30,17 +30,11 @@ type FrameFeature struct {
 }
 
 // Analyzer extracts frame features for a fixed frame geometry. It is
-// safe for concurrent use: per-goroutine scratch space is drawn from an
+// safe for concurrent use: per-goroutine reducers are drawn from an
 // internal pool.
 type Analyzer struct {
 	geom region.Geometry
 	pool sync.Pool
-}
-
-// scratch is the reusable per-goroutine analysis workspace.
-type scratch struct {
-	tba, foa *video.Frame
-	red      *pyramid.Reducer
 }
 
 // NewAnalyzer returns an analyzer for c×r frames with the default 10%
@@ -57,21 +51,13 @@ func NewAnalyzer(c, r int) (*Analyzer, error) {
 // geometry (for the border-fraction ablation).
 func NewAnalyzerWithGeometry(g region.Geometry) *Analyzer {
 	a := &Analyzer{geom: g}
-	a.pool.New = func() any {
-		maxW := g.L
-		if g.B > maxW {
-			maxW = g.B
-		}
-		maxH := g.W
-		if g.H > maxH {
-			maxH = g.H
-		}
-		return &scratch{
-			tba: video.NewFrame(g.L, g.W),
-			foa: video.NewFrame(g.B, g.H),
-			red: pyramid.NewReducer(maxW, maxH),
-		}
+	// The TBA and the FOA take turns in one reducer: size it for the
+	// larger of the two.
+	w, h := g.L, g.W
+	if g.B*g.H > w*h {
+		w, h = g.B, g.H
 	}
+	a.pool.New = func() any { return pyramid.NewReducer(w, h) }
 	return a
 }
 
@@ -80,22 +66,37 @@ func (a *Analyzer) Geometry() region.Geometry { return a.geom }
 
 // Analyze computes the frame's features — the pure per-frame reduce
 // step of the ingest pipeline: FBA/FOA extraction, TBA transform, then
-// the Gaussian-pyramid reduction to signature and signs. It depends on
-// no other frame, so frames may be analyzed in any order or in
-// parallel. It panics if f does not match the analyzer's frame size
-// (the underlying region extraction checks). Only the returned
-// Signature slice is freshly allocated; all working memory comes from
-// the analyzer's pool.
+// the Gaussian-pyramid reduction to signature and signs. Each region is
+// gathered through the geometry's sampling maps straight into the
+// reducer's plane of wide pixels, which is then reduced row by row. It
+// depends on no other frame, so frames may be analyzed in any order or
+// in parallel. It panics if f does not match the analyzer's frame size.
+// Only the returned Signature slice is freshly allocated; all working
+// memory comes from the analyzer's pool.
 func (a *Analyzer) Analyze(f *video.Frame) FrameFeature {
-	s := a.pool.Get().(*scratch)
-	defer a.pool.Put(s)
+	g := a.geom
+	g.CheckFrame(f)
+	red := a.pool.Get().(*pyramid.Reducer)
+	defer a.pool.Put(red)
 
-	a.geom.TBAInto(f, s.tba)
-	sig := make([]video.Pixel, a.geom.L)
-	signBA := s.red.Reduce(s.tba, sig)
+	tba := g.TBAIndex()
+	p := red.Plane(g.L, g.W)[:len(tba)]
+	for i, j := range tba {
+		p[i] = pyramid.Widen(f.Pix[j])
+	}
+	sig := make([]video.Pixel, g.L)
+	signBA := red.ReducePlane(g.L, g.W, sig)
 
-	a.geom.FOAInto(f, s.foa)
-	signOA := s.red.Sign(s.foa)
+	cols, rows := g.FOAIndex()
+	p = red.Plane(g.B, g.H)
+	for y, fy := range rows {
+		src := f.Pix[int(fy)*g.C:][:g.C]
+		dst := p[y*g.B:][:len(cols)]
+		for x, fx := range cols {
+			dst[x] = pyramid.Widen(src[fx])
+		}
+	}
+	signOA := red.ReducePlane(g.B, g.H, nil)
 
 	return FrameFeature{SignBA: signBA, SignOA: signOA, Signature: sig}
 }
@@ -261,31 +262,32 @@ func channelsOf(p video.Pixel) [3]float64 {
 }
 
 // meanAndVariance computes the per-channel mean and the channel-averaged
-// sample variance of the given signs, following Eqs. 3–4: the mean
-// divides by the frame count (l−k+1) while the variance divides by l−k.
-// A single-sign sequence has variance 0 by definition (DESIGN.md).
-func meanAndVariance(signs []video.Pixel) (mean [3]float64, variance float64) {
-	n := len(signs)
+// sample variance of the signs sign picks out of feats, following
+// Eqs. 3–4: the mean divides by the frame count (l−k+1) while the
+// variance divides by l−k. A single-sign sequence has variance 0 by
+// definition (DESIGN.md).
+func meanAndVariance(feats []FrameFeature, sign func(*FrameFeature) video.Pixel) (mean [3]float64, variance float64) {
+	n := len(feats)
 	if n == 0 {
 		return mean, 0
 	}
-	for _, s := range signs {
-		c := channelsOf(s)
-		for i := 0; i < 3; i++ {
-			mean[i] += c[i]
+	for i := range feats {
+		c := channelsOf(sign(&feats[i]))
+		for j := 0; j < 3; j++ {
+			mean[j] += c[j]
 		}
 	}
-	for i := 0; i < 3; i++ {
-		mean[i] /= float64(n)
+	for j := 0; j < 3; j++ {
+		mean[j] /= float64(n)
 	}
 	if n == 1 {
 		return mean, 0
 	}
 	var sum float64
-	for _, s := range signs {
-		c := channelsOf(s)
-		for i := 0; i < 3; i++ {
-			d := c[i] - mean[i]
+	for i := range feats {
+		c := channelsOf(sign(&feats[i]))
+		for j := 0; j < 3; j++ {
+			d := c[j] - mean[j]
 			sum += d * d
 		}
 	}
@@ -301,15 +303,10 @@ func ShotFeatureFromFrames(feats []FrameFeature, start, end int) ShotFeature {
 	if start < 0 || end >= len(feats) || start > end {
 		panic(fmt.Sprintf("feature: invalid shot range [%d,%d] over %d frames", start, end, len(feats)))
 	}
-	ba := make([]video.Pixel, 0, end-start+1)
-	oa := make([]video.Pixel, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		ba = append(ba, feats[i].SignBA)
-		oa = append(oa, feats[i].SignOA)
-	}
+	shot := feats[start : end+1]
 	sf := ShotFeature{Start: start, End: end}
-	sf.MeanBA, sf.VarBA = meanAndVariance(ba)
-	sf.MeanOA, sf.VarOA = meanAndVariance(oa)
+	sf.MeanBA, sf.VarBA = meanAndVariance(shot, func(f *FrameFeature) video.Pixel { return f.SignBA })
+	sf.MeanOA, sf.VarOA = meanAndVariance(shot, func(f *FrameFeature) video.Pixel { return f.SignOA })
 	return sf
 }
 

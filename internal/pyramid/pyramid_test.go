@@ -290,3 +290,34 @@ func BenchmarkSignature381x13(b *testing.B) {
 		Signature(g)
 	}
 }
+
+// TestReducerAllocatesNothing: a warmed Reducer reduces without
+// allocating.
+func TestReducerAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := video.NewFrame(125, 125)
+	r := NewReducer(125, 125)
+	sig := make([]video.Pixel, g.W)
+	if n := testing.AllocsPerRun(100, func() { r.Reduce(g, sig) }); n != 0 {
+		t.Errorf("Reducer.Reduce allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Sign(g) }); n != 0 {
+		t.Errorf("Reducer.Sign allocates %v times, want 0", n)
+	}
+}
+
+func BenchmarkReducer125x125(b *testing.B) {
+	g := video.NewFrame(125, 125)
+	r := rng.New(1)
+	for i := range g.Pix {
+		g.Pix[i] = video.RGB(uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256)))
+	}
+	red := NewReducer(g.W, g.H)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		red.Sign(g)
+	}
+}

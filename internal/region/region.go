@@ -37,6 +37,21 @@ type Geometry struct {
 	// W, B, H, L are the size-set approximations: W is the border
 	// width/TBA height, L the TBA length, B×H the FOA dimensions.
 	W, B, H, L int
+
+	// maps is derived from the fields above once per geometry. A
+	// pointer keeps Geometry a comparable value.
+	maps *samplingMaps
+}
+
+// samplingMaps records, for every TBA and FOA pixel, the frame pixel it
+// samples, so that extraction is a copy through an index rather than a
+// walk of the ⊓ unfolding per pixel.
+type samplingMaps struct {
+	// tba holds W rows of L indices into a frame's Pix.
+	tba []int32
+	// foaCols holds the frame column of each of the B FOA columns,
+	// foaRows the frame row of each of the H FOA rows.
+	foaCols, foaRows []int32
 }
 
 // New computes the geometry for a c×r frame using the default 10%
@@ -71,8 +86,43 @@ func NewWithBorderFrac(c, r int, frac float64) (Geometry, error) {
 	g.B = pyramid.Nearest(g.BPrime)
 	g.H = pyramid.Nearest(g.HPrime)
 	g.L = pyramid.Nearest(g.LPrime)
+	g.maps = g.sample()
 	return g, nil
 }
+
+// sample derives the sampling maps from stripToFrame and scale, which
+// remain the one statement of the unfolding and the resampling.
+func (g Geometry) sample() *samplingMaps {
+	m := &samplingMaps{
+		tba:     make([]int32, 0, g.W*g.L),
+		foaCols: make([]int32, g.B),
+		foaRows: make([]int32, g.H),
+	}
+	for ty := 0; ty < g.W; ty++ {
+		sy := scale(ty, g.W, g.WPrime)
+		for tx := 0; tx < g.L; tx++ {
+			fx, fy := g.stripToFrame(scale(tx, g.L, g.LPrime), sy)
+			m.tba = append(m.tba, int32(fy*g.C+fx))
+		}
+	}
+	for ox := range m.foaCols {
+		m.foaCols[ox] = int32(g.WPrime + scale(ox, g.B, g.BPrime))
+	}
+	for oy := range m.foaRows {
+		m.foaRows[oy] = int32(g.WPrime + scale(oy, g.H, g.HPrime))
+	}
+	return m
+}
+
+// TBAIndex returns the TBA's sampling map: for each of its W×L pixels,
+// row-major, the index into a C×R frame's Pix that TBA extraction
+// copies. The slice is shared and must not be modified.
+func (g Geometry) TBAIndex() []int32 { return g.maps.tba }
+
+// FOAIndex returns the FOA's sampling maps: the frame column of each of
+// its B columns and the frame row of each of its H rows. The slices are
+// shared and must not be modified.
+func (g Geometry) FOAIndex() (cols, rows []int32) { return g.maps.foaCols, g.maps.foaRows }
 
 // TBA extracts the transformed background area of f as a W(height)×L
 // (width) pixel grid ready for pyramid reduction. The ⊓-shaped FBA is
@@ -90,17 +140,13 @@ func (g Geometry) TBA(f *video.Frame) *video.Frame {
 // allocation-free per-frame analysis. It panics on dimension
 // mismatches.
 func (g Geometry) TBAInto(f, out *video.Frame) {
-	g.checkFrame(f)
+	g.CheckFrame(f)
 	if out.W != g.L || out.H != g.W {
 		panic(fmt.Sprintf("region: TBA destination %dx%d, want %dx%d", out.W, out.H, g.L, g.W))
 	}
-	for ty := 0; ty < g.W; ty++ {
-		sy := scale(ty, g.W, g.WPrime)
-		for tx := 0; tx < g.L; tx++ {
-			sx := scale(tx, g.L, g.LPrime)
-			fx, fy := g.stripToFrame(sx, sy)
-			out.Set(tx, ty, f.At(fx, fy))
-		}
+	dst := out.Pix[:len(g.maps.tba)]
+	for i, j := range g.maps.tba {
+		dst[i] = f.Pix[j]
 	}
 }
 
@@ -141,15 +187,16 @@ func (g Geometry) FOA(f *video.Frame) *video.Frame {
 // FOAInto is FOA writing into a caller-provided B×H frame. It panics on
 // dimension mismatches.
 func (g Geometry) FOAInto(f, out *video.Frame) {
-	g.checkFrame(f)
+	g.CheckFrame(f)
 	if out.W != g.B || out.H != g.H {
 		panic(fmt.Sprintf("region: FOA destination %dx%d, want %dx%d", out.W, out.H, g.B, g.H))
 	}
-	for oy := 0; oy < g.H; oy++ {
-		fy := g.WPrime + scale(oy, g.H, g.HPrime)
-		for ox := 0; ox < g.B; ox++ {
-			fx := g.WPrime + scale(ox, g.B, g.BPrime)
-			out.Set(ox, oy, f.At(fx, fy))
+	cols, rows := g.FOAIndex()
+	for oy, fy := range rows {
+		src := f.Pix[int(fy)*g.C:][:g.C]
+		dst := out.Pix[oy*g.B:][:len(cols)]
+		for ox, fx := range cols {
+			dst[ox] = src[fx]
 		}
 	}
 }
@@ -185,7 +232,8 @@ func scale(i, n, m int) int {
 	return j
 }
 
-func (g Geometry) checkFrame(f *video.Frame) {
+// CheckFrame panics if f does not have the geometry's frame size.
+func (g Geometry) CheckFrame(f *video.Frame) {
 	if f.W != g.C || f.H != g.R {
 		panic(fmt.Sprintf("region: frame %dx%d does not match geometry %dx%d", f.W, f.H, g.C, g.R))
 	}

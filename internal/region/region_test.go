@@ -261,6 +261,55 @@ func TestGeometryVariousSizes(t *testing.T) {
 	}
 }
 
+// TestSamplingMapsMatchStripToFrame: the precomputed maps name, for
+// every TBA and FOA pixel, the frame pixel that stripToFrame and scale
+// give for it, and every such pixel lies inside the frame and in its
+// own area.
+func TestSamplingMapsMatchStripToFrame(t *testing.T) {
+	for _, size := range [][2]int{{20, 15}, {64, 48}, {160, 120}, {161, 121}, {320, 240}} {
+		for _, frac := range []float64{0.05, 0.10, 0.30} {
+			g, err := NewWithBorderFrac(size[0], size[1], frac)
+			if err != nil {
+				t.Fatalf("%dx%d frac %v: %v", size[0], size[1], frac, err)
+			}
+			tba := g.TBAIndex()
+			if len(tba) != g.W*g.L {
+				t.Fatalf("%s: TBA map has %d entries, want %d", g, len(tba), g.W*g.L)
+			}
+			for ty := 0; ty < g.W; ty++ {
+				for tx := 0; tx < g.L; tx++ {
+					fx, fy := g.stripToFrame(scale(tx, g.L, g.LPrime), scale(ty, g.W, g.WPrime))
+					if got, want := tba[ty*g.L+tx], int32(fy*g.C+fx); got != want {
+						t.Fatalf("%s: TBA map at (%d,%d) = %d, want %d", g, tx, ty, got, want)
+					}
+					if !g.InFBA(fx, fy) {
+						t.Fatalf("%s: TBA pixel (%d,%d) samples (%d,%d) outside the FBA", g, tx, ty, fx, fy)
+					}
+				}
+			}
+			cols, rows := g.FOAIndex()
+			if len(cols) != g.B || len(rows) != g.H {
+				t.Fatalf("%s: FOA maps %d×%d, want %d×%d", g, len(cols), len(rows), g.B, g.H)
+			}
+			for ox, fx := range cols {
+				if want := g.WPrime + scale(ox, g.B, g.BPrime); int(fx) != want {
+					t.Fatalf("%s: FOA column %d = %d, want %d", g, ox, fx, want)
+				}
+			}
+			for oy, fy := range rows {
+				if want := g.WPrime + scale(oy, g.H, g.HPrime); int(fy) != want {
+					t.Fatalf("%s: FOA row %d = %d, want %d", g, oy, fy, want)
+				}
+				for _, fx := range cols {
+					if !g.InFOA(int(fx), int(fy)) {
+						t.Fatalf("%s: FOA samples (%d,%d) outside the FOA", g, fx, fy)
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkTBA160x120(b *testing.B) {
 	g, _ := New(160, 120)
 	f := video.NewFrame(160, 120)
