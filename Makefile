@@ -32,14 +32,15 @@ test-race:
 # concurrency and equivalence suites — the flake-hunting profile CI
 # runs on every push (see docs/QUERYPATH.md) — then the node edge's
 # timeout, inflight-cap, hangup and panic suites, then the
-# coordinator's probe and staleness suites, then the reshard suites
+# coordinator's probe and staleness suites beside the replica server's
+# wiring and the metrics exposition contract, then the reshard suites
 # twenty times with and without the race detector, then the journal's
 # recovery, replay and rotation suites: their bugs are
 # schedule-dependent, and one green run proves nothing.
 stress:
 	$(GO) test -race -run 'Concurrent|Cache|Equivalence' -count=5 ./internal/core/ ./internal/varindex/
 	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 ./internal/server/
-	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads' -count=20 ./internal/cluster/
+	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -race -run 'Reshard' -count=20 -timeout 60m ./internal/cluster/
 	$(GO) test -race -run 'Journal|Recover|Replay|Rotate' -count=20 ./internal/wal/

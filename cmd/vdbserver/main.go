@@ -190,10 +190,7 @@ func main() {
 		replica = cluster.StartReplica(db, *replicaOf,
 			cluster.WithReplicaInterval(*replIvl),
 			cluster.WithReplicaLogger(logger))
-		opts = append(opts,
-			server.WithReadOnly("replica of "+*replicaOf),
-			server.WithHealthInfo(replica.HealthInfo),
-			server.WithExtraMetrics(replica.Metrics))
+		opts = append(opts, server.WithReplica(replica))
 	} else {
 		// The store already recovered and installed its WAL; the server
 		// needs the handles for flushing, replication, metrics and health.

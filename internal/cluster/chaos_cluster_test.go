@@ -53,7 +53,7 @@ func TestPartialUnderInjectedLatency(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 
-	var resp QueryResponseJSON
+	var resp server.QueryResponseJSON
 	start := time.Now()
 	code, hdr := getJSON(t, front.URL+"/api/query?varba=25&varoa=4", &resp)
 	if code != http.StatusOK {
@@ -105,7 +105,7 @@ func TestHedgeWinsBackSlowShard(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 
-	var resp QueryResponseJSON
+	var resp server.QueryResponseJSON
 	start := time.Now()
 	code, _ := getJSON(t, front.URL+"/api/query?varba=25&varoa=4", &resp)
 	if code != http.StatusOK {
@@ -148,7 +148,7 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 
 	const queries = 80
 	for i := 0; i < queries; i++ {
-		var resp QueryResponseJSON
+		var resp server.QueryResponseJSON
 		code, _ := getJSON(t, front.URL+"/api/query?varba=25&varoa=4", &resp)
 		if code != http.StatusOK {
 			t.Fatalf("query %d answered %d with one healthy shard, want 200 partial", i, code)

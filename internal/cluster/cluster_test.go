@@ -158,7 +158,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 			if code, _ := getJSON(t, single.URL+q, &want); code != http.StatusOK {
 				t.Fatalf("single node: status %d for %s", code, q)
 			}
-			var got QueryResponseJSON
+			var got server.QueryResponseJSON
 			code, hdr := getJSON(t, tc.front.URL+q, &got)
 			if code != http.StatusOK {
 				t.Fatalf("k=%d: coordinator status %d for %s", k, code, q)
@@ -212,7 +212,7 @@ func TestBatchEquivalence(t *testing.T) {
 	if code := post(single.URL+"/api/query/batch", &want); code != http.StatusOK {
 		t.Fatalf("single node batch: status %d", code)
 	}
-	var got BatchResponseJSON
+	var got server.BatchResponseJSON
 	if code := post(tc.front.URL+"/api/query/batch", &got); code != http.StatusOK {
 		t.Fatalf("coordinator batch: status %d", code)
 	}
@@ -297,7 +297,7 @@ func TestBatchShortShardAnswerIsPartial(t *testing.T) {
 		}
 		return resp.StatusCode, resp.Header
 	}
-	var got BatchResponseJSON
+	var got server.BatchResponseJSON
 	code, hdr := post(front.URL, &got)
 	if code != http.StatusOK {
 		t.Fatalf("coordinator batch: status %d, want 200", code)
@@ -382,6 +382,14 @@ func TestClipRouting(t *testing.T) {
 	}
 }
 
+// sharedDB is the replication source of a read-only server over its
+// primary's own database: it has no stream of its own to report.
+type sharedDB struct{ primary string }
+
+func (r sharedDB) Stats() server.ReplicationStatus {
+	return server.ReplicationStatus{Primary: r.primary, LagBytes: -1}
+}
+
 // TestSimilarKBeyondNeighbours: through the coordinator a k far beyond
 // the neighbour count is a routed read that answers 200 with every
 // neighbour. When the node sized its answer by k, the request killed the
@@ -398,7 +406,7 @@ func TestSimilarKBeyondNeighbours(t *testing.T) {
 		// shard down.
 		primary := httptest.NewServer(server.New(db).Handler())
 		t.Cleanup(primary.Close)
-		replica := httptest.NewServer(server.New(db, server.WithReadOnly("replica")).Handler())
+		replica := httptest.NewServer(server.New(db, server.WithReplica(sharedDB{primary.URL})).Handler())
 		t.Cleanup(replica.Close)
 		cfg.Shards = append(cfg.Shards, ShardConfig{Primary: primary.URL, Replicas: []string{replica.URL}})
 	}
@@ -444,7 +452,7 @@ func TestSimilarKBeyondNeighbours(t *testing.T) {
 			}
 		}
 	}
-	var resp QueryResponseJSON
+	var resp server.QueryResponseJSON
 	if code, _ := getJSON(t, front.URL+"/api/query?varba=25&varoa=4", &resp); code != http.StatusOK || resp.Partial {
 		t.Errorf("query after the request: status %d partial %v, want a full 200", code, resp.Partial)
 	}
@@ -458,7 +466,7 @@ func TestShardDownPartial(t *testing.T) {
 	tc := newTestCluster(t, 3, clips)
 	tc.backends[1].Close() // kill shard 1
 
-	var got QueryResponseJSON
+	var got server.QueryResponseJSON
 	code, hdr := getJSON(t, tc.front.URL+"/api/query?varba=25&varoa=25", &got)
 	if code != http.StatusOK {
 		t.Fatalf("query with a dead shard: status %d, want 200", code)

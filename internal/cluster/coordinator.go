@@ -524,15 +524,6 @@ func scatter[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, meth
 	return parts, partial, true
 }
 
-// QueryResponseJSON is the coordinator's GET /api/query answer: the
-// merged matches plus the partial marker. (A single node returns the
-// bare match array; the coordinator wraps it because "who answered" is
-// meaningful only behind a scatter.)
-type QueryResponseJSON struct {
-	Matches []server.MatchJSON `json:"matches"`
-	Partial bool               `json:"partial"`
-}
-
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The shards apply their own default tolerances to the forwarded
 	// query string; the defaults here only complete the validation.
@@ -548,13 +539,6 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	c.metrics.queries.Add(1)
 	merged := [][]server.RawMatch{mergeMatches(q, parts)}
 	server.WriteJSONBody(w, relayAnswer(`{"matches":`, merged, "", partial))
-}
-
-// BatchResponseJSON is the coordinator's POST /api/query/batch answer:
-// the single-node shape plus the partial marker.
-type BatchResponseJSON struct {
-	Results [][]server.MatchJSON `json:"results"`
-	Partial bool                 `json:"partial"`
 }
 
 func (c *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {

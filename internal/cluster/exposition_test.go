@@ -225,11 +225,7 @@ func TestExpositionContract(t *testing.T) {
 	rdb := newDB(t)
 	rep := StartReplica(rdb, primary.URL, WithReplicaInterval(20*time.Millisecond))
 	t.Cleanup(rep.Close)
-	replica := httptest.NewServer(server.New(rdb,
-		server.WithReadOnly("replica of "+primary.URL),
-		server.WithHealthInfo(rep.HealthInfo),
-		server.WithExtraMetrics(rep.Metrics),
-	).Handler())
+	replica := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
 	t.Cleanup(replica.Close)
 
 	coord, err := New(Config{

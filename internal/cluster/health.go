@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"videodb/internal/obs"
+	"videodb/internal/server"
 )
 
 // node is one backend process — a shard primary or one of its read
@@ -27,12 +28,14 @@ type node struct {
 	up      bool
 	fails   int
 	lastErr string
-	health  map[string]any // last /api/health document
+	health  server.HealthJSON // last /api/health document
 	// probeStart is when the probe whose result the node holds started.
 	probeStart time.Time
 }
 
-func (n *node) markUp(doc map[string]any) {
+// markUp records a successful exchange with the node; doc, when not
+// nil, replaces its health document.
+func (n *node) markUp(doc *server.HealthJSON) {
 	n.mu.Lock()
 	n.set(doc, nil)
 	n.mu.Unlock()
@@ -50,7 +53,7 @@ func (n *node) markDown(err error) {
 // — and an older answer must never overwrite a newer one: it could
 // hand a replica reads across a journal rotation the coordinator has
 // already seen.
-func (n *node) probed(start time.Time, doc map[string]any, err error) {
+func (n *node) probed(start time.Time, doc *server.HealthJSON, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if start.Before(n.probeStart) {
@@ -62,7 +65,7 @@ func (n *node) probed(start time.Time, doc map[string]any, err error) {
 
 // set records one observation: up (keeping the last health document
 // when doc is nil) if err is nil, down otherwise. n.mu must be held.
-func (n *node) set(doc map[string]any, err error) {
+func (n *node) set(doc *server.HealthJSON, err error) {
 	n.up = err == nil
 	if err != nil {
 		n.fails++
@@ -71,7 +74,7 @@ func (n *node) set(doc map[string]any, err error) {
 	}
 	n.fails, n.lastErr = 0, ""
 	if doc != nil {
-		n.health = doc
+		n.health = *doc
 	}
 }
 
@@ -96,20 +99,12 @@ func (n *node) snapshot() (up bool, fails int, lastErr string) {
 	return n.up, n.fails, n.lastErr
 }
 
-// healthValue reads one numeric field of the node's last health doc.
-func (n *node) healthValue(key string) (float64, bool) {
+// healthDoc returns the node's last health document. Its embedded
+// parts are shared, never written: each probe decodes a new document.
+func (n *node) healthDoc() server.HealthJSON {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.health[key].(float64)
-	return v, ok
-}
-
-// healthString reads one string field of the node's last health doc.
-func (n *node) healthString(key string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v, ok := n.health[key].(string)
-	return v, ok
+	return n.health
 }
 
 // shard is one partition of the corpus: a primary plus any read
@@ -146,25 +141,18 @@ func (sh *shard) primary() *node { return sh.nodes[0] }
 // replicaLag returns replica n's byte lag behind the shard's primary,
 // computed from the most recent health observations: the primary's
 // journal size minus the replica's applied cut. ok is false when the
-// lag is unknowable — either node's health doc is missing the fields,
-// or the two report different journal generations (the primary rotated
+// lag is unknowable — the primary reports no journal generation, the
+// replica no stream generation, or the two differ (the primary rotated
 // or restarted and the replica has not re-bootstrapped yet, when
 // comparing offsets is meaningless). A negative difference clamps to
 // zero: the two docs are sampled at different instants, so a replica
 // can appear momentarily ahead.
 func (sh *shard) replicaLag(n *node) (int64, bool) {
-	primarySize, sizeOK := sh.primary().healthValue("walSize")
-	primaryGen, genOK := sh.primary().healthString("walGen")
-	cut, cutOK := n.healthValue("replicationCut")
-	gen, rgenOK := n.healthString("replicationGen")
-	if !sizeOK || !genOK || !cutOK || !rgenOK || gen != primaryGen {
+	p, r := sh.primary().healthDoc(), n.healthDoc()
+	if p.JournalHealth == nil || r.ReplicationStatus == nil || p.WalGen == "" || r.Gen != p.WalGen {
 		return -1, false
 	}
-	lag := int64(primarySize - cut)
-	if lag < 0 {
-		lag = 0
-	}
-	return lag, true
+	return max(p.WalSize-r.Cut, 0), true
 }
 
 // eligibleForRead reports whether replica n may serve a rotated
@@ -276,7 +264,7 @@ func (c *Coordinator) probe(ctx context.Context, n *node) {
 }
 
 // fetchHealth fetches and decodes one node's /api/health document.
-func (c *Coordinator) fetchHealth(ctx context.Context, url string) (map[string]any, error) {
+func (c *Coordinator) fetchHealth(ctx context.Context, url string) (*server.HealthJSON, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/health", nil)
@@ -292,11 +280,11 @@ func (c *Coordinator) fetchHealth(ctx context.Context, url string) (map[string]a
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("health probe: status %d: %v", resp.StatusCode, err)
 	}
-	var doc map[string]any
+	var doc server.HealthJSON
 	if err := json.Unmarshal(body, &doc); err != nil {
 		return nil, fmt.Errorf("health probe: %w", err)
 	}
-	return doc, nil
+	return &doc, nil
 }
 
 func (c *Coordinator) probeTimeout() time.Duration {
@@ -343,13 +331,13 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 
 // NodeStatus is one backend's health in the cluster status document.
 type NodeStatus struct {
-	URL       string  `json:"url"`
-	Role      string  `json:"role"` // "primary" or "replica"
-	Up        bool    `json:"up"`
-	Fails     int     `json:"fails,omitempty"`
-	LastError string  `json:"lastError,omitempty"`
-	Clips     float64 `json:"clips,omitempty"`
-	Epoch     float64 `json:"epoch,omitempty"`
+	URL       string `json:"url"`
+	Role      string `json:"role"` // "primary" or "replica"
+	Up        bool   `json:"up"`
+	Fails     int    `json:"fails,omitempty"`
+	LastError string `json:"lastError,omitempty"`
+	Clips     int    `json:"clips,omitempty"`
+	Epoch     uint64 `json:"epoch,omitempty"`
 	// LagBytes is a replica's journal byte lag behind its primary
 	// (primary walSize minus the replica's applied cut), -1 when it
 	// cannot be computed (node down, generations diverged mid-resync).
@@ -414,13 +402,8 @@ func (c *Coordinator) status() StatusJSON {
 		ss.ReplicaReads = sh.replicaReads.Load()
 		for _, n := range sh.nodes {
 			up, fails, lastErr := n.snapshot()
-			ns := NodeStatus{URL: n.url, Role: n.role(), Up: up, Fails: fails, LastError: lastErr}
-			if v, ok := n.healthValue("clips"); ok {
-				ns.Clips = v
-			}
-			if v, ok := n.healthValue("epoch"); ok {
-				ns.Epoch = v
-			}
+			h := n.healthDoc()
+			ns := NodeStatus{URL: n.url, Role: n.role(), Up: up, Fails: fails, LastError: lastErr, Clips: h.Clips, Epoch: h.Epoch}
 			if n.replica {
 				ns.LagBytes = -1
 				if lag, ok := sh.replicaLag(n); up && ok {

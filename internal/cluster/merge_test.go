@@ -195,7 +195,7 @@ func checkMergeEquivalence(t *testing.T, data []byte) {
 	singleBody, singleListing := answer(t, l.union, l.q, l.opt)
 	single := decodeMatches(t, singleBody)
 
-	var relayed QueryResponseJSON
+	var relayed server.QueryResponseJSON
 	if err := json.Unmarshal(relayAnswer(`{"matches":`, [][]server.RawMatch{mergeMatches(l.q, rawParts)}, "", false), &relayed); err != nil {
 		t.Fatal(err)
 	}

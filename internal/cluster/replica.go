@@ -96,66 +96,19 @@ func (r *Replica) Close() {
 	r.client.CloseIdleConnections()
 }
 
-// ReplicaStats is a snapshot of the replication progress.
-type ReplicaStats struct {
-	// Cut is the next journal offset the replica will request; every
-	// record before it has been applied.
-	Cut int64
-	// Gen is the journal generation Cut belongs to ("" before the
-	// first successful bootstrap).
-	Gen string
-	// LagBytes is Cut's distance behind the primary's journal size as
-	// of the last poll — 0 means caught up, -1 unknown (no stream
-	// position: never bootstrapped, or re-bootstrapping).
-	LagBytes int64
-	// Applied is the count of records replayed since start.
-	Applied int64
-	// Bootstraps counts full snapshot bootstraps; 1 is the clean
-	// start, more means the stream had to re-converge.
-	Bootstraps int64
-	// LastError is the most recent replication error ("" when the last
-	// step succeeded).
-	LastError string
-}
-
-// Stats returns the current replication progress.
-func (r *Replica) Stats() ReplicaStats {
+// Stats returns the current replication progress; it is the
+// server.Replication a replica's server is built with (server.WithReplica).
+func (r *Replica) Stats() server.ReplicationStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lag := int64(-1)
 	if r.gen != "" {
 		lag = max(r.primarySize-r.cut, 0)
 	}
-	return ReplicaStats{
-		Cut: r.cut, Gen: r.gen, LagBytes: lag,
+	return server.ReplicationStatus{
+		Cut: r.cut, Gen: r.gen, LagBytes: lag, Primary: r.primary,
 		Applied: r.applied, Bootstraps: r.bootstraps, LastError: r.lastErr,
 	}
-}
-
-// HealthInfo extends a server's /api/health document with replication
-// progress (install via server.WithHealthInfo). The coordinator's
-// status endpoint reads replicationCut and replicationGen to compute
-// this replica's lag against its primary.
-func (r *Replica) HealthInfo(doc map[string]any) {
-	st := r.Stats()
-	doc["replicationPrimary"] = r.primary
-	doc["replicationCut"] = st.Cut
-	doc["replicationGen"] = st.Gen
-	doc["replicationLagBytes"] = st.LagBytes
-	doc["replicationBootstraps"] = st.Bootstraps
-	if st.LastError != "" {
-		doc["replicationError"] = st.LastError
-	}
-}
-
-// Metrics extends a server's /api/metrics with replication counters
-// and gauges (install via server.WithExtraMetrics).
-func (r *Replica) Metrics(counters, gauges map[string]float64) {
-	st := r.Stats()
-	counters["videodb_replica_applied_records_total"] = float64(st.Applied)
-	counters["videodb_replica_bootstraps_total"] = float64(st.Bootstraps)
-	gauges["videodb_replica_lag_bytes"] = float64(st.LagBytes)
-	gauges["videodb_replica_cut"] = float64(st.Cut)
 }
 
 // loop drives the replication: bootstrap until one succeeds, then tail

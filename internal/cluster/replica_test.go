@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,22 +125,32 @@ func TestReplicaLagUnknownWithoutStream(t *testing.T) {
 		http.Error(w, "unavailable", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(down.Close)
-	rep := StartReplica(newDB(t), down.URL, WithReplicaInterval(10*time.Millisecond))
+	rdb := newDB(t)
+	rep := StartReplica(rdb, down.URL, WithReplicaInterval(10*time.Millisecond))
 	defer rep.Close()
+	rts := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
+	defer rts.Close()
 	waitFor(t, "a failed bootstrap", func() bool { return rep.Stats().LastError != "" })
 
 	if st := rep.Stats(); st.LagBytes != -1 || st.Gen != "" {
 		t.Fatalf("replica without a stream reports lag %d (gen %q), want -1", st.LagBytes, st.Gen)
 	}
-	doc := map[string]any{}
-	rep.HealthInfo(doc)
-	if got := doc["replicationLagBytes"]; got != int64(-1) {
-		t.Errorf("health replicationLagBytes = %v, want -1", got)
+	var doc server.HealthJSON
+	getJSON(t, rts.URL+"/api/health", &doc)
+	if doc.ReplicationStatus == nil || doc.LagBytes != -1 {
+		t.Errorf("health replicationLagBytes = %+v, want -1", doc.ReplicationStatus)
 	}
-	counters, gauges := map[string]float64{}, map[string]float64{}
-	rep.Metrics(counters, gauges)
-	if got := gauges["videodb_replica_lag_bytes"]; got != -1 {
-		t.Errorf("videodb_replica_lag_bytes = %v, want -1", got)
+	resp, err := http.Get(rts.URL + "/api/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\nvideodb_replica_lag_bytes -1\n") {
+		t.Errorf("videodb_replica_lag_bytes is not -1 in:\n%s", metrics)
 	}
 }
 
@@ -178,8 +190,8 @@ func TestReplicaSurvivesRotation(t *testing.T) {
 }
 
 // TestReplicaServerReadOnly runs the replica behind the full vdbserver
-// wiring (read-only server + health hook) and checks writes are
-// refused while reads and health flow.
+// wiring (server.WithReplica) and checks writes are refused while reads
+// and health flow.
 func TestReplicaServerReadOnly(t *testing.T) {
 	db, _, ts := newPrimary(t)
 	if _, err := db.Ingest(makeClips(t, 1)[0]); err != nil {
@@ -188,11 +200,7 @@ func TestReplicaServerReadOnly(t *testing.T) {
 	rdb := newDB(t)
 	rep := StartReplica(rdb, ts.URL, WithReplicaInterval(20*time.Millisecond))
 	defer rep.Close()
-	rts := httptest.NewServer(server.New(rdb,
-		server.WithReadOnly("replica of "+ts.URL),
-		server.WithHealthInfo(rep.HealthInfo),
-		server.WithExtraMetrics(rep.Metrics),
-	).Handler())
+	rts := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
 	defer rts.Close()
 	waitFor(t, "replica catch-up", func() bool { return len(rdb.Clips()) == 1 })
 
@@ -236,10 +244,7 @@ func TestReplicaPromotionOnPrimaryDeath(t *testing.T) {
 	rdb := newDB(t)
 	rep := StartReplica(rdb, ts.URL, WithReplicaInterval(20*time.Millisecond))
 	defer rep.Close()
-	rts := httptest.NewServer(server.New(rdb,
-		server.WithReadOnly("replica of "+ts.URL),
-		server.WithHealthInfo(rep.HealthInfo),
-	).Handler())
+	rts := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
 	defer rts.Close()
 	waitFor(t, "replica catch-up", func() bool {
 		return len(rdb.Clips()) == len(clips) && rep.Stats().LagBytes == 0
@@ -257,13 +262,13 @@ func TestReplicaPromotionOnPrimaryDeath(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	defer front.Close()
 
-	var before QueryResponseJSON
+	var before server.QueryResponseJSON
 	if code, _ := getJSON(t, front.URL+"/api/query?varba=25&varoa=25", &before); code != http.StatusOK {
 		t.Fatalf("query before failover: status %d", code)
 	}
 
 	ts.Close() // primary dies
-	var after QueryResponseJSON
+	var after server.QueryResponseJSON
 	code, hdr := getJSON(t, front.URL+"/api/query?varba=25&varoa=25", &after)
 	if code != http.StatusOK {
 		t.Fatalf("query after primary death: status %d, want 200 via replica", code)

@@ -58,7 +58,7 @@ func assertEquivalence(t *testing.T, front, oracle string, union *core.Database,
 		if code, _ := getJSON(t, oracle+q, &want); code != http.StatusOK {
 			t.Fatalf("%s: oracle status %d for %s", when, code, q)
 		}
-		var got QueryResponseJSON
+		var got server.QueryResponseJSON
 		code, _ := getJSON(t, front+q, &got)
 		if code != http.StatusOK {
 			t.Fatalf("%s: coordinator status %d for %s", when, code, q)
@@ -140,7 +140,7 @@ func TestReshardGrowEquivalence(t *testing.T) {
 					loadErr <- fmt.Errorf("querier %d: %w", w, err)
 					return
 				}
-				var got QueryResponseJSON
+				var got server.QueryResponseJSON
 				err = json.NewDecoder(resp.Body).Decode(&got)
 				resp.Body.Close()
 				if err != nil {

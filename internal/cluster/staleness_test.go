@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"videodb/internal/server"
 )
 
 // fakeBackend is a stub shard node: a mutable /api/health document and
@@ -18,12 +20,12 @@ import (
 // It lets staleness tests dial lag, generation, and liveness exactly.
 type fakeBackend struct {
 	mu      sync.Mutex
-	doc     map[string]any
+	doc     server.HealthJSON
 	queries atomic.Int64
 	ts      *httptest.Server
 }
 
-func newFakeBackend(t *testing.T, doc map[string]any) *fakeBackend {
+func newFakeBackend(t *testing.T, doc server.HealthJSON) *fakeBackend {
 	t.Helper()
 	fb := &fakeBackend{doc: doc}
 	mux := http.NewServeMux()
@@ -43,7 +45,7 @@ func newFakeBackend(t *testing.T, doc map[string]any) *fakeBackend {
 	return fb
 }
 
-func (fb *fakeBackend) setDoc(doc map[string]any) {
+func (fb *fakeBackend) setDoc(doc server.HealthJSON) {
 	fb.mu.Lock()
 	fb.doc = doc
 	fb.mu.Unlock()
@@ -58,12 +60,12 @@ func testContext(t *testing.T) context.Context {
 
 // primaryDoc/replicaDoc build the health-document fields the lag
 // computation reads, in the shape the real server emits.
-func primaryDoc(walSize int64, gen string) map[string]any {
-	return map[string]any{"walSize": float64(walSize), "walGen": gen}
+func primaryDoc(walSize int64, gen string) server.HealthJSON {
+	return server.HealthJSON{JournalHealth: &server.JournalHealth{WalSize: walSize, WalGen: gen}}
 }
 
-func replicaDoc(cut int64, gen string) map[string]any {
-	return map[string]any{"replicationCut": float64(cut), "replicationGen": gen}
+func replicaDoc(cut int64, gen string) server.HealthJSON {
+	return server.HealthJSON{ReplicationStatus: &server.ReplicationStatus{Cut: cut, Gen: gen}}
 }
 
 // newStalenessCluster is one shard (primary + one replica, both fake)
@@ -99,8 +101,8 @@ func TestReplicaLagGate(t *testing.T) {
 	const bound = 100
 	cases := []struct {
 		name     string
-		primary  map[string]any
-		replica  map[string]any
+		primary  server.HealthJSON
+		replica  server.HealthJSON
 		down     bool
 		eligible bool
 	}{
@@ -111,19 +113,19 @@ func TestReplicaLagGate(t *testing.T) {
 		{"far behind", primaryDoc(1000, "g1"), replicaDoc(0, "g1"), false, false},
 		{"generation bumped", primaryDoc(1000, "g2"), replicaDoc(1000, "g1"), false, false},
 		{"replica ahead clamps", primaryDoc(1000, "g1"), replicaDoc(1200, "g1"), false, true},
-		{"primary doc missing fields", map[string]any{}, replicaDoc(1000, "g1"), false, false},
-		{"replica doc missing fields", primaryDoc(1000, "g1"), map[string]any{}, false, false},
+		{"primary doc missing fields", server.HealthJSON{}, replicaDoc(1000, "g1"), false, false},
+		{"replica doc missing fields", primaryDoc(1000, "g1"), server.HealthJSON{}, false, false},
 		{"replica down", primaryDoc(1000, "g1"), replicaDoc(1000, "g1"), true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sh := newShard(0, ShardConfig{Primary: "http://p", Replicas: []string{"http://r"}})
-			sh.primary().markUp(tc.primary)
+			sh.primary().markUp(&tc.primary)
 			rep := sh.nodes[1]
 			if tc.down {
 				rep.markDown(fmt.Errorf("test: down"))
 			} else {
-				rep.markUp(tc.replica)
+				rep.markUp(&tc.replica)
 			}
 			if got := sh.eligibleForRead(rep, bound); got != tc.eligible {
 				lag, ok := sh.replicaLag(rep)
@@ -324,7 +326,7 @@ func TestOlderProbeNeverOverwritesNewer(t *testing.T) {
 	close(release)
 	<-older
 
-	if gen, _ := n.healthString("walGen"); gen != "g2" {
+	if gen := n.healthDoc().WalGen; gen != "g2" {
 		t.Fatalf("node holds walGen %q after the older probe finished, want the newer probe's g2", gen)
 	}
 	if !n.isUp() {

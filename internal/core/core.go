@@ -176,7 +176,17 @@ type Database struct {
 	// store is the segment-store publication state (flush.go); zero
 	// until ApplySegmentBase enables it.
 	store storeState
+	// analyzers holds one feature analyzer per frame size, so clips of
+	// one size share its sampling maps and pooled reducers; anMu
+	// guards it. At most maxAnalyzers sizes are kept.
+	anMu      sync.Mutex
+	analyzers map[[2]int]*feature.Analyzer
 }
+
+// maxAnalyzers bounds the analyzers a database keeps: frame sizes come
+// from uploads, and a clip of a size beyond the bound gets an analyzer
+// of its own.
+const maxAnalyzers = 8
 
 // Open creates an empty database with the given options, adjusted by
 // any OpenOptions.
@@ -200,9 +210,10 @@ func Open(opts Options, extra ...OpenOption) (*Database, error) {
 		return nil, fmt.Errorf("core: negative query cache size %d", opts.QueryCache)
 	}
 	db := &Database{
-		opts:     opts,
-		cache:    newQueryCache(opts.QueryCache),
-		reserved: make(map[string]struct{}),
+		opts:      opts,
+		cache:     newQueryCache(opts.QueryCache),
+		reserved:  make(map[string]struct{}),
+		analyzers: make(map[[2]int]*feature.Analyzer),
 	}
 	db.view.Store(emptyView())
 	return db, nil
@@ -294,7 +305,28 @@ func (db *Database) reserve(name string) error {
 	return nil
 }
 
-// analyze runs steps 1–3 for one clip without touching shared state.
+// analyzer returns the database's analyzer for w×h frames, building
+// it on the first clip of that size. feature.Analyzer is safe for
+// concurrent use, so concurrent ingests share it.
+func (db *Database) analyzer(w, h int) (*feature.Analyzer, error) {
+	key := [2]int{w, h}
+	db.anMu.Lock()
+	defer db.anMu.Unlock()
+	if an, ok := db.analyzers[key]; ok {
+		return an, nil
+	}
+	an, err := feature.NewAnalyzer(w, h)
+	if err != nil {
+		return nil, err
+	}
+	if len(db.analyzers) < maxAnalyzers {
+		db.analyzers[key] = an
+	}
+	return an, nil
+}
+
+// analyze runs steps 1–3 for one clip, touching no shared state but
+// the analyzer cache.
 //
 // Step 1 is the two-phase pipeline: a bounded worker pool
 // (Options.Workers, 0 meaning GOMAXPROCS) fans the per-frame reduction
@@ -311,7 +343,7 @@ func (db *Database) analyze(ctx context.Context, clip *video.Clip) (*ClipRecord,
 	if clip.Name == "" {
 		return nil, nil, fmt.Errorf("core: clip has no name")
 	}
-	an, err := feature.NewAnalyzer(clip.Frames[0].W, clip.Frames[0].H)
+	an, err := db.analyzer(clip.Frames[0].W, clip.Frames[0].H)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: clip %q: %w", clip.Name, err)
 	}

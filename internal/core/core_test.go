@@ -8,6 +8,7 @@ import (
 	"videodb/internal/synth"
 	"videodb/internal/varindex"
 	"videodb/internal/video"
+	"videodb/internal/vtest"
 )
 
 // corpusClip generates a small multi-shot clip with location revisits.
@@ -132,6 +133,34 @@ func TestIngestAllConcurrent(t *testing.T) {
 	}
 	if got := db.Clips(); len(got) != 4 {
 		t.Fatalf("ingested %d clips, want 4: %v", len(got), got)
+	}
+}
+
+// TestClipsOfOneSizeShareAnalyzer: every clip of one frame size is
+// analyzed by one analyzer, so its sampling maps and pooled reducers
+// are built once per size, not once per clip; and uploads of ever new
+// sizes keep at most maxAnalyzers of them.
+func TestClipsOfOneSizeShareAnalyzer(t *testing.T) {
+	db := openDB(t)
+	for i, name := range []string{"a", "b"} {
+		if _, err := db.Ingest(vtest.TwoShotClip(name, uint64(2*i+1), uint64(2*i+2), 8, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := db.analyzers[[2]int{160, 120}]
+	if len(db.analyzers) != 1 || shared == nil {
+		t.Fatalf("two 160x120 clips left %d analyzers", len(db.analyzers))
+	}
+	if an, err := db.analyzer(160, 120); err != nil || an != shared {
+		t.Fatalf("analyzer(160, 120) = %p, %v; want the shared %p", an, err, shared)
+	}
+	for w := 161; w <= 160+maxAnalyzers; w++ {
+		if an, err := db.analyzer(w, 120); err != nil || an == nil || an == shared {
+			t.Fatalf("analyzer(%d, 120) = %p, %v", w, an, err)
+		}
+	}
+	if len(db.analyzers) != maxAnalyzers {
+		t.Fatalf("kept %d analyzers, want the bound %d", len(db.analyzers), maxAnalyzers)
 	}
 }
 

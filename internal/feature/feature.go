@@ -111,18 +111,6 @@ func (a *Analyzer) AnalyzeClip(c *video.Clip) []FrameFeature {
 	return out
 }
 
-// AnalyzeClipParallel is AnalyzeClip spread over the given number of
-// workers (0 = GOMAXPROCS). Frames are independent, so the result is
-// identical to AnalyzeClip; on multicore machines ingest becomes
-// analysis-bound rather than core-bound.
-func (a *Analyzer) AnalyzeClipParallel(c *video.Clip, workers int) []FrameFeature {
-	out := make([]FrameFeature, len(c.Frames))
-	// Background context: the stream can only fail on cancellation.
-	_ = a.AnalyzeClipStream(context.Background(), c, workers,
-		func(i int, ff FrameFeature) { out[i] = ff })
-	return out
-}
-
 // frameResult carries one analyzed frame from a worker to the ordered
 // consumer.
 type frameResult struct {

@@ -35,12 +35,6 @@ type BatchRequestJSON struct {
 	Beta    *float64         `json:"beta,omitempty"`
 }
 
-// BatchResponseJSON is the shape of the POST /api/query/batch answer,
-// one match slice per query in request order, written by AppendMatches.
-type BatchResponseJSON struct {
-	Results [][]MatchJSON `json:"results"`
-}
-
 // toQuery validates one batch entry and converts it to an index query.
 func (b BatchQueryJSON) toQuery(i int) (varindex.Query, error) {
 	if b.Impression != "" {

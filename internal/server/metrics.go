@@ -212,6 +212,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, routes []*routeStats) {
 		gauges["videodb_admission_waiting"] = float64(st.Waiting)
 		gauges["videodb_admission_clients"] = float64(st.Clients)
 	}
+	if s.replica != nil {
+		st := s.replica.Stats()
+		counters["videodb_replica_applied_records_total"] = float64(st.Applied)
+		counters["videodb_replica_bootstraps_total"] = float64(st.Bootstraps)
+		gauges["videodb_replica_lag_bytes"] = float64(st.LagBytes)
+		gauges["videodb_replica_cut"] = float64(st.Cut)
+	}
 	for _, extra := range s.extraMetrics {
 		extra(counters, gauges)
 	}

@@ -44,33 +44,94 @@ const (
 // catches up over several polls instead of one unbounded body.
 const walChunkLimit = 4 << 20
 
-// WithReadOnly marks the server a read replica: mutating endpoints
-// (ingest, delete, snapshot) answer 403 naming the primary, because a
-// replica's state is owned by its replication stream — a local write
-// would fork it. reason appears in the refusal and in /api/health.
-func WithReadOnly(reason string) Option { return func(s *Server) { s.readOnly = reason } }
+// Replication is a read replica's progress source: cluster.Replica,
+// which owns the stream the replica's state arrives through.
+type Replication interface {
+	Stats() ReplicationStatus
+}
 
-// WithHealthInfo registers a hook that extends the GET /api/health
-// document — vdbserver's replica mode adds its replication cut, lag
-// and bootstrap counters here so the coordinator can read lag straight
-// off the probe it already makes.
-func WithHealthInfo(fn func(map[string]any)) Option { return func(s *Server) { s.healthInfo = fn } }
+// ReplicationStatus is a snapshot of a replica's progress. Its tagged
+// fields are the replication part of the replica's /api/health
+// document, which the coordinator decodes to compute the replica's lag.
+type ReplicationStatus struct {
+	// Applied is the count of records replayed since start.
+	Applied int64 `json:"-"`
+	// Bootstraps counts full snapshot bootstraps; 1 is the clean
+	// start, more means the stream had to re-converge.
+	Bootstraps int64 `json:"replicationBootstraps"`
+	// Cut is the next journal offset the replica will request; every
+	// record before it has been applied.
+	Cut int64 `json:"replicationCut"`
+	// LastError is the most recent replication error ("" when the last
+	// step succeeded).
+	LastError string `json:"replicationError,omitempty"`
+	// Gen is the journal generation Cut belongs to ("" before the
+	// first successful bootstrap).
+	Gen string `json:"replicationGen"`
+	// LagBytes is Cut's distance behind the primary's journal size as
+	// of the last poll — 0 means caught up, -1 unknown (no stream
+	// position: never bootstrapped, or re-bootstrapping).
+	LagBytes int64 `json:"replicationLagBytes"`
+	// Primary is the URL of the node the replica follows.
+	Primary string `json:"replicationPrimary"`
+}
+
+// HealthJSON is the GET /api/health document. Fields are declared in
+// key order, so the bytes are those of the same document as a sorted
+// map. The embedded parts appear whole or not at all: the replication
+// part on a replica, the journal part on a node with a journal.
+type HealthJSON struct {
+	Clips int    `json:"clips"`
+	Epoch uint64 `json:"epoch"`
+	// ReadOnly and Role are set on a replica; Role names its primary.
+	ReadOnly bool `json:"readOnly,omitempty"`
+	*ReplicationStatus
+	Role    string         `json:"role,omitempty"`
+	Shots   int            `json:"shots"`
+	Status  string         `json:"status"`
+	Storage *StorageHealth `json:"storage,omitempty"`
+	*JournalHealth
+}
+
+// JournalHealth is the journal part of the health document: the
+// coordinator subtracts a replica's cut from WalSize to get its lag,
+// and only within one WalGen.
+type JournalHealth struct {
+	WalGen  string `json:"walGen"`
+	WalSize int64  `json:"walSize"`
+}
+
+// StorageHealth is the segment-store part of the health document.
+type StorageHealth struct {
+	ColdClips     int   `json:"coldClips"`
+	MaxGeneration int   `json:"maxGeneration"`
+	MemtableClips int   `json:"memtableClips"`
+	SegmentBytes  int64 `json:"segmentBytes"`
+	Segments      int   `json:"segments"`
+}
+
+// WithReplica makes the server a read replica fed by r: mutating
+// endpoints (ingest, delete, snapshot, import) answer 403 naming the
+// primary, because the replica's state is owned by its replication
+// stream and a local write would fork it; /api/health reports r's
+// progress and /api/metrics its videodb_replica_* series.
+func WithReplica(r Replication) Option { return func(s *Server) { s.replica = r } }
 
 // WithExtraMetrics registers a hook that adds counters and gauges to
-// GET /api/metrics at scrape time (replication lag, applied records,
-// chaos injection counts). Hooks compose: each WithExtraMetrics adds to
-// the chain rather than replacing earlier registrations.
+// GET /api/metrics at scrape time (vdbserver's chaos injection
+// counts). Hooks compose: each WithExtraMetrics adds to the chain
+// rather than replacing earlier registrations.
 func WithExtraMetrics(fn func(counters, gauges map[string]float64)) Option {
 	return func(s *Server) { s.extraMetrics = append(s.extraMetrics, fn) }
 }
 
 // refuseReadOnly answers a mutating request on a read replica.
 func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
-	if s.readOnly == "" {
+	if s.replica == nil {
 		return false
 	}
 	WriteError(w, http.StatusForbidden,
-		fmt.Errorf("read-only replica (%s): send writes to the primary", s.readOnly))
+		fmt.Errorf("read-only replica (replica of %s): send writes to the primary", s.replica.Stats().Primary))
 	return true
 }
 
@@ -80,32 +141,23 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 // journal size and generation (the coordinator subtracts a replica's
 // applied cut from the primary's size to get byte lag).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	doc := map[string]any{
-		"status": "ok",
-		"clips":  len(s.db.Clips()),
-		"shots":  s.db.ShotCount(),
-		"epoch":  s.db.Epoch(),
-	}
-	if s.readOnly != "" {
-		doc["readOnly"] = true
-		doc["role"] = s.readOnly
+	doc := HealthJSON{Status: "ok", Clips: len(s.db.Clips()), Shots: s.db.ShotCount(), Epoch: s.db.Epoch()}
+	if s.replica != nil {
+		st := s.replica.Stats()
+		doc.ReadOnly, doc.Role, doc.ReplicationStatus = true, "replica of "+st.Primary, &st
 	}
 	if s.journal != nil {
-		doc["walSize"] = s.journal.Size()
-		doc["walGen"] = s.journal.Gen()
+		doc.JournalHealth = &JournalHealth{WalGen: s.journal.Gen(), WalSize: s.journal.Size()}
 	}
 	if s.storage != nil {
 		st := s.storage.Stats()
-		doc["storage"] = map[string]any{
-			"segments":      st.Segments,
-			"segmentBytes":  st.SegmentBytes,
-			"maxGeneration": st.MaxGen,
-			"memtableClips": s.db.MemtableClips(),
-			"coldClips":     s.db.ColdClips(),
+		doc.Storage = &StorageHealth{
+			ColdClips:     s.db.ColdClips(),
+			MaxGeneration: st.MaxGen,
+			MemtableClips: s.db.MemtableClips(),
+			SegmentBytes:  st.SegmentBytes,
+			Segments:      st.Segments,
 		}
-	}
-	if s.healthInfo != nil {
-		s.healthInfo(doc)
 	}
 	WriteJSON(w, doc)
 }

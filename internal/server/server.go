@@ -59,8 +59,7 @@ type Server struct {
 	journal      *wal.ClipJournal
 	recovery     *wal.ReplayResult
 	storage      *segstore.Store
-	readOnly     string
-	healthInfo   func(map[string]any)
+	replica      Replication
 	extraMetrics []func(counters, gauges map[string]float64)
 	admission    *admission.Controller
 }
@@ -203,6 +202,23 @@ type MatchJSON struct {
 	VarOA float64 `json:"varOA"`
 	Dv    float64 `json:"dv"`
 	Scene string  `json:"scene,omitempty"`
+}
+
+// QueryResponseJSON is the coordinator's GET /api/query answer: the
+// merged matches plus the partial marker. (A single node returns the
+// bare match array; the coordinator wraps it because "who answered" is
+// meaningful only behind a scatter.)
+type QueryResponseJSON struct {
+	Matches []MatchJSON `json:"matches"`
+	Partial bool        `json:"partial"`
+}
+
+// BatchResponseJSON is the POST /api/query/batch answer: one match
+// list per query, in request order. The coordinator adds the partial
+// marker; a node's answer, always whole, carries no partial key.
+type BatchResponseJSON struct {
+	Results [][]MatchJSON `json:"results"`
+	Partial bool          `json:"partial"`
 }
 
 // WriteJSON answers 200 with v as compact JSON — the one answer shape
