@@ -372,14 +372,28 @@ func TestViewRetention(t *testing.T) {
 // predecessor's name listing but never edit it. Inserts in scrambled
 // order grow the listing's array with spare capacity, where an in-place
 // insert or delete would shift a pinned view's names under its reader.
+// Each pinned view must also keep resolving every name to the record it
+// was published with: re-ingesting "c" replaces a record, and a
+// successor that set that slot in shared storage would repoint "c" in
+// every earlier view too.
 func TestPinnedListingsSurviveLaterWrites(t *testing.T) {
 	v := emptyView()
 	var pinned []*view
 	var want [][]string
+	var wantRecs []map[string]*ClipRecord
 	pin := func(next *view) {
 		v = next
 		pinned = append(pinned, v)
 		want = append(want, slices.Clone(v.names))
+		recs := make(map[string]*ClipRecord, len(v.names))
+		for _, name := range v.names {
+			rec, ok := v.record(name)
+			if !ok {
+				t.Fatalf("view %d lists %q but cannot resolve it", len(pinned)-1, name)
+			}
+			recs[name] = rec
+		}
+		wantRecs = append(wantRecs, recs)
 	}
 	for _, name := range []string{"m", "c", "x", "a", "q", "b", "z", "d", "c"} {
 		pin(v.withClip(&ClipRecord{Name: name}, nil))
@@ -390,6 +404,11 @@ func TestPinnedListingsSurviveLaterWrites(t *testing.T) {
 	for i, p := range pinned {
 		if !slices.Equal(p.names, want[i]) {
 			t.Fatalf("view %d lists %v after later writes, published with %v", i, p.names, want[i])
+		}
+		for name, rec := range wantRecs[i] {
+			if got, ok := p.record(name); !ok || got != rec {
+				t.Fatalf("view %d resolves %q to %p after later writes, published with %p", i, name, got, rec)
+			}
 		}
 	}
 	if got := []string{"b", "d", "m", "q", "x"}; !slices.Equal(v.names, got) {
