@@ -29,16 +29,17 @@ test-race:
 	$(GO) test -race ./internal/admission/ ./internal/chaos/ ./internal/cluster/ ./internal/core/ ./internal/feature/ ./internal/obs/ ./internal/segment/ ./internal/segstore/ ./internal/server/ ./internal/varindex/ ./internal/wal/
 
 # Repeated race-detector runs over the lock-free query path's
-# concurrency and equivalence suites — the flake-hunting profile CI
-# runs on every push (see docs/QUERYPATH.md) — then the node edge's
-# timeout, inflight-cap, hangup and panic suites, then the
-# coordinator's probe and staleness suites beside the replica server's
-# wiring and the metrics exposition contract, then the reshard suites
-# twenty times with and without the race detector, then the journal's
-# recovery, replay and rotation suites: their bugs are
-# schedule-dependent, and one green run proves nothing.
+# concurrency and equivalence suites and the copy-on-write catalog's
+# pinning, flush, swap, model and retention suites — the
+# flake-hunting profile CI runs on every push (see docs/QUERYPATH.md)
+# — then the node edge's timeout, inflight-cap, hangup and panic
+# suites, then the coordinator's probe and staleness suites beside the
+# replica server's wiring and the metrics exposition contract, then
+# the reshard suites twenty times with and without the race detector,
+# then the journal's recovery, replay and rotation suites: their bugs
+# are schedule-dependent, and one green run proves nothing.
 stress:
-	$(GO) test -race -run 'Concurrent|Cache|Equivalence' -count=5 ./internal/core/ ./internal/varindex/
+	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Retention' -count=5 ./internal/core/ ./internal/varindex/
 	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 ./internal/server/
 	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/

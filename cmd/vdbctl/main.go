@@ -292,7 +292,7 @@ func cmdInfo(args []string) error {
 	}
 	db := st.DB()
 	fmt.Printf("clips: %d (%d memtable, %d cold), indexed shots: %d\n",
-		len(db.Clips()), db.MemtableClips(), db.ColdClips(), db.ShotCount())
+		db.ClipCount(), db.MemtableClips(), db.ColdClips(), db.ShotCount())
 	for _, name := range db.Clips() {
 		rec, ok := db.Clip(name)
 		if !ok {

@@ -261,7 +261,7 @@ func main() {
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 
-	fmt.Printf("serving %d clips (%d shots) on %s\n", len(db.Clips()), db.ShotCount(), *addr)
+	fmt.Printf("serving %d clips (%d shots) on %s\n", db.ClipCount(), db.ShotCount(), *addr)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
 

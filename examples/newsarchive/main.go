@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ingested %d broadcasts (%d shots) in %v\n",
-		len(db.Clips()), db.ShotCount(), time.Since(start).Round(time.Millisecond))
+		db.ClipCount(), db.ShotCount(), time.Since(start).Round(time.Millisecond))
 
 	// 3. Flush the analysis into an immutable segment and reopen the
 	//    store — the archive's index survives restarts without

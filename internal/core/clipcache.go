@@ -56,7 +56,7 @@ func newClipCache(max int) *clipCache {
 // segment on a miss. Decoding runs outside the lock so a slow
 // materialization never serializes unrelated readers; two racing
 // misses both decode and the first insert wins.
-func (c *clipCache) get(ref coldRef) (*ClipRecord, error) {
+func (c *clipCache) get(ref clipRef) (*ClipRecord, error) {
 	key := clipKey{ref.seg.ID(), ref.idx}
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {

@@ -161,8 +161,8 @@ type Database struct {
 	// installation) and snapshot capture. Readers never take it.
 	mu   sync.RWMutex
 	opts Options
-	// view is the atomically published immutable read state: clips,
-	// sorted listings, and the built similarity index. See view.go.
+	// view is the atomically published immutable read state: the
+	// sorted clip catalog and the built similarity index. See view.go.
 	view atomic.Pointer[view]
 	// cache is the epoch-tagged query-result cache; nil when disabled.
 	cache *queryCache
@@ -473,6 +473,12 @@ func (db *Database) Clip(name string) (*ClipRecord, bool) {
 func (db *Database) Clips() []string {
 	v := db.view.Load()
 	return append([]string(nil), v.names...)
+}
+
+// ClipCount returns how many clips the database holds, without copying
+// the listing. Lock-free.
+func (db *Database) ClipCount() int {
+	return len(db.view.Load().names)
 }
 
 // Records returns every clip record sorted by name, captured from one

@@ -130,26 +130,20 @@ func (db *Database) ImportClipRecord(payload []byte) (string, error) {
 	return rec.Name, nil
 }
 
-// BeginSnapshot captures every live clip — memtable records and cold
-// references alike — and, if a journal is installed, its cut point,
-// under a single read-lock hold: the capture a replica bootstraps from.
+// BeginSnapshot captures every live clip — memtable records and
+// segment slots alike, in name order — and, if a journal is installed,
+// its cut point, under a single read-lock hold: the capture a replica
+// bootstraps from.
 // Holding the read lock excludes writers, so the captured clips and the
 // journal offset describe the same instant; queries, which never take
-// the lock, keep flowing. WriteSegment encodes it outside any lock,
-// copying cold clips column-wise from their segments: nothing is
+// the lock, keep flowing. A published view is immutable, so the capture
+// shares its refs. WriteSegment encodes it outside any lock, copying
+// segment clips column-wise from their segments: nothing is
 // materialized, and the clip cache is not touched.
 func (db *Database) BeginSnapshot() *PendingFlush {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	v := db.view.Load()
-	pf := &PendingFlush{}
-	for _, name := range v.names {
-		if rec, ok := v.clips[name]; ok {
-			pf.clips = append(pf.clips, rec)
-		} else {
-			pf.cold = append(pf.cold, v.cold[name])
-		}
-	}
+	pf := &PendingFlush{refs: db.view.Load().refs}
 	if db.journal != nil {
 		pf.cut, pf.hasCut = db.journal.Size(), true
 	}
@@ -167,7 +161,7 @@ func (db *Database) BeginSnapshot() *PendingFlush {
 // new one, never a mix. A zero-length payload is the empty database
 // (WriteSegment writes nothing for an empty capture).
 func (db *Database) ApplySnapshot(payload []byte) error {
-	v := emptyView()
+	home := make(map[string]clipRef)
 	ix := varindex.New()
 	if len(payload) > 0 {
 		seg, err := segment.OpenBytes(payload)
@@ -179,15 +173,13 @@ func (db *Database) ApplySnapshot(payload []byte) error {
 			if err != nil {
 				return err
 			}
-			v.clips[rec.Name] = rec
+			home[rec.Name] = clipRef{rec: rec}
 			for _, e := range entries {
 				ix.Add(e)
 			}
 		}
 	}
-	ix.Build()
-	v.index = ix
-	v.finish()
+	v := catalogView(home, ix, nil)
 
 	db.mu.Lock()
 	defer db.mu.Unlock()

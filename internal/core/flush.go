@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"videodb/internal/segment"
@@ -62,17 +63,19 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 		return fmt.Errorf("core: segment base already applied")
 	}
 	cur := db.view.Load()
-	if len(cur.clips) != 0 || len(cur.cold) != 0 {
+	if len(cur.names) != 0 {
 		return fmt.Errorf("core: segment base applied to a non-empty database")
 	}
 
-	cold := make(map[string]coldRef)
+	// Composition needs a map only while it runs; the view keeps the
+	// sorted catalog.
+	home := make(map[string]clipRef)
 	for _, s := range segs {
 		for _, name := range s.Tombstones() {
-			delete(cold, name)
+			delete(home, name)
 		}
 		for i := 0; i < s.NumClips(); i++ {
-			cold[s.Name(i)] = coldRef{seg: s, idx: i}
+			home[s.Name(i)] = clipRef{seg: s, idx: i}
 		}
 	}
 
@@ -88,22 +91,15 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 			return err
 		}
 		for _, e := range run {
-			if cold[e.Clip].seg == s {
+			if home[e.Clip].seg == s {
 				ix.Add(e)
 			}
 		}
 	}
-	ix.Build()
 
 	cache := newClipCache(cacheSize)
-	v := &view{
-		epoch: cur.epoch + 1,
-		clips: make(map[string]*ClipRecord),
-		cold:  cold,
-		index: ix,
-		mat:   cache,
-	}
-	v.finish()
+	v := catalogView(home, ix, cache)
+	v.epoch = cur.epoch + 1
 	db.store = storeState{enabled: true, tombs: make(map[string]struct{}), cache: cache}
 	db.publishLocked(v)
 	return nil
@@ -116,10 +112,9 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 // WAL to the cut after the flush lands can never erase a mutation the
 // segment missed. BeginFlush captures the memtable records and the
 // pending tombstones (the next flushed segment); BeginSnapshot captures
-// every live clip, cold ones by reference (a replica bootstrap body).
+// every live clip, segment clips by slot (a replica bootstrap body).
 type PendingFlush struct {
-	clips  []*ClipRecord
-	cold   []coldRef
+	refs   []clipRef
 	tombs  []string
 	cut    int64
 	hasCut bool
@@ -138,16 +133,16 @@ func (db *Database) BeginFlush() (*PendingFlush, error) {
 	}
 	v := db.view.Load()
 	pf := &PendingFlush{}
-	for _, name := range v.names {
-		if rec, ok := v.clips[name]; ok {
-			pf.clips = append(pf.clips, rec)
+	for _, ref := range v.refs {
+		if ref.rec != nil {
+			pf.refs = append(pf.refs, ref)
 		}
 	}
 	for name := range db.store.tombs {
 		pf.tombs = append(pf.tombs, name)
 	}
 	sort.Strings(pf.tombs)
-	if len(pf.clips) == 0 && len(pf.tombs) == 0 {
+	if len(pf.refs) == 0 && len(pf.tombs) == 0 {
 		return nil, nil
 	}
 	if db.journal != nil {
@@ -157,7 +152,7 @@ func (db *Database) BeginFlush() (*PendingFlush, error) {
 }
 
 // Clips reports how many clips the capture holds.
-func (pf *PendingFlush) Clips() int { return len(pf.clips) + len(pf.cold) }
+func (pf *PendingFlush) Clips() int { return len(pf.refs) }
 
 // Tombstones reports how many pending deletions the capture holds.
 func (pf *PendingFlush) Tombstones() int { return len(pf.tombs) }
@@ -167,19 +162,21 @@ func (pf *PendingFlush) Tombstones() int { return len(pf.tombs) }
 func (pf *PendingFlush) JournalCut() (int64, bool) { return pf.cut, pf.hasCut }
 
 // WriteSegment encodes the capture as segment id into w; composed with
-// fsx.AtomicWrite it creates the segment file crash-atomically. Cold
-// clips are copied column-wise out of their segments. An empty capture
-// (BeginSnapshot of an empty database) writes nothing, which
-// ApplySnapshot reads back as the empty state.
+// fsx.AtomicWrite it creates the segment file crash-atomically, its
+// clips in name order. Segment clips are copied column-wise out of
+// their segments. An empty capture (BeginSnapshot of an empty
+// database) writes nothing, which ApplySnapshot reads back as the
+// empty state.
 func (pf *PendingFlush) WriteSegment(w io.Writer, id uint64) error {
 	if pf.Clips() == 0 && len(pf.tombs) == 0 {
 		return nil
 	}
-	cols := make([]segment.ClipColumns, 0, pf.Clips())
-	for _, rec := range pf.clips {
-		cols = append(cols, clipColumns(rec))
-	}
-	for _, ref := range pf.cold {
+	cols := make([]segment.ClipColumns, 0, len(pf.refs))
+	for _, ref := range pf.refs {
+		if ref.rec != nil {
+			cols = append(cols, clipColumns(ref.rec))
+			continue
+		}
 		c, err := ref.seg.Clip(ref.idx)
 		if err != nil {
 			return err
@@ -190,11 +187,11 @@ func (pf *PendingFlush) WriteSegment(w io.Writer, id uint64) error {
 }
 
 // CompleteFlush publishes a finished flush: every captured record
-// still in the memtable — pointer identity, so a clip re-ingested or
-// deleted since BeginFlush is left exactly as the newer mutation put
-// it — flips to a cold reference into seg, and the captured tombstones
-// leave the pending set (ones added after the capture stay pending for
-// the next flush). The similarity index is untouched: the entries are
+// still in its catalog slot — pointer identity, so a clip re-ingested
+// or deleted since BeginFlush is left exactly as the newer mutation put
+// it — flips to a slot of seg, and the captured tombstones leave the
+// pending set (ones added after the capture stay pending for the next
+// flush). The similarity index is untouched: the entries are
 // the same rows wherever the record lives.
 func (db *Database) CompleteFlush(pf *PendingFlush, seg *segment.Reader) error {
 	db.mu.Lock()
@@ -203,33 +200,33 @@ func (db *Database) CompleteFlush(pf *PendingFlush, seg *segment.Reader) error {
 		return fmt.Errorf("core: CompleteFlush without a segment base")
 	}
 	v := db.view.Load()
-	next := v.clone()
-	for _, rec := range pf.clips {
-		if cur, ok := next.clips[rec.Name]; !ok || cur != rec {
+	refs := slices.Clone(v.refs)
+	for _, ref := range pf.refs {
+		name := ref.rec.Name
+		i, ok := v.find(name)
+		if !ok || refs[i].rec != ref.rec {
 			continue
 		}
-		idx, ok := seg.Lookup(rec.Name)
+		idx, ok := seg.Lookup(name)
 		if !ok {
-			return fmt.Errorf("core: flushed segment %d is missing clip %q", seg.ID(), rec.Name)
+			return fmt.Errorf("core: flushed segment %d is missing clip %q", seg.ID(), name)
 		}
-		delete(next.clips, rec.Name)
-		next.cold[rec.Name] = coldRef{seg: seg, idx: idx}
+		refs[i] = clipRef{seg: seg, idx: idx}
 	}
 	for _, name := range pf.tombs {
 		delete(db.store.tombs, name)
 	}
-	// Moving clips between tiers leaves the name set as it was.
-	next.names = v.names
-	db.publishLocked(next)
+	// Moving clips between homes leaves the names and index as they were.
+	db.publishLocked(v.successor(v.names, refs, v.index))
 	return nil
 }
 
-// SwapSegments atomically repoints every cold reference into one of
-// the old segments (by id) at repl — the compaction commit. repl may
-// be nil when the compaction output was empty (everything merged away
-// by tombstones), in which case no live reference may point at the old
-// segments. The view's name set and index are unchanged; only where
-// cold records resolve from moves.
+// SwapSegments atomically repoints every segment slot into one of the
+// old segments (by id) at repl — the compaction commit — in name order.
+// repl may be nil when the compaction output was empty (everything
+// merged away by tombstones), in which case no live slot may point at
+// the old segments. The view's names and index are unchanged; only
+// where segment clips resolve from moves.
 func (db *Database) SwapSegments(old []uint64, repl *segment.Reader) error {
 	oldSet := make(map[uint64]bool, len(old))
 	for _, id := range old {
@@ -241,11 +238,12 @@ func (db *Database) SwapSegments(old []uint64, repl *segment.Reader) error {
 		return fmt.Errorf("core: SwapSegments without a segment base")
 	}
 	v := db.view.Load()
-	next := v.clone()
-	for name, ref := range v.cold {
-		if !oldSet[ref.seg.ID()] {
+	refs := slices.Clone(v.refs)
+	for i, ref := range refs {
+		if ref.seg == nil || !oldSet[ref.seg.ID()] {
 			continue
 		}
+		name := v.names[i]
 		if repl == nil {
 			return fmt.Errorf("core: clip %q is live in removed segment %d with no replacement", name, ref.seg.ID())
 		}
@@ -253,26 +251,23 @@ func (db *Database) SwapSegments(old []uint64, repl *segment.Reader) error {
 		if !ok {
 			return fmt.Errorf("core: replacement segment %d is missing clip %q", repl.ID(), name)
 		}
-		next.cold[name] = coldRef{seg: repl, idx: idx}
+		refs[i] = clipRef{seg: repl, idx: idx}
 	}
-	// Name set and index are untouched; share the sorted names.
-	next.names = v.names
-	db.publishLocked(next)
+	db.publishLocked(v.successor(v.names, refs, v.index))
 	return nil
 }
 
 // MemtableClips reports how many clips currently live in the memtable
 // (heap) tier — what the next flush would write.
 func (db *Database) MemtableClips() int {
-	v := db.view.Load()
-	return len(v.clips)
+	return db.view.Load().memtable()
 }
 
 // ColdClips reports how many clips currently resolve from mmap'd
 // segments.
 func (db *Database) ColdClips() int {
 	v := db.view.Load()
-	return len(v.cold)
+	return len(v.refs) - v.memtable()
 }
 
 // PendingTombstones reports how many deletions await the next flush.

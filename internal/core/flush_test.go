@@ -123,7 +123,7 @@ func TestFlushFlipPublishes(t *testing.T) {
 	if db.PendingTombstones() != 1 {
 		t.Fatalf("pending tombstones = %d, want 1", db.PendingTombstones())
 	}
-	if got, ok := db.Clip("b"); !ok || got.Shots == nil || reflect.DeepEqual(got, pf.clips[1]) {
+	if got, ok := db.Clip("b"); !ok || got.Shots == nil || reflect.DeepEqual(got, pf.refs[1].rec) {
 		t.Fatalf("re-ingested b was clobbered by the flush flip")
 	}
 
@@ -193,14 +193,14 @@ func TestApplySegmentBaseComposition(t *testing.T) {
 	dir := t.TempDir()
 	// seg1: {a, b}. seg2: tombstone a, clips {b', c} — b' shadows seg1's
 	// b, the tombstone kills a.
-	seg1 := writeSegmentFile(t, dir, 1, &PendingFlush{clips: []*ClipRecord{recA, recB}})
+	seg1 := writeSegmentFile(t, dir, 1, &PendingFlush{refs: memRefs(recA, recB)})
 	scratch2 := openDB(t)
 	if _, err := scratch2.Ingest(smallCorpusClip(t, "b", 777)); err != nil {
 		t.Fatal(err)
 	}
 	recB2, _ := scratch2.Clip("b")
 	seg2 := writeSegmentFile(t, dir, 2, &PendingFlush{
-		clips: []*ClipRecord{recB2, recC},
+		refs:  memRefs(recB2, recC),
 		tombs: []string{"a"},
 	})
 
@@ -245,9 +245,9 @@ func TestSwapSegmentsRepoints(t *testing.T) {
 	recY, _ := scratch.Clip("y")
 
 	dir := t.TempDir()
-	seg1 := writeSegmentFile(t, dir, 1, &PendingFlush{clips: []*ClipRecord{recX}})
-	seg2 := writeSegmentFile(t, dir, 2, &PendingFlush{clips: []*ClipRecord{recY}})
-	merged := writeSegmentFile(t, dir, 3, &PendingFlush{clips: []*ClipRecord{recX, recY}})
+	seg1 := writeSegmentFile(t, dir, 1, &PendingFlush{refs: memRefs(recX)})
+	seg2 := writeSegmentFile(t, dir, 2, &PendingFlush{refs: memRefs(recY)})
+	merged := writeSegmentFile(t, dir, 3, &PendingFlush{refs: memRefs(recX, recY)})
 
 	db := openDB(t)
 	if err := db.ApplySegmentBase([]*segment.Reader{seg1, seg2}, 8); err != nil {
@@ -269,6 +269,15 @@ func TestSwapSegmentsRepoints(t *testing.T) {
 	if err := db.SwapSegments([]uint64{3}, seg1); err == nil {
 		t.Fatal("swap removing segment 3 without y accepted")
 	}
+}
+
+// memRefs wraps records as the memtable refs a flush capture holds.
+func memRefs(recs ...*ClipRecord) []clipRef {
+	refs := make([]clipRef, len(recs))
+	for i, rec := range recs {
+		refs[i] = clipRef{rec: rec}
+	}
+	return refs
 }
 
 // TestFlushNothingToDo: an empty capture is nil, not an error.

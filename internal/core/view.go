@@ -8,20 +8,19 @@
 // docs/QUERYPATH.md describes the protocol and its memory-model
 // guarantees.
 //
-// A view holds clips in one of two homes: the memtable (clips, full
-// *ClipRecord values in the heap) and the cold tier (cold, references
-// into mmap'd immutable segments — see flush.go and internal/segment).
-// The two key sets are disjoint; the similarity index always covers
-// the union, so the query kernel never cares where a clip lives. Only
-// record resolution (Scene attachment, Browse, listings) touches the
-// difference, materializing cold clips on demand through a bounded
-// shared cache.
+// A view's catalog is two parallel slices: names, sorted, and refs,
+// where refs[i] is the home of names[i] — a memtable record in the
+// heap, or a slot of an mmap'd immutable segment (see flush.go and
+// internal/segment). A lookup is one binary search. The similarity
+// index always covers every clip, so the query kernel never cares
+// where a clip lives; only record resolution (Scene attachment,
+// Browse, listings) reads a ref, materializing segment clips on demand
+// through a bounded shared cache.
 
 package core
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"videodb/internal/segment"
@@ -38,33 +37,32 @@ type searchScratch struct {
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// coldRef locates one segment-backed clip: the pinned reader and the
-// clip's position in it. Views holding a coldRef keep the reader's
-// mapping alive even after compaction unlinks the file.
-type coldRef struct {
+// clipRef is one clip's home: a memtable record (rec set), or a slot
+// of an mmap'd immutable segment (seg and idx). Views holding a
+// segment slot keep the reader's mapping alive even after compaction
+// unlinks the file.
+type clipRef struct {
+	rec *ClipRecord
 	seg *segment.Reader
 	idx int
 }
 
 // view is one immutable publication of the database's queryable state.
-// Every field is frozen at construction: the clip maps are never
-// written after publish, names is copied before any edit, and the index
-// is built before the view becomes visible, so concurrent readers share
-// it without synchronization.
+// Every field is frozen at construction: a successor copies names and
+// refs before editing either, and the index is built before the view
+// becomes visible, so concurrent readers share it without
+// synchronization.
 type view struct {
 	// epoch counts publications; it tags query-cache entries so a
 	// result computed against one view is never served once a newer
 	// view exists.
 	epoch uint64
-	// clips maps name -> memtable record; read-only after publish.
-	clips map[string]*ClipRecord
-	// cold maps name -> segment-backed clip. Disjoint from clips (a
-	// re-ingested clip shadows — and evicts — its cold reference). Nil
-	// until a segment base is applied (pure in-memory databases never
-	// allocate it).
-	cold map[string]coldRef
-	// names holds all clip names (memtable and cold), sorted.
+	// names is the catalog: every clip name, sorted and unique.
 	names []string
+	// refs[i] is the home of names[i]. The two slices are edited
+	// together, and a successor never writes into a predecessor's
+	// arrays: it shares a slice as it is or edits a copy.
+	refs []clipRef
 	// index is the built, immutable similarity index over all shots.
 	index *varindex.Index
 	// mat is the shared cold-clip materialization cache; nil without a
@@ -74,101 +72,101 @@ type view struct {
 
 // emptyView is the epoch-0 state of a fresh database.
 func emptyView() *view {
-	return &view{clips: make(map[string]*ClipRecord), index: varindex.New()}
+	return &view{index: varindex.New()}
 }
 
-// clone derives the successor view skeleton: next epoch, copied clip
-// maps, shared index and cache. Callers adjust the maps and index and
-// set names.
-func (v *view) clone() *view {
-	next := &view{
-		epoch: v.epoch + 1,
-		clips: make(map[string]*ClipRecord, len(v.clips)+1),
-		index: v.index,
-		mat:   v.mat,
+// catalogView builds a view from scratch, for the bulk constructions:
+// home maps each clip's name to its ref (a build-time map, never
+// stored), and ix holds exactly those clips' entries, Added but not yet
+// Built. The caller sets the epoch.
+func catalogView(home map[string]clipRef, ix *varindex.Index, mat *clipCache) *view {
+	v := &view{names: make([]string, 0, len(home)), index: ix, mat: mat}
+	for name := range home {
+		v.names = append(v.names, name)
 	}
-	for n, r := range v.clips {
-		next.clips[n] = r
+	slices.Sort(v.names)
+	v.refs = make([]clipRef, len(v.names))
+	for i, name := range v.names {
+		v.refs[i] = home[name]
 	}
-	if v.cold != nil {
-		next.cold = make(map[string]coldRef, len(v.cold))
-		for n, r := range v.cold {
-			next.cold[n] = r
-		}
-	}
-	return next
+	ix.Build()
+	return v
 }
 
-// finish derives the sorted name listing from the clip maps; only the
-// bulk constructions (ApplySegmentBase, ApplySnapshot) need it.
-func (v *view) finish() {
-	v.names = make([]string, 0, len(v.clips)+len(v.cold))
-	for n := range v.clips {
-		v.names = append(v.names, n)
-	}
-	for n := range v.cold {
-		v.names = append(v.names, n)
-	}
-	sort.Strings(v.names)
+// successor returns the next publication over the given catalog and
+// index, sharing the cold-clip cache.
+func (v *view) successor(names []string, refs []clipRef, index *varindex.Index) *view {
+	return &view{epoch: v.epoch + 1, names: names, refs: refs, index: index, mat: v.mat}
 }
 
-// has reports whether the view holds the named clip in either tier.
+// find returns the catalog position of name, or where it would be
+// inserted and false.
+func (v *view) find(name string) (int, bool) {
+	return slices.BinarySearch(v.names, name)
+}
+
+// has reports whether the view holds the named clip in either home.
 func (v *view) has(name string) bool {
-	if _, ok := v.clips[name]; ok {
-		return true
-	}
-	_, ok := v.cold[name]
+	_, ok := v.find(name)
 	return ok
 }
 
 // record resolves the named clip to its full record, materializing a
-// cold clip through the shared cache. The record is immutable either
-// way. A cold clip that fails to materialize (possible only if the
+// segment clip through the shared cache. The record is immutable either
+// way. A segment clip that fails to materialize (possible only if the
 // segment bytes changed under a verified mapping) reports absent.
 func (v *view) record(name string) (*ClipRecord, bool) {
-	if rec, ok := v.clips[name]; ok {
-		return rec, true
-	}
-	ref, ok := v.cold[name]
+	i, ok := v.find(name)
 	if !ok {
 		return nil, false
 	}
-	rec, err := v.mat.get(ref)
-	if err != nil {
-		return nil, false
+	ref := v.refs[i]
+	if ref.rec != nil {
+		return ref.rec, true
 	}
-	return rec, true
+	rec, err := v.mat.get(ref)
+	return rec, err == nil
+}
+
+// memtable counts the clips whose home is a memtable record.
+func (v *view) memtable() int {
+	n := 0
+	for _, ref := range v.refs {
+		if ref.rec != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // withClip returns the successor view with rec installed and its index
 // entries merged in. A same-named clip — memtable (recovery replay
-// re-applying a journal record) or cold (re-ingest after a flush) — is
-// replaced wholesale, entries included. A new name goes into a clipped
-// copy of the listing, never into a predecessor's array.
+// re-applying a journal record) or segment (re-ingest after a flush) —
+// is replaced wholesale, entries included: the successor shares names
+// and sets the slot in a clone of refs. A new name goes into clipped
+// copies of both slices, never into a predecessor's arrays.
 func (v *view) withClip(rec *ClipRecord, entries []varindex.Entry) *view {
-	next := v.clone()
-	delete(next.cold, rec.Name)
-	next.clips[rec.Name] = rec
-	next.index = v.index.Replace(rec.Name, entries)
-	next.names = v.names
-	if i, found := slices.BinarySearch(v.names, rec.Name); !found {
-		next.names = slices.Insert(slices.Clip(v.names), i, rec.Name)
+	ref := clipRef{rec: rec}
+	names, refs := v.names, v.refs
+	if i, found := v.find(rec.Name); found {
+		refs = slices.Clone(refs)
+		refs[i] = ref
+	} else {
+		names = slices.Insert(slices.Clip(names), i, rec.Name)
+		refs = slices.Insert(slices.Clip(refs), i, ref)
 	}
-	return next
+	return v.successor(names, refs, v.index.Replace(rec.Name, entries))
 }
 
 // withoutClip returns the successor view with the named clip and its
-// index entries removed, whichever tier holds it.
+// index entries removed, whichever home holds it.
 func (v *view) withoutClip(name string) *view {
-	next := v.clone()
-	delete(next.clips, name)
-	delete(next.cold, name)
-	next.index = v.index.Replace(name, nil)
-	next.names = v.names
-	if i, found := slices.BinarySearch(v.names, name); found {
-		next.names = slices.Delete(slices.Clone(v.names), i, i+1)
+	names, refs := v.names, v.refs
+	if i, found := v.find(name); found {
+		names = slices.Concat(names[:i], names[i+1:])
+		refs = slices.Concat(refs[:i], refs[i+1:])
 	}
-	return next
+	return v.successor(names, refs, v.index.Replace(name, nil))
 }
 
 // resolveAppend attaches the largest-scene node to each entry — the

@@ -123,6 +123,11 @@ func assertIdentical(t *testing.T, label string, want, got *core.Database) {
 	if w, g := want.ShotCount(), got.ShotCount(); w != g {
 		t.Fatalf("%s: ShotCount %d != %d", label, g, w)
 	}
+	for _, db := range []*core.Database{want, got} {
+		if m, c, n := db.MemtableClips(), db.ColdClips(), db.ClipCount(); m+c != n {
+			t.Fatalf("%s: %d memtable + %d cold clips != %d clips", label, m, c, n)
+		}
+	}
 
 	// Records: full analysis state, field by field (tree via its
 	// canonical flat form; Pipeline telemetry is zero on both sides by

@@ -162,7 +162,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, routes []*routeStats) {
 		"videodb_query_cache_evictions_total": float64(cs.Evictions),
 	}
 	gauges := map[string]float64{
-		"videodb_clips":                float64(len(s.db.Clips())),
+		"videodb_clips":                float64(s.db.ClipCount()),
 		"videodb_indexed_shots":        float64(s.db.ShotCount()),
 		"videodb_ingest_workers":       float64(s.db.Workers()),
 		"videodb_query_cache_size":     float64(cs.Size),

@@ -141,7 +141,7 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 // journal size and generation (the coordinator subtracts a replica's
 // applied cut from the primary's size to get byte lag).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	doc := HealthJSON{Status: "ok", Clips: len(s.db.Clips()), Shots: s.db.ShotCount(), Epoch: s.db.Epoch()}
+	doc := HealthJSON{Status: "ok", Clips: s.db.ClipCount(), Shots: s.db.ShotCount(), Epoch: s.db.Epoch()}
 	if s.replica != nil {
 		st := s.replica.Stats()
 		doc.ReadOnly, doc.Role, doc.ReplicationStatus = true, "replica of "+st.Primary, &st
