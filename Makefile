@@ -7,12 +7,12 @@ GO ?= go
 COVERPKGS   = ./internal/core/...,./internal/server/...,./internal/wal/...,./internal/fsx/...,./internal/segment/...,./internal/segstore/...,./internal/admission/...,./internal/chaos/...,./internal/cluster/...,./internal/obs/...
 COVER_FLOOR = 60
 
-# Scratch output of the gate, the smokes and PGO (git-ignored).
+# Scratch output of the gate and the smokes (git-ignored).
 BENCH_DIR = bench-out
 # The commit bench-gate compares this tree against.
 BASE ?= main
 
-.PHONY: all build test test-race vet doccheck check cover cover-gate bench-gate bench-micro cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus pgo clean
+.PHONY: all build test test-race vet doccheck check cover cover-gate bench-gate bench-micro cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus clean
 
 all: build vet test
 
@@ -39,12 +39,12 @@ test-race:
 # then the journal's recovery, replay and rotation suites: their bugs
 # are schedule-dependent, and one green run proves nothing.
 stress:
-	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Retention' -count=5 ./internal/core/ ./internal/varindex/
-	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 ./internal/server/
-	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 ./internal/cluster/
+	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Retention' -count=5 -timeout 30m ./internal/core/ ./internal/varindex/
+	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 -timeout 30m ./internal/server/
+	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -race -run 'Reshard' -count=20 -timeout 60m ./internal/cluster/
-	$(GO) test -race -run 'Journal|Recover|Replay|Rotate' -count=20 ./internal/wal/
+	$(GO) test -race -run 'Journal|Recover|Replay|Rotate' -count=20 -timeout 30m ./internal/wal/
 
 # Every package must carry a package comment (// Package x ... for
 # libraries, // Command x ... for binaries) — the revive-style
@@ -91,32 +91,6 @@ cover-gate:
 # $(BENCH_DIR)/gate/ (see docs/BENCHMARKING.md).
 bench-gate:
 	./scripts/bench_gate.sh $(BASE)
-
-# Profile-guided optimization: ingest a synthetic corpus, drive a
-# -pprof vdbserver with vdbbench's query mix while capturing a CPU
-# profile, install it as cmd/vdbserver/default.pgo (which the Go
-# toolchain picks up automatically), and rebuild with it. Rerun after
-# hot-path changes; commit the refreshed profile.
-PGO_DIR  = $(BENCH_DIR)/pgo
-PGO_ADDR = 127.0.0.1:18080
-pgo:
-	rm -rf $(PGO_DIR) && mkdir -p $(PGO_DIR)
-	$(GO) run ./cmd/synthgen -out $(PGO_DIR)/corpus -set examples
-	$(GO) build -o $(PGO_DIR)/vdbserver ./cmd/vdbserver
-	$(PGO_DIR)/vdbserver -data $(PGO_DIR)/data -addr $(PGO_ADDR) -pprof & \
-		srv=$$!; trap 'kill $$srv 2>/dev/null' EXIT; \
-		until curl -sf http://$(PGO_ADDR)/api/metrics >/dev/null; do sleep 0.2; done; \
-		for f in $(PGO_DIR)/corpus/*.vdbf; do \
-			curl -sf -X POST --data-binary @$$f http://$(PGO_ADDR)/api/clips >/dev/null || exit 1; \
-		done; \
-		curl -sf -o $(PGO_DIR)/cpu.pprof "http://$(PGO_ADDR)/debug/pprof/profile?seconds=12" & \
-		prof=$$!; \
-		$(GO) run ./cmd/vdbbench -target http://$(PGO_ADDR) -concurrency 8 -duration 11s; \
-		wait $$prof; \
-		kill $$srv 2>/dev/null; wait $$srv 2>/dev/null; true
-	cp $(PGO_DIR)/cpu.pprof cmd/vdbserver/default.pgo
-	$(GO) build -o $(PGO_DIR)/vdbserver-pgo ./cmd/vdbserver
-	@echo "pgo: wrote cmd/vdbserver/default.pgo"
 
 # End-to-end cluster exercise on loopback: three shard primaries on
 # segment stores, one read replica, a coordinator in front; ingest through the

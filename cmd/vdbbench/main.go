@@ -1,5 +1,5 @@
-// Command vdbbench is the HTTP load driver the smoke scripts and
-// `make pgo` run against a live vdbserver or vdbcoord. It is not the
+// Command vdbbench is the HTTP load driver the smoke scripts run
+// against a live vdbserver or vdbcoord. It is not the
 // benchmark of record: that is bench/ (see bench/README.md), and only
 // its numbers judge a change.
 //

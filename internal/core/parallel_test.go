@@ -115,7 +115,7 @@ func TestIngestRecordsPipelineStats(t *testing.T) {
 // TestIngestCancellationLeaksNoGoroutines drives the pipeline's
 // shutdown path under -race: a context cancelled mid-analysis must
 // surface ctx.Err(), leave the database without the half-ingested
-// clip, and wind down every dispatcher/worker/consumer goroutine.
+// clip, and wind down every worker goroutine.
 func TestIngestCancellationLeaksNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes a corpus clip; skipped with -short")
@@ -131,8 +131,8 @@ func TestIngestCancellationLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Sweep cancellation points from "before the first frame" to "well
-	// into the fan-out" so the dispatcher, workers, and ordered consumer
-	// each get interrupted at least once.
+	// into the fan-out" so the workers and the ordered consumer each get
+	// interrupted at least once.
 	for _, delay := range []time.Duration{0, 200 * time.Microsecond, 2 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), delay)
 		_, err := db.IngestContext(ctx, clip)

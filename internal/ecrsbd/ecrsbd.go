@@ -14,9 +14,6 @@ package ecrsbd
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"videodb/internal/video"
 )
@@ -221,46 +218,13 @@ func (d *Detector) Compare(prev, cur []bool, w, h int) float64 {
 
 // Series computes the per-pair ECR values for a clip.
 func (d *Detector) Series(c *video.Clip) []float64 {
-	return d.SeriesParallel(c, 1)
-}
-
-// SeriesParallel is Series with the per-frame Reduce step spread over
-// the given number of workers (0 = GOMAXPROCS). Edge maps are
-// independent per frame, so the result is identical to Series.
-func (d *Detector) SeriesParallel(c *video.Clip, workers int) []float64 {
-	maps := make([][]bool, len(c.Frames))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(c.Frames) {
-		workers = len(c.Frames)
-	}
-	if workers <= 1 {
-		for i, f := range c.Frames {
-			maps[i] = d.Reduce(f)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(c.Frames) {
-						return
-					}
-					maps[i] = d.Reduce(c.Frames[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
 	w, h := c.Frames[0].W, c.Frames[0].H
 	series := make([]float64, len(c.Frames)-1)
-	for i := 1; i < len(maps); i++ {
-		series[i-1] = d.Compare(maps[i-1], maps[i], w, h)
+	prev := d.Reduce(c.Frames[0])
+	for i, f := range c.Frames[1:] {
+		cur := d.Reduce(f)
+		series[i] = d.Compare(prev, cur, w, h)
+		prev = cur
 	}
 	return series
 }

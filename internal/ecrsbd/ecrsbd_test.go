@@ -164,26 +164,6 @@ func TestSeriesLength(t *testing.T) {
 	}
 }
 
-// TestSeriesParallelMatchesSerial pins the two-phase split: per-frame
-// edge-map reduction is pure, so fanning it out across workers must
-// reproduce the serial ECR series exactly.
-func TestSeriesParallelMatchesSerial(t *testing.T) {
-	clip := vtest.TwoShotClip("cut", 33, 40, 12, 28)
-	d, _ := New(DefaultConfig())
-	serial := d.Series(clip)
-	for _, workers := range []int{0, 2, 8} {
-		par := d.SeriesParallel(clip, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: series length %d, want %d", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: series[%d] = %v, want %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestDetectRejectsInvalidClip(t *testing.T) {
 	d, _ := New(DefaultConfig())
 	if _, err := d.Detect(video.NewClip("empty", 3)); err == nil {

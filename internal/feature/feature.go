@@ -111,104 +111,57 @@ func (a *Analyzer) AnalyzeClip(c *video.Clip) []FrameFeature {
 	return out
 }
 
-// frameResult carries one analyzed frame from a worker to the ordered
-// consumer.
-type frameResult struct {
-	idx  int
-	feat FrameFeature
-}
-
-// AnalyzeClipStream analyzes a clip's frames with a bounded worker pool
-// (workers ≤ 1 analyzes inline; 0 = GOMAXPROCS) and delivers every
+// AnalyzeClipStream analyzes a clip's frames on a fixed set of workers
+// (0 = GOMAXPROCS; never more than one per frame) and delivers every
 // frame's feature to yield strictly in frame order, from the caller's
 // goroutine. This is the fan-out half of the two-phase ingest pipeline:
-// the embarrassingly parallel per-frame reduction runs on the pool
+// the embarrassingly parallel per-frame reduction runs on the workers
 // while the caller's yield — typically the sequential three-stage
 // shot-boundary test, which compares consecutive frames — consumes an
 // ordered stream, so results are identical to AnalyzeClip regardless
 // of worker count.
 //
-// A reorder window bounded by the worker count keeps memory flat when
-// one frame analyzes slowly. Cancelling ctx stops the pool promptly and
-// returns ctx.Err(); no goroutines outlive the call.
+// Worker w analyzes frames w, w+workers, w+2·workers, … into a lane of
+// its own, and frame i is read from lane i mod workers, so the order
+// needs no reordering. Cancelling ctx stops the workers promptly and
+// returns ctx.Err(); the call returns only after every worker has
+// exited.
 func (a *Analyzer) AnalyzeClipStream(ctx context.Context, c *video.Clip, workers int, yield func(i int, ff FrameFeature)) error {
 	n := len(c.Frames)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, f := range c.Frames {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			yield(i, a.Analyze(f))
-		}
-		return nil
-	}
+	workers = min(workers, n)
 
-	// Indices are issued to the pool in ascending order, so the at most
-	// workers+window outstanding frames are always the smallest
-	// unconsumed indices — the ordered consumer can always make
-	// progress and the reorder buffer stays bounded.
-	window := 2 * workers
-	jobs := make(chan int)
-	results := make(chan frameResult, window)
-	done := ctx.Done()
-
+	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	defer wg.Wait()
+	defer cancel()
+
+	lanes := make([]chan FrameFeature, workers)
+	for w := range lanes {
+		// Two frames a lane let a worker finish its next frame while
+		// the consumer drains the other lanes, and hold memory at
+		// 2·workers frames whatever the clip's length.
+		lane := make(chan FrameFeature, 2)
+		lanes[w] = lane
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				r := frameResult{idx: i, feat: a.Analyze(c.Frames[i])}
+			for i := w; i < n; i += workers {
 				select {
-				case results <- r:
-				case <-done:
+				case lane <- a.Analyze(c.Frames[i]):
+				case <-ctx.Done():
 					return
 				}
 			}
 		}()
 	}
-	go func() { // dispatcher
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-	go func() { // closer: lets the consumer detect early worker exit
-		wg.Wait()
-		close(results)
-	}()
-
-	pending := make(map[int]FrameFeature, window)
-	next := 0
-	for next < n {
+	for i := range n {
 		select {
-		case r, ok := <-results:
-			if !ok {
-				// Workers quit before frame n−1: only cancellation
-				// does that.
-				return ctx.Err()
-			}
-			pending[r.idx] = r.feat
-			for {
-				ff, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				yield(next, ff)
-				next++
-			}
-		case <-done:
+		case ff := <-lanes[i%workers]:
+			yield(i, ff)
+		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}

@@ -262,42 +262,49 @@ func TestAnalyzeConcurrent(t *testing.T) {
 // TestAnalyzeClipStreamYieldsInOrder pins the ordered fan-in contract
 // the sequential shot detector depends on: whatever the worker count,
 // yield sees frame 0, 1, 2, ... exactly once each, with features
-// identical to the serial path (signature vectors included).
+// identical to the serial path (signature vectors included). The
+// one-frame clip and the worker count equal to the frame count are the
+// edges of the frame-to-lane split.
 func TestAnalyzeClipStreamYieldsInOrder(t *testing.T) {
 	a, err := NewAnalyzer(160, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := video.NewClip("stream", 3)
+	long, single := video.NewClip("stream", 3), video.NewClip("single", 3)
 	for i := 0; i < 23; i++ {
 		f := video.NewFrame(160, 120)
 		for j := range f.Pix {
 			f.Pix[j] = video.RGB(uint8(i*29+j), uint8(j/5), uint8(i*3))
 		}
-		c.Append(f)
-	}
-	serial := a.AnalyzeClip(c)
-	for _, workers := range []int{0, 1, 2, 7, 32} {
-		next := 0
-		err := a.AnalyzeClipStream(context.Background(), c, workers, func(i int, ff FrameFeature) {
-			if i != next {
-				t.Fatalf("workers=%d: yielded frame %d, want %d", workers, i, next)
-			}
-			next++
-			if ff.SignBA != serial[i].SignBA || ff.SignOA != serial[i].SignOA {
-				t.Fatalf("workers=%d frame %d: signs differ from serial", workers, i)
-			}
-			for j := range serial[i].Signature {
-				if ff.Signature[j] != serial[i].Signature[j] {
-					t.Fatalf("workers=%d frame %d: signature[%d] differs", workers, i, j)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		long.Append(f)
+		if i == 0 {
+			single.Append(f)
 		}
-		if next != c.Len() {
-			t.Fatalf("workers=%d: yielded %d frames, want %d", workers, next, c.Len())
+	}
+	for _, c := range []*video.Clip{long, single} {
+		serial := a.AnalyzeClip(c)
+		for _, workers := range []int{0, 1, 2, 7, c.Len(), 32} {
+			next := 0
+			err := a.AnalyzeClipStream(context.Background(), c, workers, func(i int, ff FrameFeature) {
+				if i != next {
+					t.Fatalf("%s workers=%d: yielded frame %d, want %d", c.Name, workers, i, next)
+				}
+				next++
+				if ff.SignBA != serial[i].SignBA || ff.SignOA != serial[i].SignOA {
+					t.Fatalf("%s workers=%d frame %d: signs differ from serial", c.Name, workers, i)
+				}
+				for j := range serial[i].Signature {
+					if ff.Signature[j] != serial[i].Signature[j] {
+						t.Fatalf("%s workers=%d frame %d: signature[%d] differs", c.Name, workers, i, j)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.Name, workers, err)
+			}
+			if next != c.Len() {
+				t.Fatalf("%s workers=%d: yielded %d frames, want %d", c.Name, workers, next, c.Len())
+			}
 		}
 	}
 }

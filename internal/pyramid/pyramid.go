@@ -169,36 +169,13 @@ func reduceRows(p []uint64, w, h int) {
 // to a single pixel, producing one line of g.W pixels — the signature of
 // Figure 3. It panics if g.H is not a size-set value.
 func Signature(g *video.Frame) []video.Pixel {
-	sig := make([]video.Pixel, g.W)
-	SignatureInto(g, sig)
-	return sig
-}
-
-// SignatureInto is Signature writing into dst (len ≥ g.W). It panics if
-// g.H is not a size-set value or dst is too short.
-func SignatureInto(g *video.Frame, dst []video.Pixel) {
-	if len(dst) < g.W {
-		panic(fmt.Sprintf("pyramid: signature destination %d < width %d", len(dst), g.W))
-	}
 	r := NewReducer(g.W, g.H)
 	r.load(g)
-	for x, w := range r.columns(g.W, g.H) {
-		dst[x] = narrow(w)
-	}
-}
-
-// Sign reduces g all the way to a single pixel: columns first (giving the
-// signature), then the signature line. Both dimensions must be size-set
-// values.
-func Sign(g *video.Frame) video.Pixel {
-	return NewReducer(g.W, g.H).Sign(g)
-}
-
-// SignatureAndSign computes both reductions of g, sharing the column
-// pass. Both dimensions of g must be size-set values.
-func SignatureAndSign(g *video.Frame) ([]video.Pixel, video.Pixel) {
 	sig := make([]video.Pixel, g.W)
-	return sig, NewReducer(g.W, g.H).Reduce(g, sig)
+	for x, w := range r.columns(g.W, g.H) {
+		sig[x] = narrow(w)
+	}
+	return sig
 }
 
 // Reducer holds a reusable plane of wide pixels for repeated reductions
@@ -273,12 +250,6 @@ func (r *Reducer) load(g *video.Frame) {
 func (r *Reducer) Reduce(g *video.Frame, dst []video.Pixel) video.Pixel {
 	r.load(g)
 	return r.ReducePlane(g.W, g.H, dst)
-}
-
-// LineToPixel collapses a size-set-length line to one pixel without
-// allocating. The line is not modified.
-func (r *Reducer) LineToPixel(line []video.Pixel) video.Pixel {
-	return r.Sign(&video.Frame{W: len(line), H: 1, Pix: line})
 }
 
 // Sign collapses g to a single pixel without allocating. Both

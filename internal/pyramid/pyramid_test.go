@@ -1,6 +1,7 @@
 package pyramid
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,12 +183,14 @@ func TestFigure3Shape(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = video.RGB(uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256)))
 	}
-	sig, sign := SignatureAndSign(g)
-	if len(sig) != 13 {
-		t.Fatalf("signature length = %d, want 13", len(sig))
+	red := NewReducer(g.W, g.H)
+	sig := make([]video.Pixel, g.W)
+	sign := red.Reduce(g, sig)
+	if got := Signature(g); len(got) != 13 || !slices.Equal(got, sig) {
+		t.Fatalf("Signature = %v (length %d), Reducer.Reduce wrote %v; want the same 13 pixels", got, len(got), sig)
 	}
-	if got := Sign(g); got != sign {
-		t.Errorf("Sign and SignatureAndSign disagree: %v != %v", got, sign)
+	if got := red.Sign(g); got != sign {
+		t.Errorf("Reducer.Sign and Reducer.Reduce disagree: %v != %v", got, sign)
 	}
 }
 
@@ -201,7 +204,7 @@ func TestSignatureConstantGrid(t *testing.T) {
 			t.Fatalf("constant grid signature changed at %d: %v", i, q)
 		}
 	}
-	if s := Sign(g); s != p {
+	if s := NewReducer(g.W, g.H).Sign(g); s != p {
 		t.Fatalf("constant grid sign = %v, want %v", s, p)
 	}
 }
@@ -232,7 +235,7 @@ func TestSignPanicsOnBadDims(t *testing.T) {
 			t.Fatal("Sign on 12-wide grid did not panic")
 		}
 	}()
-	Sign(video.NewFrame(12, 5))
+	NewReducer(12, 5).Sign(video.NewFrame(12, 5))
 }
 
 func TestSteps(t *testing.T) {
@@ -274,9 +277,10 @@ func BenchmarkSign13x5(b *testing.B) {
 	for i := range g.Pix {
 		g.Pix[i] = video.RGB(uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256)))
 	}
+	red := NewReducer(g.W, g.H)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sign(g)
+		red.Sign(g)
 	}
 }
 

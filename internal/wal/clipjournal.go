@@ -64,7 +64,7 @@ func ApplyRecord(db *core.Database, r Record) error {
 // format version (ErrVersion, file untouched); the result says how much
 // was recovered and how much was cut.
 func RecoverDatabase(db *core.Database, path string) (ReplayResult, error) {
-	return recoverFile(path, func(r Record) error { return ApplyRecord(db, r) }, true)
+	return recoverFile(path, func(r Record) error { return ApplyRecord(db, r) })
 }
 
 // RecoverAndOpen is the startup sequence of every durable process:

@@ -25,7 +25,7 @@ func buildJournal(t testing.TB, k int) ([]byte, []Record) {
 	return raw, recs
 }
 
-// recoverBytes writes raw to a scratch file and runs Recover, returning
+// recoverBytes writes raw to a scratch file and runs recovery, returning
 // the replayed records and the file's post-recovery size.
 func recoverBytes(t testing.TB, dir string, raw []byte) ([]Record, ReplayResult, int64) {
 	t.Helper()
@@ -34,7 +34,7 @@ func recoverBytes(t testing.TB, dir string, raw []byte) ([]Record, ReplayResult,
 		t.Fatal(err)
 	}
 	var recs []Record
-	res, err := Recover(path, func(r Record) error {
+	res, err := recoverFile(path, func(r Record) error {
 		recs = append(recs, Record{Op: r.Op, Data: append([]byte(nil), r.Data...)})
 		return nil
 	})
@@ -122,7 +122,7 @@ func TestTortureCorruptEveryByte(t *testing.T) {
 			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Recover(path, nil); !errors.Is(err, ErrVersion) {
+			if _, err := recoverFile(path, nil); !errors.Is(err, ErrVersion) {
 				t.Fatalf("flip %d (version): %v, want ErrVersion", i, err)
 			}
 			if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {

@@ -16,7 +16,7 @@
 //	payload [version u8][op u8][data ...]
 //
 // The reader (Replay) verifies each frame and stops at the first torn
-// or corrupt record, reporting the longest valid prefix; Recover
+// or corrupt record, reporting the longest valid prefix; RecoverDatabase
 // additionally truncates the file back to that prefix so the journal
 // can be appended to again. A journal of this version is therefore
 // never "unreadable": any crash — mid-record, mid-length-word, even
@@ -172,7 +172,8 @@ type Writer struct {
 
 // OpenWriter opens (creating if needed) the journal at path for
 // appending. A zero-length file gets a fresh header; an existing file
-// must carry a valid header — run Recover first to repair a torn one.
+// must carry a valid header — run RecoverDatabase first to repair a torn
+// one.
 // With PolicyInterval, interval bounds the background fsync cadence
 // (≤0 means one second).
 func OpenWriter(path string, policy Policy, interval time.Duration) (*Writer, error) {
@@ -304,8 +305,8 @@ func (w *Writer) writeLocked(b []byte) error {
 // cannot resurface in a future replay: truncate back to the pre-append
 // size, re-seek, and push the truncation to disk. Best effort — if any
 // step fails the tail stays suspect and the sticky error (already set
-// by the caller's failure) keeps refusing appends until Recover
-// repairs the file; Recover's CRC check then discards the torn record.
+// by the caller's failure) keeps refusing appends until RecoverDatabase
+// repairs the file; its CRC check then discards the torn record.
 func (w *Writer) rollbackLocked(to int64) {
 	if err := w.f.Truncate(to); err != nil {
 		return
@@ -582,15 +583,15 @@ type Record struct {
 	Data []byte
 }
 
-// ReplayResult describes what a Replay (or Recover) found.
+// ReplayResult describes what a Replay (or RecoverDatabase) found.
 type ReplayResult struct {
 	// Records is the number of valid records replayed.
 	Records int
 	// ValidBytes is the length of the longest valid prefix, header
 	// included.
 	ValidBytes int64
-	// TotalBytes is the input length actually seen; for Recover and
-	// RecoverDatabase, the journal's length before any cut.
+	// TotalBytes is the input length actually seen; for RecoverDatabase,
+	// the journal's length before any cut.
 	TotalBytes int64
 	// Damaged reports that the input ended in a torn or corrupt record
 	// (TotalBytes > ValidBytes).
@@ -600,7 +601,7 @@ type ReplayResult struct {
 }
 
 // TruncatedBytes is the tail length a damaged journal loses: for
-// Recover and RecoverDatabase, everything they cut.
+// RecoverDatabase, everything it cut.
 func (r ReplayResult) TruncatedBytes() int64 { return r.TotalBytes - r.ValidBytes }
 
 // Replay streams records from r, calling apply for each valid record in
@@ -712,21 +713,16 @@ func replayRecords(r io.Reader, apply func(Record) error, res ReplayResult) (Rep
 	}
 }
 
-// Recover replays the journal at path into apply and, if the file ends
-// in a torn or corrupt record, truncates it back to the longest valid
-// prefix so a Writer can append again; the result's TotalBytes is the
-// file's length before the cut, so TruncatedBytes counts every byte
-// removed. A missing file is an empty journal. Recovery never fails on
-// corruption — only on I/O errors, an apply error, or a journal of
-// another format version (ErrVersion), which is left untouched.
-func Recover(path string, apply func(Record) error) (ReplayResult, error) {
-	return recoverFile(path, apply, false)
-}
-
-// recoverFile is Recover, and with cutRefused also RecoverDatabase: a
-// record apply refuses then counts as damage — the replay stops there
-// and the journal is cut before it — instead of failing the recovery.
-func recoverFile(path string, apply func(Record) error, cutRefused bool) (ReplayResult, error) {
+// recoverFile replays the journal at path into apply and, if the file
+// ends in a torn or corrupt record, truncates it back to the longest
+// valid prefix so a Writer can append again; the result's TotalBytes is
+// the file's length before the cut, so TruncatedBytes counts every byte
+// removed. A record apply refuses counts as damage too: the replay
+// stops there and the journal is cut before it. A missing file is an
+// empty journal. Recovery never fails on corruption — only on I/O
+// errors or a journal of another format version (ErrVersion), which is
+// left untouched.
+func recoverFile(path string, apply func(Record) error) (ReplayResult, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return ReplayResult{}, nil
@@ -743,7 +739,7 @@ func recoverFile(path string, apply func(Record) error, cutRefused bool) (Replay
 		refused = apply(r)
 		return refused
 	})
-	if refused != nil && cutRefused {
+	if refused != nil {
 		// The frame was intact but the payload was not a valid mutation:
 		// same stance as a checksum failure — keep the prefix, cut the rest.
 		res.Damaged = true

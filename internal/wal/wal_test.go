@@ -52,7 +52,7 @@ func testPayload(i int) []byte {
 func collect(t testing.TB, path string) ([]Record, ReplayResult) {
 	t.Helper()
 	var recs []Record
-	res, err := Recover(path, func(r Record) error {
+	res, err := recoverFile(path, func(r Record) error {
 		recs = append(recs, Record{Op: r.Op, Data: append([]byte(nil), r.Data...)})
 		return nil
 	})
@@ -454,7 +454,7 @@ func TestFsyncFailureGoesSticky(t *testing.T) {
 }
 
 // TestTornTailRecoveredThenWritable is the full crash-reopen cycle: a
-// writer dies mid-record, Recover truncates the torn tail, a fresh
+// writer dies mid-record, recovery truncates the torn tail, a fresh
 // writer appends, and everything replays.
 func TestTornTailRecoveredThenWritable(t *testing.T) {
 	path := journalPath(t)
@@ -499,9 +499,14 @@ func TestTornTailRecoveredThenWritable(t *testing.T) {
 func TestApplyErrorAbortsReplay(t *testing.T) {
 	path := journalPath(t)
 	appendN(t, path, 3)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	boom := errors.New("apply boom")
 	n := 0
-	_, err := Recover(path, func(Record) error {
+	_, err = Replay(f, func(Record) error {
 		n++
 		if n == 2 {
 			return boom
@@ -541,7 +546,7 @@ func v1Journal() []byte {
 
 // A journal written by another format version holds acknowledged
 // records this build cannot read. That is not a torn tail: Replay,
-// Recover and OpenWriter must refuse it with ErrVersion, and Recover
+// recovery and OpenWriter must refuse it with ErrVersion, and recovery
 // must not truncate a byte of it.
 func TestOldVersionJournalIsRefusedNotRecovered(t *testing.T) {
 	old := v1Journal()
@@ -555,8 +560,8 @@ func TestOldVersionJournalIsRefusedNotRecovered(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := Recover(path, count); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Recover of a v1 journal: res %+v, err %v; want ErrVersion", res, err)
+	if res, err := recoverFile(path, count); !errors.Is(err, ErrVersion) {
+		t.Fatalf("recovery of a v1 journal: res %+v, err %v; want ErrVersion", res, err)
 	}
 	if _, err := OpenWriter(path, PolicyAlways, 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("OpenWriter on a v1 journal: %v; want ErrVersion", err)
