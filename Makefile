@@ -92,33 +92,34 @@ cover-gate:
 bench-gate:
 	./scripts/bench_gate.sh $(BASE)
 
-# End-to-end cluster exercise on loopback: three shard primaries on
-# segment stores, one read replica, a coordinator in front; ingest through the
-# coordinator, load it with vdbbench -cluster while killing a shard
-# mid-run, then assert zero 5xx, partial accounting and replica
-# catch-up from vdbbench's result line (see docs/CLUSTER.md for the
+# The process tests (internal/integration/process_test.go): the real
+# vdbserver and vdbcoord binaries on loopback, driven by the test's own
+# seeded load client. Each target runs one test; per-process logs land
+# in bench-out/<cluster|chaos|reshard>-smoke/.
+
+# Three shard primaries on segment stores, one read replica and a
+# coordinator; a shard is killed mid-run. Asserts zero 5xx, partial
+# accounting and replica catch-up (see docs/CLUSTER.md for the
 # topology).
 cluster-smoke:
-	./scripts/cluster_smoke.sh
+	VIDEODB_PROCESS_TESTS=1 $(GO) test -count=1 -v -timeout 10m -run '^TestClusterProcesses$$' ./internal/integration/
 
-# Overload-protection exercise on loopback: a 3-shard cluster with one
-# chaos-degraded (but replicated) shard and per-client rate limits,
-# driven by vdbbench -chaos — paced keyed healthy workers plus an
+# A 3-shard cluster with one chaos-degraded (but replicated) shard and
+# per-client rate limits, driven by paced keyed healthy workers plus an
 # abusive client. Asserts zero 5xx on healthy traffic, the abuser shed
 # (never failed), hedge wins, and retry volume capped by the budget
 # (see docs/ROBUSTNESS.md).
 chaos-smoke:
-	./scripts/chaos_smoke.sh
+	VIDEODB_PROCESS_TESTS=1 $(GO) test -count=1 -v -timeout 10m -run '^TestChaosProcesses$$' ./internal/integration/
 
-# Online-resharding exercise on loopback: a 3-shard cluster (with a
-# bounded-staleness read replica) grows to 4 shards while vdbbench
-# drives it, via the bench's own -reshard trigger. Asserts zero 5xx
-# and zero partials across the migration, the new shard owning clips
-# and taking fan-out, replica reads within the bound, and the final
-# corpus byte-identical to a never-resharded control node (see
-# "Growing the cluster" in docs/CLUSTER.md).
+# A 3-shard cluster (with a bounded-staleness read replica) grows to 4
+# shards under load. Asserts zero 5xx and zero partials across the
+# migration, the new shard owning clips and taking fan-out, replica
+# reads within the bound, and answers byte-identical to a
+# never-resharded control node (see "Growing the cluster" in
+# docs/CLUSTER.md).
 reshard-smoke:
-	./scripts/reshard_smoke.sh
+	VIDEODB_PROCESS_TESTS=1 $(GO) test -count=1 -v -timeout 10m -run '^TestReshardProcesses$$' ./internal/integration/
 
 # One testing.B benchmark per paper table/figure plus ablations.
 bench-micro:

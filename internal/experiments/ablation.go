@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"videodb/internal/evalmeasure"
 	"videodb/internal/feature"
-	"videodb/internal/metrics"
 	"videodb/internal/region"
 	"videodb/internal/sbd"
 	"videodb/internal/varindex"
@@ -17,7 +17,7 @@ type BorderRow struct {
 	// Frac is the border fraction tested.
 	Frac float64
 	// Result is the corpus-level detection accuracy.
-	Result metrics.Result
+	Result evalmeasure.Result
 }
 
 // RunAblationBorder evaluates the camera-tracking detector with

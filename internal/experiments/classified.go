@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"videodb/internal/metrics"
+	"videodb/internal/evalmeasure"
 	"videodb/internal/sbd"
 	"videodb/internal/video"
 )
@@ -37,7 +37,7 @@ type ClassifiedRow struct {
 	// Detector names the configuration.
 	Detector string
 	// Result is corpus-level accuracy.
-	Result metrics.Result
+	Result evalmeasure.Result
 }
 
 // RunAblationClassified evaluates whether collapsing adjacent boundary

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"videodb/internal/metrics"
+	"videodb/internal/evalmeasure"
 	"videodb/internal/sbd"
 	"videodb/internal/video"
 )
@@ -16,7 +16,7 @@ type FastRow struct {
 	// Detector names the configuration ("full" or "fast/<stride>").
 	Detector string
 	// Result is corpus-level accuracy.
-	Result metrics.Result
+	Result evalmeasure.Result
 	// Elapsed is the wall-clock detection time over the corpus
 	// (excluding synthesis).
 	Elapsed time.Duration
@@ -45,13 +45,13 @@ func RunAblationFast(strides []int, scale float64) ([]FastRow, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var total metrics.Result
+	var total evalmeasure.Result
 	for _, bc := range clips {
 		bounds, err := full.Detect(bc.clip)
 		if err != nil {
 			return nil, err
 		}
-		total.Add(metrics.Evaluate(bc.truth, bounds, metrics.DefaultTolerance))
+		total.Add(evalmeasure.Evaluate(bc.truth, bounds, evalmeasure.DefaultTolerance))
 	}
 	rows = append(rows, FastRow{
 		Detector: "full", Result: total, Elapsed: time.Since(start), FramesAnalyzedFrac: 1,
@@ -63,14 +63,14 @@ func RunAblationFast(strides []int, scale float64) ([]FastRow, error) {
 			return nil, err
 		}
 		start := time.Now()
-		var total metrics.Result
+		var total evalmeasure.Result
 		analyzed, frames := 0, 0
 		for _, bc := range clips {
 			bounds, stats, err := fast.DetectWithStats(bc.clip)
 			if err != nil {
 				return nil, err
 			}
-			total.Add(metrics.Evaluate(bc.truth, bounds, metrics.DefaultTolerance))
+			total.Add(evalmeasure.Evaluate(bc.truth, bounds, evalmeasure.DefaultTolerance))
 			analyzed += stats.FramesAnalyzed
 			frames += stats.FramesTotal
 		}

@@ -9,9 +9,9 @@ import (
 
 	"videodb/internal/core"
 	"videodb/internal/ecrsbd"
+	"videodb/internal/evalmeasure"
 	"videodb/internal/feature"
 	"videodb/internal/histsbd"
-	"videodb/internal/metrics"
 	"videodb/internal/pixelsbd"
 	"videodb/internal/pyramid"
 	"videodb/internal/sbd"
@@ -183,23 +183,23 @@ type Table5Row struct {
 	Def      ClipDef
 	Duration string
 	Cuts     int
-	Result   metrics.Result
+	Result   evalmeasure.Result
 }
 
 // RunTable5 evaluates the camera-tracking detector over the 22-clip
 // corpus at the given scale, returning per-clip rows and corpus totals.
-func RunTable5(scale float64) ([]Table5Row, metrics.Result, error) {
+func RunTable5(scale float64) ([]Table5Row, evalmeasure.Result, error) {
 	det, err := sbd.NewCameraTracking(sbd.DefaultConfig(), nil)
 	if err != nil {
-		return nil, metrics.Result{}, err
+		return nil, evalmeasure.Result{}, err
 	}
 	return runCorpus(scale, det)
 }
 
 // runCorpus evaluates any detector over the Table 5 corpus.
-func runCorpus(scale float64, det sbd.Detector) ([]Table5Row, metrics.Result, error) {
+func runCorpus(scale float64, det sbd.Detector) ([]Table5Row, evalmeasure.Result, error) {
 	var rows []Table5Row
-	var total metrics.Result
+	var total evalmeasure.Result
 	for _, def := range Table5Corpus() {
 		clip, gt, err := def.Build(scale)
 		if err != nil {
@@ -209,7 +209,7 @@ func runCorpus(scale float64, det sbd.Detector) ([]Table5Row, metrics.Result, er
 		if err != nil {
 			return nil, total, fmt.Errorf("%s: %w", def.Name, err)
 		}
-		res := metrics.Evaluate(gt.Boundaries, bounds, metrics.DefaultTolerance)
+		res := evalmeasure.Evaluate(gt.Boundaries, bounds, evalmeasure.DefaultTolerance)
 		rows = append(rows, Table5Row{
 			Def: def, Duration: clip.DurationString(), Cuts: len(gt.Boundaries), Result: res,
 		})
@@ -220,9 +220,9 @@ func runCorpus(scale float64, det sbd.Detector) ([]Table5Row, metrics.Result, er
 
 // FormatTable5 renders the evaluation like the paper's Table 5, with a
 // subtotal row per category.
-func FormatTable5(rows []Table5Row, total metrics.Result) string {
+func FormatTable5(rows []Table5Row, total evalmeasure.Result) string {
 	out := [][]string{}
-	var catTotal metrics.Result
+	var catTotal evalmeasure.Result
 	flushCategory := func(cat string) {
 		if catTotal.Actual == 0 && catTotal.Detected == 0 {
 			return
@@ -231,7 +231,7 @@ func FormatTable5(rows []Table5Row, total metrics.Result) string {
 			fmt.Sprintf("%d", catTotal.Actual),
 			fmt.Sprintf("%.2f", catTotal.Recall()),
 			fmt.Sprintf("%.2f", catTotal.Precision())})
-		catTotal = metrics.Result{}
+		catTotal = evalmeasure.Result{}
 	}
 	for i, r := range rows {
 		if i > 0 && rows[i-1].Def.Category != r.Def.Category {
@@ -257,7 +257,7 @@ func FormatTable5(rows []Table5Row, total metrics.Result) string {
 // comparison (substantiating the paper's §6 accuracy claim vs. [23]).
 type CompareRow struct {
 	Detector string
-	Result   metrics.Result
+	Result   evalmeasure.Result
 	Elapsed  time.Duration
 }
 

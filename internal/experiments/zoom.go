@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"videodb/internal/metrics"
+	"videodb/internal/evalmeasure"
 	"videodb/internal/rng"
 	"videodb/internal/sbd"
 	"videodb/internal/synth"
@@ -20,7 +20,7 @@ type ZoomRow struct {
 	// Rate is the per-frame magnification factor (1.0 = no zoom).
 	Rate float64
 	// Result is detection accuracy over the zoom corpus.
-	Result metrics.Result
+	Result evalmeasure.Result
 }
 
 // RunAblationZoom builds clips whose shots zoom at each rate (cuts
@@ -43,7 +43,7 @@ func RunAblationZoom(rates []float64) ([]ZoomRow, error) {
 		}
 		rows = append(rows, ZoomRow{
 			Rate:   rate,
-			Result: metrics.Evaluate(gt.Boundaries, bounds, metrics.DefaultTolerance),
+			Result: evalmeasure.Evaluate(gt.Boundaries, bounds, evalmeasure.DefaultTolerance),
 		})
 	}
 	return rows, nil

@@ -12,7 +12,7 @@ import (
 	"testing/quick"
 
 	"videodb/internal/core"
-	"videodb/internal/metrics"
+	"videodb/internal/evalmeasure"
 	"videodb/internal/rng"
 	"videodb/internal/segstore"
 	"videodb/internal/server"
@@ -64,7 +64,7 @@ func TestFullPipeline(t *testing.T) {
 	for _, sr := range rec.Shots[1:] {
 		bounds = append(bounds, sr.Shot.Start)
 	}
-	res := metrics.Evaluate(gt.Boundaries, bounds, metrics.DefaultTolerance)
+	res := evalmeasure.Evaluate(gt.Boundaries, bounds, evalmeasure.DefaultTolerance)
 	if res.Recall() < 0.6 || res.Precision() < 0.6 {
 		t.Errorf("end-to-end detection weak: %v", res)
 	}
