@@ -7,7 +7,10 @@
 // results are reproducible across Go releases and architectures.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator. The zero value
 // is not valid; use New.
@@ -44,49 +47,20 @@ func splitmix64(state *uint64) uint64 {
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 {
 	// 128-bit LCG step: state = state*mul + inc, with a fixed odd
-	// increment. Multiplication of two 64-bit halves done manually.
+	// increment, modulo 2^128.
 	const mulHi = 2549297995355413924
 	const mulLo = 4865540595714422341
 	const incHi = 6364136223846793005
 	const incLo = 1442695040888963407
 
-	loHi, loLo := mul64(r.lo, mulLo)
-	hi := r.hi*mulLo + r.lo*mulHi + loHi
-	lo := loLo
-
-	lo, carry := add64(lo, incLo)
-	hi = hi + incHi + carry
-
+	hi, lo := bits.Mul64(r.lo, mulLo)
+	hi += r.hi*mulLo + r.lo*mulHi
+	lo, carry := bits.Add64(lo, incLo, 0)
+	hi += incHi + carry
 	r.hi, r.lo = hi, lo
 
 	// Output function: XSL-RR.
-	xored := hi ^ lo
-	rot := uint(hi >> 58)
-	return xored>>rot | xored<<((64-rot)&63)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	c = t >> 32
-	m := t & mask
-	t = aLo*bHi + m
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + t>>32
-	return hi, lo
-}
-
-func add64(a, b uint64) (sum, carry uint64) {
-	sum = a + b
-	if sum < a {
-		carry = 1
-	}
-	return sum, carry
+	return bits.RotateLeft64(hi^lo, -int(hi>>58))
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
