@@ -314,7 +314,7 @@ func cmdInfo(args []string) error {
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dataDir := dataFlag(fs)
-	fanout := fs.Int("fanout", segstore.DefaultFanout, "segments per generation before a merge triggers")
+	fanout := fs.Int("fanout", segstore.DefaultFanout, "segments per generation before a merge triggers (at least 2)")
 	fs.Parse(args)
 	st, err := openStore(*dataDir, segstore.Options{Fanout: *fanout})
 	if err != nil {

@@ -99,7 +99,7 @@ func main() {
 		replIvl    = flag.Duration("replica-poll", 250*time.Millisecond, "WAL poll period when caught up (-replica-of mode)")
 		dataDir    = flag.String("data", "data", "segment-store directory (created when missing): immutable mmap-ed segments plus the write-ahead journal wal.log")
 		compactIvl = flag.Duration("compact-interval", 30*time.Second, "background segment-compaction cadence (0 disables)")
-		fanout     = flag.Int("fanout", segstore.DefaultFanout, "segments per generation before the compactor merges them")
+		fanout     = flag.Int("fanout", segstore.DefaultFanout, "segments per generation before the compactor merges them (at least 2)")
 		clipCache  = flag.Int("clip-cache", core.DefaultClipCache, "decoded-clip LRU capacity in clips for segment reads (0 = default)")
 
 		rateLimit   = flag.Float64("rate-limit", 0, "global admission rate in requests/second (0 = unlimited)")

@@ -537,8 +537,23 @@ func TestCloseReleasesLock(t *testing.T) {
 
 // TestFailedOpenReleasesLock: an Open that fails on a corrupt segment
 // gives the lock back, so the directory opens once the file is repaired.
+// A refused fanout fails before the lock is taken.
 func TestFailedOpenReleasesLock(t *testing.T) {
 	dir := t.TempDir()
+	for _, tc := range []struct {
+		fanout int
+		ok     bool
+	}{{0, true}, {1, false}, {-1, false}, {2, true}} {
+		s, err := segstore.Open(dir, segstore.Options{Core: core.DefaultOptions(), Fanout: tc.fanout})
+		if (err == nil) != tc.ok {
+			t.Fatalf("Open with fanout %d: %v, want success %v", tc.fanout, err, tc.ok)
+		}
+		if err == nil {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	s := openStore(t, dir, 4)
 	if _, err := s.DB().Ingest(vtest.TwoShotClip("kept", 1, 2, 8, 16)); err != nil {
 		t.Fatal(err)
