@@ -39,7 +39,7 @@ test-race:
 # then the journal's recovery, replay and rotation suites: their bugs
 # are schedule-dependent, and one green run proves nothing.
 stress:
-	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Retention' -count=5 -timeout 30m ./internal/core/ ./internal/varindex/
+	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Stack|Retention' -count=5 -timeout 30m ./internal/core/ ./internal/varindex/
 	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 -timeout 30m ./internal/server/
 	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
@@ -143,14 +143,15 @@ fuzz:
 # byte of a valid segment, truncate it at every length, append garbage,
 # mutate the manifest — each variant must fail loudly at Open, never
 # serve wrong data — then longer adversarial fuzz passes over the two
-# storage parsers, and the flush/reopen/compaction differential suite
+# storage parsers, the flush/reopen/compaction differential suite
 # (including reads racing a compaction cascade) under the race
-# detector.
+# detector, and the segment-stack composition model test.
 segment-torture:
 	$(GO) test -race -run 'Torture' ./internal/segment/
 	$(GO) test -fuzz '^FuzzSegmentOpen$$' -fuzztime 30s -run '^$$' ./internal/segment/
 	$(GO) test -fuzz '^FuzzManifestLoad$$' -fuzztime 30s -run '^$$' ./internal/segment/
 	$(GO) test -race -run 'TestDifferentialFlushReopenCompact|TestMidCompactionReads' ./internal/segstore/
+	$(GO) test -race -run 'TestStackCompositionFollowsModel' ./internal/core/
 
 # Run every Fuzz* target in the tree for 10 seconds each — the CI
 # smoke pass. Discovers targets dynamically so new fuzzers are picked

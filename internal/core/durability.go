@@ -161,29 +161,30 @@ func (db *Database) BeginSnapshot() *PendingFlush {
 // new one, never a mix. A zero-length payload is the empty database
 // (WriteSegment writes nothing for an empty capture).
 func (db *Database) ApplySnapshot(payload []byte) error {
-	home := make(map[string]clipRef)
+	var names []string
+	var refs []clipRef
 	ix := varindex.New()
 	if len(payload) > 0 {
 		seg, err := segment.OpenBytes(payload)
 		if err != nil {
 			return fmt.Errorf("core: decoding snapshot: %w", err)
 		}
-		for i := 0; i < seg.NumClips(); i++ {
-			rec, entries, err := decodeClip(seg, i)
+		names, refs, _ = compose([]*segment.Reader{seg})
+		for i, ref := range refs {
+			rec, entries, err := decodeClip(ref.seg, ref.idx)
 			if err != nil {
 				return err
 			}
-			home[rec.Name] = clipRef{rec: rec}
+			refs[i] = clipRef{rec: rec}
 			for _, e := range entries {
 				ix.Add(e)
 			}
 		}
 	}
-	v := catalogView(home, ix, nil)
+	ix.Build()
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	v.epoch = db.view.Load().epoch + 1
-	db.publishLocked(v)
+	db.publishLocked(&view{epoch: db.view.Load().epoch + 1, names: names, refs: refs, index: ix})
 	return nil
 }

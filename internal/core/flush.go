@@ -5,17 +5,24 @@
 //	                     before WAL replay;
 //	BeginFlush         — capture the memtable, pending tombstones and
 //	                     the WAL cut point under one lock hold;
-//	PendingFlush.WriteSegment — encode the capture as a segment file;
+//	BeginSnapshot      — capture every live clip and the WAL cut point
+//	                     (durability.go);
+//	Compaction         — capture the composition of a run of segments;
+//	PendingFlush.WriteSegment — encode any capture as a segment file;
 //	CompleteFlush      — flip the captured clips memtable→cold by
 //	                     pointer identity, keeping anything re-ingested
 //	                     or deleted since the capture;
 //	SwapSegments       — atomically repoint cold references from
 //	                     compacted segments to their replacement.
 //
-// All four publish through the same copy-on-write view swap as ingest
-// and delete, so readers never observe a half-applied flush, and the
-// similarity index is untouched by flush and compaction — moving a
-// clip between tiers changes where its record lives, not its entries.
+// What a stack of segments means is stated once, in compose; open,
+// replica bootstrap and compaction all go through it.
+//
+// ApplySegmentBase, CompleteFlush and SwapSegments publish through the
+// same copy-on-write view swap as ingest and delete, so readers never
+// observe a half-applied flush, and the similarity index is untouched
+// by flush and compaction — moving a clip between tiers changes where
+// its record lives, not its entries.
 //
 // Tombstone discipline: once a segment base is installed, every
 // delete (Remove) records the name as a pending
@@ -31,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"videodb/internal/segment"
 	"videodb/internal/varindex"
@@ -48,14 +54,50 @@ type storeState struct {
 	cache *clipCache
 }
 
-// ApplySegmentBase installs the composed state of segs — oldest first,
-// each segment's tombstones deleting from strictly older segments,
-// then its clips shadowing older same-named ones — as the database's
-// cold tier, and enables the flush primitives. It must run on a fresh,
-// empty database before WAL replay and before SetJournal. cacheSize
-// bounds the materialized-clip cache (0 means DefaultClipCache). The
-// readers stay pinned by published views; the caller must not Close
-// them.
+// compose is the one statement of what a segment stack means. segs
+// run oldest first: each segment's tombstones delete the names older
+// segments hold, and then its clips shadow older clips of the same
+// name. It returns the stack's live clips as segment slots, names
+// sorted and refs[i] the slot of names[i], plus the sorted union of
+// the stack's tombstones. Open, replica bootstrap and compaction all
+// read a stack through it.
+func compose(segs []*segment.Reader) (names []string, refs []clipRef, tombs []string) {
+	// The maps live only while composition runs; callers keep the
+	// sorted slices.
+	home := make(map[string]clipRef)
+	dead := make(map[string]struct{})
+	for _, s := range segs {
+		for _, name := range s.Tombstones() {
+			delete(home, name)
+			dead[name] = struct{}{}
+		}
+		for i := 0; i < s.NumClips(); i++ {
+			home[s.Name(i)] = clipRef{seg: s, idx: i}
+		}
+	}
+	names = make([]string, 0, len(home))
+	for name := range home {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	refs = make([]clipRef, len(names))
+	for i, name := range names {
+		refs[i] = home[name]
+	}
+	tombs = make([]string, 0, len(dead))
+	for name := range dead {
+		tombs = append(tombs, name)
+	}
+	slices.Sort(tombs)
+	return names, refs, tombs
+}
+
+// ApplySegmentBase installs the composition of segs (see compose) as
+// the database's cold tier, and enables the flush primitives. It must
+// run on a fresh, empty database before WAL replay and before
+// SetJournal. cacheSize bounds the materialized-clip cache (0 means
+// DefaultClipCache). The readers stay pinned by published views; the
+// caller must not Close them.
 func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -66,18 +108,7 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 	if len(cur.names) != 0 {
 		return fmt.Errorf("core: segment base applied to a non-empty database")
 	}
-
-	// Composition needs a map only while it runs; the view keeps the
-	// sorted catalog.
-	home := make(map[string]clipRef)
-	for _, s := range segs {
-		for _, name := range s.Tombstones() {
-			delete(home, name)
-		}
-		for i := 0; i < s.NumClips(); i++ {
-			home[s.Name(i)] = clipRef{seg: s, idx: i}
-		}
-	}
+	names, refs, _ := compose(segs)
 
 	// The index holds exactly the surviving clips' entries: each
 	// segment contributes only rows whose clip it owns after
@@ -91,17 +122,16 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 			return err
 		}
 		for _, e := range run {
-			if home[e.Clip].seg == s {
+			if i, ok := slices.BinarySearch(names, e.Clip); ok && refs[i].seg == s {
 				ix.Add(e)
 			}
 		}
 	}
+	ix.Build()
 
 	cache := newClipCache(cacheSize)
-	v := catalogView(home, ix, cache)
-	v.epoch = cur.epoch + 1
 	db.store = storeState{enabled: true, tombs: make(map[string]struct{}), cache: cache}
-	db.publishLocked(v)
+	db.publishLocked(&view{epoch: cur.epoch + 1, names: names, refs: refs, index: ix, mat: cache})
 	return nil
 }
 
@@ -112,7 +142,9 @@ func (db *Database) ApplySegmentBase(segs []*segment.Reader, cacheSize int) erro
 // WAL to the cut after the flush lands can never erase a mutation the
 // segment missed. BeginFlush captures the memtable records and the
 // pending tombstones (the next flushed segment); BeginSnapshot captures
-// every live clip, segment clips by slot (a replica bootstrap body).
+// every live clip, segment clips by slot (a replica bootstrap body);
+// Compaction captures the composition of a run of segments (the
+// segment that replaces the run).
 type PendingFlush struct {
 	refs   []clipRef
 	tombs  []string
@@ -141,7 +173,7 @@ func (db *Database) BeginFlush() (*PendingFlush, error) {
 	for name := range db.store.tombs {
 		pf.tombs = append(pf.tombs, name)
 	}
-	sort.Strings(pf.tombs)
+	slices.Sort(pf.tombs)
 	if len(pf.refs) == 0 && len(pf.tombs) == 0 {
 		return nil, nil
 	}
@@ -156,6 +188,23 @@ func (pf *PendingFlush) Clips() int { return len(pf.refs) }
 
 // Tombstones reports how many pending deletions the capture holds.
 func (pf *PendingFlush) Tombstones() int { return len(pf.tombs) }
+
+// Compaction captures the composition of run, adjacent segments of a
+// stack oldest first, as the one segment that replaces them. The run's
+// tombstones are kept only when hasOlder: then older segments remain
+// for them to delete from. It returns nil when nothing survives — no
+// live clip and no tombstone to keep — and the run is replaced by
+// nothing. Like the other captures, it is encoded by WriteSegment.
+func Compaction(run []*segment.Reader, hasOlder bool) *PendingFlush {
+	_, refs, tombs := compose(run)
+	if !hasOlder {
+		tombs = nil
+	}
+	if len(refs) == 0 && len(tombs) == 0 {
+		return nil
+	}
+	return &PendingFlush{refs: refs, tombs: tombs}
+}
 
 // JournalCut returns the WAL offset captured with the state, and
 // whether one was available.

@@ -75,24 +75,6 @@ func emptyView() *view {
 	return &view{index: varindex.New()}
 }
 
-// catalogView builds a view from scratch, for the bulk constructions:
-// home maps each clip's name to its ref (a build-time map, never
-// stored), and ix holds exactly those clips' entries, Added but not yet
-// Built. The caller sets the epoch.
-func catalogView(home map[string]clipRef, ix *varindex.Index, mat *clipCache) *view {
-	v := &view{names: make([]string, 0, len(home)), index: ix, mat: mat}
-	for name := range home {
-		v.names = append(v.names, name)
-	}
-	slices.Sort(v.names)
-	v.refs = make([]clipRef, len(v.names))
-	for i, name := range v.names {
-		v.refs[i] = home[name]
-	}
-	ix.Build()
-	return v
-}
-
 // successor returns the next publication over the given catalog and
 // index, sharing the cold-clip cache.
 func (v *view) successor(names []string, refs []clipRef, index *varindex.Index) *view {
