@@ -667,7 +667,8 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request, sh *shar
 // proxy streams one request to one node and relays the answer. Writes
 // go through here: they are not retried (a resend could double-apply)
 // and not bounded by the fan-out timeout (an upload analysis runs as
-// long as it runs).
+// long as it runs). A 2xx answer's journal position is noted on the
+// node (node.noteWrite).
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pathq string) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.url+pathq, r.Body)
 	if err != nil {
@@ -687,6 +688,9 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, n *node, pat
 	defer resp.Body.Close()
 	if resp.StatusCode < 500 {
 		n.markUp(nil)
+	}
+	if resp.StatusCode/100 == 2 {
+		n.noteWrite(resp.Header)
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		c.metrics.backpressure.Add(1)
@@ -716,12 +720,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	server.WriteJSON(w, map[string]any{
-		"status":          "ok",
-		"role":            "coordinator",
-		"shards":          len(shards),
-		"shardsReachable": up,
-	})
+	server.WriteJSON(w, HealthJSON{Role: "coordinator", Shards: len(shards), ShardsReachable: up, Status: "ok"})
 }
 
 // instruments are the coordinator's counters, registered once in New

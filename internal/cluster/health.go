@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +79,29 @@ func (n *node) set(doc *server.HealthJSON, err error) {
 	}
 }
 
+// noteWrite folds the journal position on a write's 2xx answer
+// (server.HeaderWalGen and HeaderWalSize) into the node's health
+// document, as an observation made now: a probe that started earlier
+// no longer overwrites it. The position replaces the document's unless
+// that already holds the same generation at a size at least as large,
+// so replicaLag counts a write acknowledged through this coordinator
+// until the replica has applied it, even before a probe sees the
+// write. An answer without the pair changes nothing.
+func (n *node) noteWrite(h http.Header) {
+	gen := h.Get(server.HeaderWalGen)
+	size, err := strconv.ParseInt(h.Get(server.HeaderWalSize), 10, 64)
+	if gen == "" || err != nil {
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if j := n.health.JournalHealth; j != nil && j.WalGen == gen && j.WalSize >= size {
+		return
+	}
+	n.health.JournalHealth = &server.JournalHealth{WalGen: gen, WalSize: size}
+	n.probeStart = time.Now()
+}
+
 func (n *node) isUp() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -146,7 +170,9 @@ func (sh *shard) primary() *node { return sh.nodes[0] }
 // or restarted and the replica has not re-bootstrapped yet, when
 // comparing offsets is meaningless). A negative difference clamps to
 // zero: the two docs are sampled at different instants, so a replica
-// can appear momentarily ahead.
+// can appear momentarily ahead. The primary's document includes the
+// positions of writes acknowledged through this coordinator
+// (node.noteWrite).
 func (sh *shard) replicaLag(n *node) (int64, bool) {
 	p, r := sh.primary().healthDoc(), n.healthDoc()
 	if p.JournalHealth == nil || r.ReplicationStatus == nil || p.WalGen == "" || r.Gen != p.WalGen {
@@ -357,6 +383,16 @@ type ShardStatus struct {
 	// (bounded-staleness rotation plus read-side promotion).
 	PrimaryReads int64 `json:"primaryReads"`
 	ReplicaReads int64 `json:"replicaReads"`
+}
+
+// HealthJSON is the coordinator's GET /api/health document. Its fields
+// are declared in key order, the order the map it replaced encoded in.
+type HealthJSON struct {
+	Role   string `json:"role"`
+	Shards int    `json:"shards"`
+	// ShardsReachable counts the shards with at least one node up.
+	ShardsReachable int    `json:"shardsReachable"`
+	Status          string `json:"status"`
 }
 
 // StatusJSON is the GET /api/cluster/status document.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,12 +17,15 @@ import (
 	"videodb/internal/server"
 )
 
-// fakeBackend is a stub shard node: a mutable /api/health document and
-// a hit-counted /api/query that always answers an empty match list.
-// It lets staleness tests dial lag, generation, and liveness exactly.
+// fakeBackend is a stub shard node: a mutable /api/health document, a
+// hit-counted /api/query that always answers an empty match list, and
+// a POST /api/clips that acknowledges every upload with the journal
+// position in write. It lets staleness tests dial lag, generation, and
+// liveness exactly.
 type fakeBackend struct {
 	mu      sync.Mutex
 	doc     server.HealthJSON
+	write   server.JournalHealth
 	queries atomic.Int64
 	ts      *httptest.Server
 }
@@ -39,6 +44,16 @@ func newFakeBackend(t *testing.T, doc server.HealthJSON) *fakeBackend {
 		fb.queries.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, "[]")
+	})
+	mux.HandleFunc("POST /api/clips", func(w http.ResponseWriter, r *http.Request) {
+		fb.mu.Lock()
+		pos := fb.write
+		fb.mu.Unlock()
+		w.Header().Set(server.HeaderWalGen, pos.WalGen)
+		w.Header().Set(server.HeaderWalSize, strconv.FormatInt(pos.WalSize, 10))
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusCreated)
+		fmt.Fprint(w, "{}")
 	})
 	fb.ts = httptest.NewServer(mux)
 	t.Cleanup(fb.ts.Close)
@@ -331,5 +346,95 @@ func TestOlderProbeNeverOverwritesNewer(t *testing.T) {
 	}
 	if !n.isUp() {
 		t.Fatal("node marked down after two successful probes")
+	}
+}
+
+// TestStalenessBoundZeroSeesCoordinatorWrites: at bound 0 a write
+// acknowledged through the coordinator is never missed by a rotated
+// read. The primary's answer carries its journal position; the replica
+// has not applied it, and no probe has seen it (the probe interval is
+// an hour), so the last probe still reads the replica at lag 0. The
+// write's position alone must keep every read on the primary — also
+// when the write lands in a generation no probe has seen yet — until a
+// probe finds the replica caught up again.
+func TestStalenessBoundZeroSeesCoordinatorWrites(t *testing.T) {
+	c, front, p, r := newStalenessCluster(t, 0)
+	write := func(gen string, size int64) {
+		t.Helper()
+		p.mu.Lock()
+		p.write = server.JournalHealth{WalGen: gen, WalSize: size}
+		p.mu.Unlock()
+		resp, err := http.Post(front.URL+"/api/clips?name=w", "application/octet-stream", strings.NewReader("clip"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("write status %d", resp.StatusCode)
+		}
+	}
+	// reads issues 8 queries and returns how many the replica served.
+	reads := func() int64 {
+		t.Helper()
+		before := r.queries.Load()
+		for i := 0; i < 8; i++ {
+			resp, err := http.Get(front.URL + "/api/query?varba=10&varoa=10")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query status %d", resp.StatusCode)
+			}
+		}
+		return r.queries.Load() - before
+	}
+
+	write("g1", 1400)
+	if n := reads(); n != 0 {
+		t.Fatalf("replica served %d of 8 reads before applying an acknowledged write", n)
+	}
+	write("g2", 100) // the primary rotated since the last probe
+	if n := reads(); n != 0 {
+		t.Fatalf("replica served %d of 8 reads across a generation only the write has shown", n)
+	}
+	p.setDoc(primaryDoc(100, "g2"))
+	r.setDoc(replicaDoc(100, "g2"))
+	c.probeAll(testContext(t))
+	if n := reads(); n == 0 {
+		t.Fatal("caught-up replica served no reads after the probe saw it apply the write")
+	}
+}
+
+// TestStalenessWriteOutrunsOlderProbe: a probe that started before a
+// write was acknowledged answers after it, with the journal position
+// from before the write. The node must keep the write's position.
+func TestStalenessWriteOutrunsOlderProbe(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(primaryDoc(1000, "g1"))
+	}))
+	t.Cleanup(ts.Close)
+
+	c := &Coordinator{client: &http.Client{}}
+	n := &node{url: ts.URL, up: true}
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		c.probe(testContext(t), n)
+	}()
+	<-entered
+	h := http.Header{}
+	h.Set(server.HeaderWalGen, "g1")
+	h.Set(server.HeaderWalSize, "1400")
+	n.noteWrite(h)
+	close(release)
+	<-probed
+
+	if doc := n.healthDoc(); doc.JournalHealth == nil || doc.WalSize != 1400 {
+		t.Fatalf("node holds %+v after the older probe finished, want the write's walSize 1400", doc.JournalHealth)
 	}
 }

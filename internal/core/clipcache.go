@@ -11,8 +11,7 @@
 package core
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
 
 	"videodb/internal/scenetree"
 	"videodb/internal/segment"
@@ -30,26 +29,18 @@ type clipKey struct {
 	idx int
 }
 
-type clipCacheEntry struct {
-	key clipKey
-	rec *ClipRecord
-}
-
-// clipCache is the bounded LRU of materialized cold clips.
+// clipCache is the bounded LRU of materialized cold clips, with its
+// lookup counters.
 type clipCache struct {
-	mu     sync.Mutex
-	max    int
-	m      map[clipKey]*list.Element
-	lru    list.List
-	hits   uint64
-	misses uint64
+	clips        *lru[clipKey, *ClipRecord]
+	hits, misses atomic.Uint64
 }
 
 func newClipCache(max int) *clipCache {
 	if max <= 0 {
 		max = DefaultClipCache
 	}
-	return &clipCache{max: max, m: make(map[clipKey]*list.Element)}
+	return &clipCache{clips: newLRU[clipKey, *ClipRecord](max)}
 }
 
 // get returns the materialized record for ref, decoding it from the
@@ -58,41 +49,22 @@ func newClipCache(max int) *clipCache {
 // misses both decode and the first insert wins.
 func (c *clipCache) get(ref clipRef) (*ClipRecord, error) {
 	key := clipKey{ref.seg.ID(), ref.idx}
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		rec := el.Value.(*clipCacheEntry).rec
-		c.mu.Unlock()
+	if rec, ok := c.clips.get(key); ok {
+		c.hits.Add(1)
 		return rec, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-
+	c.misses.Add(1)
 	rec, err := materializeClip(ref.seg, ref.idx)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*clipCacheEntry).rec, nil
-	}
-	c.m[key] = c.lru.PushFront(&clipCacheEntry{key: key, rec: rec})
-	for c.lru.Len() > c.max {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.m, last.Value.(*clipCacheEntry).key)
-	}
+	rec, _ = c.clips.add(key, rec)
 	return rec, nil
 }
 
 // stats returns the cache counters.
 func (c *clipCache) stats() ClipCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ClipCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len(), Max: c.max}
+	return ClipCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.clips.len(), Max: c.clips.max}
 }
 
 // ClipCacheStats reports the cold-clip materialization cache counters.

@@ -11,10 +11,11 @@
 // A Database is safe for concurrent use, and its read path is
 // lock-free: queries, listings and browsing resolve against an
 // immutable view published through an atomic pointer (view.go), so a
-// seconds-long ingest never stalls a reader. An optional epoch-tagged
-// result cache (WithQueryCache) answers repeated identical queries
-// without touching the index; it is invalidated wholesale whenever a
-// mutation publishes a new view. Ingest runs a two-phase pipeline:
+// seconds-long ingest never stalls a reader. An optional result cache
+// (WithQueryCache) answers repeated identical queries without touching
+// the index; each published view owns one, empty when the view is
+// published, so a mutation never inherits a stale answer. Ingest runs
+// a two-phase pipeline:
 // per-frame analysis fans out across a bounded worker pool
 // (Options.Workers, see WithParallelism) into an ordered stream that
 // the strictly sequential pairwise shot detector consumes in frame
@@ -57,8 +58,8 @@ type Options struct {
 	// 0 means GOMAXPROCS. Set it through WithParallelism when opening a
 	// database.
 	Workers int
-	// QueryCache bounds the query-result cache in entries; 0 disables
-	// caching. Set it through WithQueryCache when opening.
+	// QueryCache bounds each view's query-result cache in entries; 0
+	// disables caching. Set it through WithQueryCache when opening.
 	QueryCache int
 }
 
@@ -74,10 +75,10 @@ func WithParallelism(n int) OpenOption {
 	return func(o *Options) { o.Workers = n }
 }
 
-// WithQueryCache bounds the epoch-tagged query-result cache to n
-// entries; 0 disables caching. Cached results are invalidated wholesale
-// whenever a mutation publishes a new view, so a cached answer is
-// always identical to what the live index would return.
+// WithQueryCache bounds the query-result cache to n entries; 0
+// disables caching. Every published view starts with an empty cache of
+// its own, so a cached answer is always identical to what the view it
+// was computed against returns uncached.
 func WithQueryCache(n int) OpenOption {
 	return func(o *Options) { o.QueryCache = n }
 }
@@ -164,8 +165,8 @@ type Database struct {
 	// view is the atomically published immutable read state: the
 	// sorted clip catalog and the built similarity index. See view.go.
 	view atomic.Pointer[view]
-	// cache is the epoch-tagged query-result cache; nil when disabled.
-	cache *queryCache
+	// answered counts the lookups of every view's answer cache.
+	answered answerCounters
 	// reserved holds clip names whose ingest analysis is in flight, so
 	// duplicates are rejected before burning CPU on analysis and two
 	// concurrent ingests of the same name cannot both commit.
@@ -211,31 +212,23 @@ func Open(opts Options, extra ...OpenOption) (*Database, error) {
 	}
 	db := &Database{
 		opts:      opts,
-		cache:     newQueryCache(opts.QueryCache),
 		reserved:  make(map[string]struct{}),
 		analyzers: make(map[[2]int]*feature.Analyzer),
 	}
-	db.view.Store(emptyView())
+	db.publishLocked(emptyView()) // no other goroutine can see db yet
 	return db, nil
 }
 
-// publishLocked makes next the current view and invalidates the query
-// cache to its epoch. Callers hold the write lock; the Store is the
-// commit point after which every new reader observes the mutation.
+// publishLocked gives next an empty answer cache and makes it the
+// current view. Callers hold the write lock; the Store is the commit
+// point after which every new reader observes the mutation. This is
+// the one place a view's answer cache is made: a successor never
+// inherits its predecessor's answers.
 func (db *Database) publishLocked(next *view) {
+	if db.opts.QueryCache > 0 {
+		next.answers = newLRU[qkey, []Match](db.opts.QueryCache)
+	}
 	db.view.Store(next)
-	if db.cache != nil {
-		db.cache.invalidate(next.epoch)
-	}
-}
-
-// QueryCacheStats reports the query cache's counters; the zero value
-// when caching is disabled.
-func (db *Database) QueryCacheStats() CacheStats {
-	if db.cache == nil {
-		return CacheStats{}
-	}
-	return db.cache.stats()
 }
 
 // Options returns the database's configuration.
@@ -515,19 +508,27 @@ func (db *Database) Epoch() uint64 {
 
 // answer is the one query path: every public query method pins a view
 // and comes through here. It answers q against the pinned view v,
-// appending the matches to dst (which may be nil). With cached set and a
-// cache configured, the answer is served from — or computed once into —
-// the entry tagged with v's epoch, and copied into dst, so no caller
-// ever holds the cache's backing array; a view older than the cache's
-// epoch simply misses. Otherwise the index kernel runs with pooled
-// scratch: with a dst at capacity that allocates nothing.
+// appending the matches to dst (which may be nil). With cached set and
+// v holding an answer cache, the answer comes from v's cache — on a
+// miss the kernel runs and its result is added; errors are never
+// cached — and is copied into dst, so no caller ever holds the cache's
+// backing array. Otherwise the index kernel runs with pooled scratch:
+// with a dst at capacity that allocates nothing.
 func (db *Database) answer(dst []Match, v *view, q varindex.Query, opt varindex.Options, cached bool) ([]Match, error) {
-	if cached && db.cache != nil {
-		matches, _, err := db.cache.do(cacheKey(q, opt), v.epoch, func() ([]Match, error) {
-			return db.answer(nil, v, q, opt, false)
-		})
-		if err != nil {
-			return dst, err
+	if cached && v.answers != nil {
+		key := cacheKey(q, opt)
+		matches, ok := v.answers.get(key)
+		if ok {
+			db.answered.hits.Add(1)
+		} else {
+			db.answered.misses.Add(1)
+			fresh, err := db.answer(nil, v, q, opt, false)
+			if err != nil {
+				return dst, err
+			}
+			var evicted int
+			matches, evicted = v.answers.add(key, fresh)
+			db.answered.evictions.Add(uint64(evicted))
 		}
 		return append(dst, matches...), nil
 	}

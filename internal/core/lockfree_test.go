@@ -10,169 +10,176 @@ import (
 	"testing"
 	"time"
 
+	"videodb/internal/segment"
 	"videodb/internal/varindex"
 	"videodb/internal/vtest"
 )
 
-// --- queryCache unit tests -------------------------------------------
+// --- the LRU and the caches built on it ------------------------------
 
-// TestQueryCacheSingleflight proves concurrent identical misses
-// collapse into one computation: N goroutines ask for the same key
-// while the first compute is deliberately blocked, and exactly one
-// compute runs.
-func TestQueryCacheSingleflight(t *testing.T) {
-	c := newQueryCache(8)
-	c.invalidate(1)
-
-	var computes atomic.Int32
-	release := make(chan struct{})
-	want := []Match{{Entry: varindex.Entry{Clip: "x", Shot: 0}}}
-	compute := func() ([]Match, error) {
-		computes.Add(1)
-		<-release
-		return want, nil
-	}
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([][]Match, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, hit, err := c.do(tkey("k"), 1, compute)
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			if hit {
-				t.Errorf("waiter %d: reported a hit during a blocked flight", i)
-			}
-			results[i] = got
-		}(i)
-	}
-	// Every waiter registers a miss before joining the flight; once all
-	// are counted, release the one compute.
-	for {
-		c.mu.Lock()
-		n := c.misses
-		c.mu.Unlock()
-		if n == waiters {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d waiters ran %d computes, want 1", waiters, got)
-	}
-	for i, got := range results {
-		if len(got) != 1 || got[0].Entry != want[0].Entry {
-			t.Fatalf("waiter %d got %v", i, got)
+// TestLRUCacheEviction checks the one LRU both caches share: the bound,
+// that a get refreshes an entry so add evicts the least recently used
+// one, that a second add of a resident key returns the first value,
+// and the eviction count.
+func TestLRUCacheEviction(t *testing.T) {
+	c := newLRU[string, int](2)
+	for i, k := range []string{"a", "b"} {
+		if got, ev := c.add(k, i); got != i || ev != 0 {
+			t.Fatalf("add(%q, %d) = %d, %d evicted; want %d, 0", k, i, got, ev, i)
 		}
 	}
-	// The flight's result was stored: the next lookup is a hit.
-	if _, hit, _ := c.do(tkey("k"), 1, func() ([]Match, error) { t.Fatal("recompute after store"); return nil, nil }); !hit {
-		t.Fatal("stored flight result not served as a hit")
+	// A get refreshes "a", so "b" is now the least recently used.
+	if v, ok := c.get("a"); !ok || v != 0 {
+		t.Fatalf("get(a) = %d, %v; want 0, true", v, ok)
+	}
+	if got, ev := c.add("c", 2); got != 2 || ev != 1 {
+		t.Fatalf("add(c) = %d, %d evicted; want 2, 1", got, ev)
+	}
+	if n := c.len(); n != 2 {
+		t.Fatalf("len %d after 3 adds into a bound of 2", n)
+	}
+	if _, ok := c.get("b"); ok {
+		t.Fatal("least recently used entry b survived the eviction")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.get(k); !ok {
+			t.Fatalf("recently used entry %q was evicted", k)
+		}
+	}
+	// The first insert wins: a second add of a resident key returns the
+	// value already there, evicts nothing and refreshes it.
+	if got, ev := c.add("a", 99); got != 0 || ev != 0 {
+		t.Fatalf("second add(a) = %d, %d evicted; want the resident 0, 0", got, ev)
+	}
+	if got, ev := c.add("d", 3); got != 3 || ev != 1 {
+		t.Fatalf("add(d) = %d, %d evicted; want 3, 1", got, ev)
+	}
+	if _, ok := c.get("c"); ok {
+		t.Fatal("c survived although the second add(a) refreshed a")
+	}
+	if v, ok := c.get("a"); !ok || v != 0 {
+		t.Fatalf("get(a) = %d, %v after the second add; want 0, true", v, ok)
 	}
 }
 
-// tkey builds a qkey from a short literal for the cache unit tests.
-func tkey(s string) qkey {
-	var k qkey
-	copy(k[:], s)
-	return k
+// TestViewCacheOwnsItsAnswers: each published view caches its own
+// answers. An answer cached on view A is never served on its successor
+// B, and a reader still pinned on A is served from A's own cache,
+// superseded or not. A query that fails is never cached.
+func TestViewCacheOwnsItsAnswers(t *testing.T) {
+	db, err := Open(DefaultOptions(), WithQueryCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"keep", "gone"} {
+		seed := uint64(10*i + 1)
+		if _, err := db.Ingest(vtest.TwoShotClip(name, seed, seed+1, 8, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := varindex.Options{Alpha: 1e9, Beta: 1e9}
+	q := varindex.Query{VarBA: 1}
+	has := func(ms []Match, clip string) bool {
+		return slices.ContainsFunc(ms, func(m Match) bool { return m.Entry.Clip == clip })
+	}
+	stats := func() (hits, misses uint64) {
+		s := db.QueryCacheStats()
+		return s.Hits, s.Misses
+	}
+
+	a := db.view.Load()
+	onA, err := db.QueryWithOptions(q, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !has(onA, "gone") {
+		t.Fatal("view A's answer lacks clip gone")
+	}
+	if h, m := stats(); h != 0 || m != 1 {
+		t.Fatalf("first query: %d hits, %d misses; want 0, 1", h, m)
+	}
+
+	if err := db.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	b := db.view.Load()
+	if b == a {
+		t.Fatal("Remove published no new view")
+	}
+	onB, err := db.QueryWithOptions(q, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := stats(); h != 0 || m != 2 {
+		t.Fatalf("q on the successor: %d hits, %d misses; want 0, 2 (a miss)", h, m)
+	}
+	if has(onB, "gone") {
+		t.Fatal("the successor served the removed clip: it inherited its predecessor's answer")
+	}
+
+	again, err := db.answer(nil, a, q, wide, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !has(again, "gone") || len(again) != len(onA) {
+		t.Fatalf("pinned view A answered %d matches (gone present: %v), want its own %d with gone",
+			len(again), has(again, "gone"), len(onA))
+	}
+	if h, m := stats(); h != 1 || m != 2 {
+		t.Fatalf("q on pinned A: %d hits, %d misses; want 1, 2 (a hit on A's cache)", h, m)
+	}
+	if a.answers.len() != 1 || b.answers.len() != 1 {
+		t.Fatalf("cache sizes A %d, B %d; want 1 each", a.answers.len(), b.answers.len())
+	}
+
+	bad := varindex.Query{VarBA: -1}
+	for i := 0; i < 2; i++ {
+		if _, err := db.QueryWithOptions(bad, wide); !errors.Is(err, varindex.ErrBadQuery) {
+			t.Fatalf("invalid query %d: err %v, want ErrBadQuery", i, err)
+		}
+	}
+	if h, m := stats(); h != 1 || m != 4 {
+		t.Fatalf("after two invalid queries: %d hits, %d misses; want 1, 4 (both ran the kernel)", h, m)
+	}
+	if n := b.answers.len(); n != 1 {
+		t.Fatalf("view B caches %d answers after two invalid queries, want 1", n)
+	}
 }
 
-// TestQueryCacheEpochProtocol pins the invalidation rules: a stale
-// flight's result is never stored, a newer-epoch caller never joins an
-// older flight, and invalidate clears everything at once.
-func TestQueryCacheEpochProtocol(t *testing.T) {
-	c := newQueryCache(8)
-	c.invalidate(1)
-
-	// A flight computed against epoch 1 finishes after the cache moved
-	// to epoch 2: its result must not be stored.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.do(tkey("stale"), 1, func() ([]Match, error) {
-			close(started)
-			<-release
-			return []Match{{Entry: varindex.Entry{Clip: "old"}}}, nil
-		})
-	}()
-	<-started
-	c.invalidate(2)
-	// A caller pinned on the new epoch must not join the old flight —
-	// it computes its own answer immediately.
-	got, hit, err := c.do(tkey("stale"), 2, func() ([]Match, error) {
-		return []Match{{Entry: varindex.Entry{Clip: "new"}}}, nil
-	})
-	if err != nil || hit {
-		t.Fatalf("new-epoch lookup: hit=%v err=%v", hit, err)
+// TestClipCacheBound: the cold-clip cache holds at most its bound of
+// materialized clips while every cold clip still browses.
+func TestClipCacheBound(t *testing.T) {
+	scratch := openDB(t)
+	names := []string{"c0", "c1", "c2", "c3"}
+	var recs []*ClipRecord
+	for i, name := range names {
+		seed := uint64(10*i + 1)
+		rec, err := scratch.Ingest(vtest.TwoShotClip(name, seed, seed+1, 8, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	if len(got) != 1 || got[0].Entry.Clip != "new" {
-		t.Fatalf("new-epoch caller joined the stale flight: %v", got)
+	seg := writeSegmentFile(t, t.TempDir(), 1, &PendingFlush{refs: memRefs(recs...)})
+	db := openDB(t)
+	if err := db.ApplySegmentBase([]*segment.Reader{seg}, 2); err != nil {
+		t.Fatal(err)
 	}
-	close(release)
-	wg.Wait()
-	// The stale flight must not have overwritten the epoch-2 entry.
-	got, hit, _ = c.do(tkey("stale"), 2, func() ([]Match, error) { return nil, errors.New("unreachable") })
-	if !hit || got[0].Entry.Clip != "new" {
-		t.Fatalf("epoch-2 entry lost to a stale flight: hit=%v %v", hit, got)
+	for _, name := range names {
+		tree, err := db.Browse(name)
+		if err != nil || tree == nil {
+			t.Fatalf("Browse(%s) = %v, %v", name, tree, err)
+		}
+		if s := db.ClipCacheStats(); s.Entries > 2 {
+			t.Fatalf("after Browse(%s) the clip cache holds %d clips, bound 2", name, s.Entries)
+		}
 	}
-
-	c.invalidate(3)
-	if s := c.stats(); s.Size != 0 {
-		t.Fatalf("invalidate left %d entries", s.Size)
+	if _, err := db.Browse("c3"); err != nil {
+		t.Fatal(err)
 	}
-	// An entry from a newer epoch is a miss for an older pinned caller
-	// (a batch that loaded its view before the swap) — but must NOT be
-	// purged, since it is fresh for everyone else.
-	c.do(tkey("k"), 3, func() ([]Match, error) { return nil, nil })
-	if _, hit, _ := c.do(tkey("k"), 2, func() ([]Match, error) { return nil, nil }); hit {
-		t.Fatal("stale pinned caller served a newer epoch's entry")
-	}
-	if _, hit, _ := c.do(tkey("k"), 3, func() ([]Match, error) { return nil, nil }); !hit {
-		t.Fatal("fresh entry purged by a stale caller's lookup")
-	}
-
-	// Errors are never cached.
-	boom := errors.New("boom")
-	if _, _, err := c.do(tkey("err"), 3, func() ([]Match, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	ran := false
-	c.do(tkey("err"), 3, func() ([]Match, error) { ran = true; return nil, nil })
-	if !ran {
-		t.Fatal("failed compute was cached")
-	}
-}
-
-func TestQueryCacheEviction(t *testing.T) {
-	c := newQueryCache(2)
-	c.invalidate(1)
-	for _, k := range []string{"a", "b", "c"} {
-		c.do(tkey(k), 1, func() ([]Match, error) { return nil, nil })
-	}
-	s := c.stats()
-	if s.Size != 2 || s.Evictions != 1 {
-		t.Fatalf("size %d evictions %d after 3 inserts into cap 2, want 2/1", s.Size, s.Evictions)
-	}
-	// "a" is the LRU victim: it recomputes, "c" is still cached.
-	if _, hit, _ := c.do(tkey("a"), 1, func() ([]Match, error) { return nil, nil }); hit {
-		t.Fatal("evicted entry served as a hit")
-	}
-	if _, hit, _ := c.do(tkey("c"), 1, func() ([]Match, error) { return nil, nil }); !hit {
-		t.Fatal("resident entry missed")
-	}
-	if newQueryCache(0) != nil {
-		t.Fatal("capacity 0 must disable the cache")
+	want := ClipCacheStats{Hits: 1, Misses: 4, Entries: 2, Max: 2}
+	if s := db.ClipCacheStats(); s != want {
+		t.Fatalf("clip cache stats %+v, want %+v", s, want)
 	}
 }
 
@@ -315,9 +322,9 @@ func TestConcurrentCacheLinearizability(t *testing.T) {
 
 // --- retention and goroutine hygiene ---------------------------------
 
-// TestViewRetention proves superseded views become garbage: the
-// database, its cache, and its flights must not pin old epochs, or
-// every mutation would leak a full index copy.
+// TestViewRetention proves superseded views become garbage, their
+// answer caches with them: nothing the database keeps may pin an old
+// view, or every mutation would leak a full index copy.
 func TestViewRetention(t *testing.T) {
 	db, err := Open(DefaultOptions(), WithQueryCache(16))
 	if err != nil {
@@ -417,7 +424,7 @@ func TestPinnedListingsSurviveLaterWrites(t *testing.T) {
 }
 
 // TestQueryPathSpawnsNoGoroutines: the lock-free read path must not
-// leak goroutines — queries, cache flights and swaps all complete
+// leak goroutines — queries, cache misses and swaps all complete
 // synchronously.
 func TestQueryPathSpawnsNoGoroutines(t *testing.T) {
 	db, err := Open(DefaultOptions(), WithQueryCache(16))

@@ -1,18 +1,17 @@
-// The epoch-tagged query-result cache riding on the view publication
-// protocol (view.go): results are cached under the epoch of the view
-// they were computed against and the whole cache is invalidated when a
-// mutation publishes a new view, so a cached result is served only
-// while it is provably identical to what the live index would return.
-// Concurrent identical misses are collapsed singleflight-style: one
-// goroutine computes, the rest wait and share the result.
+// The query-result cache belongs to the view: publishLocked gives every
+// view it publishes an empty answer cache (view.answers), so an answer
+// is only ever served to readers of the view it was computed against.
+// A write publishes a successor whose cache starts empty, and a reader
+// still pinned on an older view (a batch that spans a write) is served
+// from that view's own answers. Concurrent identical misses each run
+// the kernel; the first answer added is the one kept.
 
 package core
 
 import (
-	"container/list"
 	"encoding/binary"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"videodb/internal/varindex"
 )
@@ -22,67 +21,21 @@ import (
 type CacheStats struct {
 	// Hits counts queries answered from the cache.
 	Hits uint64
-	// Misses counts queries that had to run the index search (including
-	// waiters collapsed into another goroutine's in-flight computation).
+	// Misses counts cached-path queries that ran the index search.
 	Misses uint64
-	// Evictions counts entries dropped for capacity; wholesale epoch
-	// invalidations are not evictions.
+	// Evictions counts entries dropped for capacity; the answers a
+	// superseded view takes with it are not evictions.
 	Evictions uint64
-	// Size is the current number of cached results.
+	// Size is the current view's number of cached results.
 	Size int
 	// Capacity is the configured bound; 0 means caching is disabled.
 	Capacity int
 }
 
-// queryCache is the LRU result cache. All state is guarded by mu; the
-// critical sections are map/list operations only — the index search of
-// a miss runs outside the lock.
-type queryCache struct {
-	cap int
-
-	mu sync.Mutex
-	// epoch is the view epoch the cache is valid for; invalidate bumps
-	// it and clears the entries.
-	epoch     uint64
-	lru       *list.List // front = most recently used, of *cacheEntry
-	byKey     map[qkey]*list.Element
-	flights   map[qkey]*cacheFlight
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-// cacheEntry is one cached result. matches is the cache's private copy:
-// do returns it to the Database layer, which appends it into the
-// caller's destination before handing anything out, so no caller ever
-// holds (or can corrupt) the cached backing array.
-type cacheEntry struct {
-	key     qkey
-	epoch   uint64
-	matches []Match
-}
-
-// cacheFlight is one in-progress computation concurrent identical
-// misses wait on.
-type cacheFlight struct {
-	epoch   uint64
-	done    chan struct{}
-	matches []Match
-	err     error
-}
-
-// newQueryCache returns a cache bounded to capacity entries, or nil
-// when capacity is zero (caching disabled).
-func newQueryCache(capacity int) *queryCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &queryCache{
-		cap:     capacity,
-		lru:     list.New(),
-		byKey:   make(map[qkey]*list.Element),
-		flights: make(map[qkey]*cacheFlight),
-	}
+// answerCounters are the cumulative counters of a database's answer
+// caches, summed over every view it published.
+type answerCounters struct {
+	hits, misses, evictions atomic.Uint64
 }
 
 // qkey is the cache key: a fixed-size value type so computing and
@@ -104,85 +57,17 @@ func cacheKey(q varindex.Query, opt varindex.Options) qkey {
 	return b
 }
 
-// do returns the result for key as computed against a view of the
-// given epoch: from the cache when a same-epoch entry exists, from
-// another goroutine's in-flight computation when one is running, and
-// by calling compute otherwise. compute runs outside the cache lock.
-// The returned bool reports a cache hit.
-func (c *queryCache) do(key qkey, epoch uint64, compute func() ([]Match, error)) ([]Match, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		// An entry can only be newer than the caller's pinned view (a
-		// batch holding an old view across a swap), never older —
-		// invalidation clears stale entries wholesale and stores are
-		// epoch-checked. Either way, a mismatched epoch is a miss.
-		if ent.epoch == epoch {
-			c.hits++
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return ent.matches, true, nil
-		}
+// QueryCacheStats reports the query cache's counters; the zero value
+// when caching is disabled.
+func (db *Database) QueryCacheStats() CacheStats {
+	if db.opts.QueryCache == 0 {
+		return CacheStats{}
 	}
-	c.misses++
-	if f, ok := c.flights[key]; ok && f.epoch == epoch {
-		c.mu.Unlock()
-		<-f.done
-		return f.matches, false, f.err
-	}
-	f := &cacheFlight{epoch: epoch, done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	f.matches, f.err = compute()
-
-	c.mu.Lock()
-	if c.flights[key] == f {
-		delete(c.flights, key)
-	}
-	if f.err == nil && c.epoch == epoch {
-		c.insertLocked(key, epoch, f.matches)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.matches, false, f.err
-}
-
-// insertLocked stores a result, evicting from the LRU tail on overflow.
-func (c *queryCache) insertLocked(key qkey, epoch uint64, matches []Match) {
-	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.epoch, ent.matches = epoch, matches
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, epoch: epoch, matches: matches})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.lru.Remove(oldest)
-		c.evictions++
-	}
-}
-
-// invalidate clears every entry and advances the cache to the given
-// epoch — called by writers under the database write lock right after
-// publishing the view of that epoch. In-flight computations against
-// older views finish harmlessly: their store is epoch-checked away.
-func (c *queryCache) invalidate(epoch uint64) {
-	c.mu.Lock()
-	c.epoch = epoch
-	c.lru.Init()
-	clear(c.byKey)
-	c.mu.Unlock()
-}
-
-// stats snapshots the counters.
-func (c *queryCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Size: c.lru.Len(), Capacity: c.cap,
+		Hits:      db.answered.hits.Load(),
+		Misses:    db.answered.misses.Load(),
+		Evictions: db.answered.evictions.Load(),
+		Size:      db.view.Load().answers.len(),
+		Capacity:  db.opts.QueryCache,
 	}
 }

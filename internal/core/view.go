@@ -48,14 +48,12 @@ type clipRef struct {
 }
 
 // view is one immutable publication of the database's queryable state.
-// Every field is frozen at construction: a successor copies names and
-// refs before editing either, and the index is built before the view
-// becomes visible, so concurrent readers share it without
-// synchronization.
+// Every field is frozen before the view becomes visible: a successor
+// copies names and refs before editing either, and the index is built
+// first, so concurrent readers share it without synchronization. The
+// two caches a view points at lock for themselves.
 type view struct {
-	// epoch counts publications; it tags query-cache entries so a
-	// result computed against one view is never served once a newer
-	// view exists.
+	// epoch counts publications (Database.Epoch).
 	epoch uint64
 	// names is the catalog: every clip name, sorted and unique.
 	names []string
@@ -68,6 +66,13 @@ type view struct {
 	// mat is the shared cold-clip materialization cache; nil without a
 	// segment base.
 	mat *clipCache
+	// answers caches this view's query answers; publishLocked sets it,
+	// empty, before the view becomes visible. nil when caching is
+	// disabled, and in a view that was never published. An entry's
+	// matches are the cache's private copy: answer appends them into
+	// the caller's destination, so no caller ever holds (or can
+	// corrupt) the cached backing array.
+	answers *lru[qkey, []Match]
 }
 
 // emptyView is the epoch-0 state of a fresh database.
@@ -76,7 +81,7 @@ func emptyView() *view {
 }
 
 // successor returns the next publication over the given catalog and
-// index, sharing the cold-clip cache.
+// index, sharing the cold-clip cache but none of v's answers.
 func (v *view) successor(names []string, refs []clipRef, index *varindex.Index) *view {
 	return &view{epoch: v.epoch + 1, names: names, refs: refs, index: index, mat: v.mat}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -188,4 +189,70 @@ func grepLine(body, substr string) string {
 		}
 	}
 	return ""
+}
+
+// TestWriteAnswersCarryWalPosition: a journalled node's answers to an
+// upload and a delete carry the journal's generation and size as they
+// stand after the write; an in-memory node's answers carry neither.
+func TestWriteAnswersCarryWalPosition(t *testing.T) {
+	write := func(t *testing.T, base, method, path string, body io.Reader, wantCode int) http.Header {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantCode)
+		}
+		return resp.Header
+	}
+	clip := vtest.TwoShotClip("w", 1, 2, 8, 16)
+
+	t.Run("journalled", func(t *testing.T) {
+		st := openStore(t, t.TempDir())
+		defer st.Close()
+		ts := storeServer(st)
+		defer ts.Close()
+		j := st.Journal()
+		var last int64
+		for _, w := range []struct {
+			method, path string
+			body         io.Reader
+			code         int
+		}{
+			{http.MethodPost, "/api/clips", vdbfBody(t, clip), http.StatusCreated},
+			{http.MethodDelete, "/api/clips/w", nil, http.StatusOK},
+		} {
+			h := write(t, ts.URL, w.method, w.path, w.body, w.code)
+			if got := h.Get(HeaderWalGen); got != j.Gen() {
+				t.Errorf("%s: %s %q, want %q", w.method, HeaderWalGen, got, j.Gen())
+			}
+			size := h.Get(HeaderWalSize)
+			if want := strconv.FormatInt(j.Size(), 10); size != want {
+				t.Errorf("%s: %s %q, want %q", w.method, HeaderWalSize, size, want)
+			}
+			n, _ := strconv.ParseInt(size, 10, 64)
+			if n <= last {
+				t.Errorf("%s: journal size %d did not grow past %d", w.method, n, last)
+			}
+			last = n
+		}
+	})
+
+	t.Run("in memory", func(t *testing.T) {
+		ts, _ := testServer(t)
+		for _, h := range []http.Header{
+			write(t, ts.URL, http.MethodPost, "/api/clips", vdbfBody(t, clip), http.StatusCreated),
+			write(t, ts.URL, http.MethodDelete, "/api/clips/w", nil, http.StatusOK),
+		} {
+			if h.Get(HeaderWalGen) != "" || h.Get(HeaderWalSize) != "" {
+				t.Errorf("in-memory write answer carries a journal position: %q %q", h.Get(HeaderWalGen), h.Get(HeaderWalSize))
+			}
+		}
+	})
 }

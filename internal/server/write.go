@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"videodb/internal/core"
@@ -88,6 +89,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, seconds := range [len(ingestPhases)]float64{st.AnalyzeSeconds, st.DetectSeconds, st.IndexSeconds, st.TreeSeconds} {
 		s.metrics.ingestPhaseNanos[i].Add(int64(seconds * 1e9))
 	}
+	s.setWalPosition(w.Header())
 	writeJSONStatus(w, http.StatusCreated, ClipSummary{
 		Name: rec.Name, Frames: rec.Frames, FPS: rec.FPS,
 		Shots: len(rec.Shots), TreeHeight: rec.Tree.Height(),
@@ -109,7 +111,26 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.removes.Add(1)
+	s.setWalPosition(w.Header())
 	WriteJSON(w, map[string]string{"removed": name})
+}
+
+// setWalPosition puts the journal's generation and size on a write's
+// answer, so a coordinator knows how far a replica must have read
+// before it can serve the write. The size is read between two readings
+// of the generation; if a rotation moved it, the pair would mix two
+// generations, and neither header is set.
+func (s *Server) setWalPosition(h http.Header) {
+	if s.journal == nil {
+		return
+	}
+	gen := s.journal.Gen()
+	size := s.journal.Size()
+	if s.journal.Gen() != gen {
+		return
+	}
+	h.Set(HeaderWalGen, gen)
+	h.Set(HeaderWalSize, strconv.FormatInt(size, 10))
 }
 
 // handleSnapshot implements POST /api/snapshot: flush the memtable into
