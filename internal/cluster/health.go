@@ -52,7 +52,7 @@ func (n *node) markDown(err error) {
 // unless the node holds the result of one that started later. Probes
 // overlap — background rounds, a reshard's pre-flight, explicit rounds
 // — and an older answer must never overwrite a newer one: it could
-// hand a replica reads across a journal rotation the coordinator has
+// hand a replica reads across a primary restart the coordinator has
 // already seen.
 func (n *node) probed(start time.Time, doc *server.HealthJSON, err error) {
 	n.mu.Lock()
@@ -164,13 +164,13 @@ func (sh *shard) primary() *node { return sh.nodes[0] }
 
 // replicaLag returns replica n's byte lag behind the shard's primary,
 // computed from the most recent health observations: the primary's
-// journal size minus the replica's applied cut. ok is false when the
-// lag is unknowable — the primary reports no journal generation, the
-// replica no stream generation, or the two differ (the primary rotated
-// or restarted and the replica has not re-bootstrapped yet, when
-// comparing offsets is meaningless). A negative difference clamps to
-// zero: the two docs are sampled at different instants, so a replica
-// can appear momentarily ahead. The primary's document includes the
+// journal position minus the replica's applied cut. ok is false when
+// the lag is unknowable — the primary reports no journal generation,
+// the replica no stream generation, or the two differ (the primary
+// restarted and the replica has not re-bootstrapped yet; a flush
+// changes neither). A negative difference clamps to zero: the two docs
+// are sampled at different instants, so a replica can appear
+// momentarily ahead. The primary's document includes the
 // positions of writes acknowledged through this coordinator
 // (node.noteWrite).
 func (sh *shard) replicaLag(n *node) (int64, bool) {

@@ -470,7 +470,7 @@ func (run *reshardRun) listAll(ctx context.Context) ([]string, error) {
 	for i, sh := range run.old {
 		clips := &parts[i]
 		err := run.retry(ctx, func() error {
-			body, status, err := run.do(ctx, http.MethodGet, sh.primary().url+"/api/clips", nil)
+			body, status, _, err := run.do(ctx, http.MethodGet, sh.primary().url+"/api/clips", nil)
 			if err != nil {
 				return err
 			}
@@ -495,7 +495,7 @@ func (run *reshardRun) listAll(ctx context.Context) ([]string, error) {
 func (run *reshardRun) exportClip(ctx context.Context, sh *shard, name string) ([]byte, error) {
 	var payload []byte
 	err := run.retry(ctx, func() error {
-		body, status, err := run.do(ctx, http.MethodGet,
+		body, status, _, err := run.do(ctx, http.MethodGet,
 			sh.primary().url+"/api/replication/clip/"+url.PathEscape(name), nil)
 		if err != nil {
 			return err
@@ -514,16 +514,18 @@ func (run *reshardRun) exportClip(ctx context.Context, sh *shard, name string) (
 }
 
 // importAndVerify pushes a clip record to the destination primary and
-// verifies the copy by re-exporting it and comparing bytes.
+// verifies the copy by re-exporting it and comparing bytes. Like any
+// write, the import's journal position goes to the node (noteWrite).
 func (run *reshardRun) importAndVerify(ctx context.Context, name string, payload []byte, dst *shard) error {
 	err := run.retry(ctx, func() error {
-		_, status, err := run.do(ctx, http.MethodPost, dst.primary().url+"/api/replication/clip", payload)
+		_, status, h, err := run.do(ctx, http.MethodPost, dst.primary().url+"/api/replication/clip", payload)
 		if err != nil {
 			return err
 		}
 		if status != http.StatusOK {
 			return fmt.Errorf("import into shard %d: status %d", dst.id, status)
 		}
+		dst.primary().noteWrite(h)
 		return nil
 	})
 	if err != nil {
@@ -546,10 +548,10 @@ func (run *reshardRun) importAndVerify(ctx context.Context, name string, payload
 }
 
 // deleteClip removes one clip from a shard's primary; absence is
-// success (deletes are idempotent cleanup).
+// success (deletes are idempotent cleanup), noting its journal position.
 func (run *reshardRun) deleteClip(ctx context.Context, sh *shard, name string) error {
 	return run.retry(ctx, func() error {
-		_, status, err := run.do(ctx, http.MethodDelete,
+		_, status, h, err := run.do(ctx, http.MethodDelete,
 			sh.primary().url+"/api/clips/"+url.PathEscape(name), nil)
 		if err != nil {
 			return err
@@ -557,6 +559,7 @@ func (run *reshardRun) deleteClip(ctx context.Context, sh *shard, name string) e
 		if status != http.StatusOK && status != http.StatusNotFound {
 			return fmt.Errorf("delete from shard %d: status %d", sh.id, status)
 		}
+		sh.primary().noteWrite(h)
 		return nil
 	})
 }
@@ -600,7 +603,7 @@ func (run *reshardRun) retry(ctx context.Context, f func() error) error {
 }
 
 // do performs one HTTP attempt with the coordinator's fan-out timeout.
-func (run *reshardRun) do(ctx context.Context, method, u string, body []byte) ([]byte, int, error) {
+func (run *reshardRun) do(ctx context.Context, method, u string, body []byte) ([]byte, int, http.Header, error) {
 	ctx, cancel := context.WithTimeout(ctx, run.c.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -609,19 +612,19 @@ func (run *reshardRun) do(ctx context.Context, method, u string, body []byte) ([
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	resp, err := run.c.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	return data, resp.StatusCode, nil
+	return data, resp.StatusCode, resp.Header, nil
 }

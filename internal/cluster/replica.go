@@ -26,7 +26,7 @@ import (
 // copy of the primary at all times.
 //
 // Failure handling is re-convergent rather than precise: a 409 from
-// the WAL endpoint (journal rotated, primary restarted), a torn chunk
+// the WAL endpoint (primary restarted, cut flushed away), a torn chunk
 // that yields no whole record, or any doubt about where the stream
 // stands sends the replica back to a full snapshot bootstrap, which is
 // always correct because ApplySnapshot replaces the state wholesale.
@@ -42,7 +42,7 @@ type Replica struct {
 	wg     sync.WaitGroup
 
 	mu          sync.Mutex
-	cut         int64  // next journal offset to request
+	cut         int64  // next journal position to request
 	gen         string // journal generation the cut belongs to
 	primarySize int64  // primary's journal size at the last poll
 	applied     int64  // records replayed
@@ -222,8 +222,8 @@ func (r *Replica) pollWAL(ctx context.Context, cut int64, gen string) (more bool
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
-		// The journal rotated past our cut or the primary restarted:
-		// our offset means nothing anymore. Drop the generation and
+		// The primary restarted or flushed away the records at our cut:
+		// our position means nothing anymore. Drop the generation and
 		// let the next step re-bootstrap.
 		r.forgetGeneration()
 		r.log.Info("journal generation changed; re-bootstrapping",

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,9 +158,9 @@ func TestReplicaLagUnknownWithoutStream(t *testing.T) {
 }
 
 // TestReplicaSurvivesRotation rotates the primary's journal (the
-// post-snapshot generation change) under a live replica: the stale cut
-// must 409, the replica must re-bootstrap, and the stream must
-// converge again.
+// post-snapshot flush) under a caught-up replica: positions survive the
+// rotation, so the replica tails on from its cut without a second
+// bootstrap and converges.
 func TestReplicaSurvivesRotation(t *testing.T) {
 	db, j, ts := newPrimary(t)
 	clips := makeClips(t, 3)
@@ -170,7 +173,7 @@ func TestReplicaSurvivesRotation(t *testing.T) {
 	waitFor(t, "initial catch-up", func() bool { return len(rdb.Clips()) == 1 && rep.Stats().LagBytes == 0 })
 
 	// Snapshot-style rotation: capture the cut and rotate to it. The
-	// generation token changes, invalidating the replica's offset.
+	// replica's position is the cut itself, which the journal keeps.
 	snap := db.BeginSnapshot()
 	cut, ok := snap.JournalCut()
 	if !ok {
@@ -185,7 +188,7 @@ func TestReplicaSurvivesRotation(t *testing.T) {
 		}
 	}
 	waitFor(t, "re-converge after rotation", func() bool {
-		return rep.Stats().Bootstraps >= 2 && sameRecords(db, rdb) == nil
+		return rep.Stats().Bootstraps == 1 && sameRecords(db, rdb) == nil
 	})
 }
 
@@ -319,8 +322,8 @@ func sameAnswers(a, b *core.Database) error {
 // memtable. The bootstrap body is written column-wise from the segment
 // readers, so it must leave the primary's cold-clip cache exactly as it
 // found it; and a flush on the primary mid-tail — which rotates the
-// journal and turns the replica's next poll into a 409 — must end in a
-// second bootstrap that converges.
+// journal but moves no position — must leave the replica tailing on
+// from its cut, converging without a second bootstrap.
 func TestReplicaOfSegmentStorePrimary(t *testing.T) {
 	st, err := segstore.Open(t.TempDir(), segstore.Options{
 		Core: core.DefaultOptions(), Policy: wal.PolicyAlways, ClipCache: 2,
@@ -378,13 +381,156 @@ func TestReplicaOfSegmentStorePrimary(t *testing.T) {
 	if res, err := st.Flush(); err != nil || !res.Rotated {
 		t.Fatalf("mid-tail flush: %+v, %v", res, err)
 	}
-	waitFor(t, "re-bootstrap after the flush rotated the journal", func() bool {
-		return rep.Stats().Bootstraps >= 2 && rep.Stats().LagBytes == 0 && len(rdb.Clips()) == 5
+	waitFor(t, "tail on after the flush rotated the journal", func() bool {
+		return rep.Stats().Bootstraps == 1 && rep.Stats().LagBytes == 0 && len(rdb.Clips()) == 5
 	})
 	if err := sameAnswers(db, rdb); err != nil {
-		t.Fatalf("after re-bootstrap: %v", err)
+		t.Fatalf("after the flush: %v", err)
 	}
 	if err := sameRecords(db, rdb); err != nil {
-		t.Fatalf("after re-bootstrap: %v", err)
+		t.Fatalf("after the flush: %v", err)
 	}
+}
+
+// TestReplicaFlushBehindCutRebootstraps: a replica whose cut lies in a
+// journal prefix the primary has flushed away cannot tail on — those
+// records exist only in a segment now. Its next poll answers 409 and
+// it re-bootstraps to the primary's exact records.
+func TestReplicaFlushBehindCutRebootstraps(t *testing.T) {
+	db := newDB(t)
+	j, _, err := wal.RecoverAndOpen(db, filepath.Join(t.TempDir(), "p.wal"), wal.PolicyAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	// held makes the primary refuse WAL polls, so the replica falls
+	// behind on demand.
+	var held atomic.Bool
+	h := server.New(db, server.WithJournal(j)).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if held.Load() && r.URL.Path == "/api/replication/wal" {
+			http.Error(w, "held", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	clips := makeClips(t, 3)
+	if _, err := db.Ingest(clips[0]); err != nil {
+		t.Fatal(err)
+	}
+	rdb := newDB(t)
+	rep := StartReplica(rdb, ts.URL, WithReplicaInterval(20*time.Millisecond))
+	defer rep.Close()
+	waitFor(t, "initial catch-up", func() bool { return len(rdb.Clips()) == 1 && rep.Stats().LagBytes == 0 })
+	behind := rep.Stats().Cut
+
+	held.Store(true)
+	if _, err := db.Ingest(clips[1]); err != nil {
+		t.Fatal(err)
+	}
+	cut, _ := db.BeginSnapshot().JournalCut()
+	if err := j.RotateTo(cut); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest(clips[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := j.TailFrom(behind, 1<<20); !errors.Is(err, wal.ErrBadCut) {
+		t.Fatalf("TailFrom(%d) after a flush to %d: %v, want ErrBadCut", behind, cut, err)
+	}
+	held.Store(false)
+	waitFor(t, "re-bootstrap after the flush passed the replica's cut", func() bool {
+		return rep.Stats().Bootstraps == 2 && rep.Stats().LagBytes == 0 && sameRecords(db, rdb) == nil
+	})
+}
+
+// TestReplicaLagKnownAcrossFlush: a flush on a segment-store primary
+// moves no journal position, so a replica tailing through it keeps a
+// known lag (never -1) and one bootstrap, and at bound 0 the
+// coordinator keeps it eligible for reads once it has caught up.
+func TestReplicaLagKnownAcrossFlush(t *testing.T) {
+	st, err := segstore.Open(t.TempDir(), segstore.Options{Core: core.DefaultOptions(), Policy: wal.PolicyAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	db := st.DB()
+	ts := httptest.NewServer(server.New(db,
+		server.WithStorage(st), server.WithJournal(st.Journal())).Handler())
+	t.Cleanup(ts.Close)
+	clips := makeClips(t, 3)
+	if _, err := db.Ingest(clips[0]); err != nil {
+		t.Fatal(err)
+	}
+	rdb := newDB(t)
+	rep := StartReplica(rdb, ts.URL, WithReplicaInterval(20*time.Millisecond))
+	defer rep.Close()
+	rts := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
+	t.Cleanup(rts.Close)
+	waitFor(t, "initial catch-up", func() bool { return len(rdb.Clips()) == 1 && rep.Stats().LagBytes == 0 })
+
+	c, err := New(Config{
+		Shards:         []ShardConfig{{Primary: ts.URL, Replicas: []string{rts.URL}}},
+		ReplicaReads:   true,
+		StalenessBound: 0,
+		ProbeInterval:  time.Hour,
+		Timeout:        5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sh := c.topo.Load().shards[0]
+	replica := sh.nodes[1]
+	eligible := func(when string) {
+		t.Helper()
+		c.probeAll(testContext(t))
+		if lag, ok := sh.replicaLag(replica); !ok || lag != 0 || !sh.eligibleForRead(replica, 0) {
+			t.Fatalf("%s: replica lag (%d, %v), eligible %v; want a known lag 0 and eligible",
+				when, lag, ok, sh.eligibleForRead(replica, 0))
+		}
+	}
+	eligible("before the flush")
+
+	// Sample the replica's own lag throughout the flush and the writes
+	// around it.
+	stop := make(chan struct{})
+	minLag := make(chan int64)
+	go func() {
+		low := int64(1 << 62)
+		for {
+			low = min(low, rep.Stats().LagBytes)
+			select {
+			case <-stop:
+				minLag <- low
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	if _, err := db.Ingest(clips[1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "tail the memtable write", func() bool { return len(rdb.Clips()) == 2 && rep.Stats().LagBytes == 0 })
+	if res, err := st.Flush(); err != nil || !res.Rotated {
+		t.Fatalf("flush: %+v, %v", res, err)
+	}
+	if _, err := db.Ingest(clips[2]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "tail the write after the flush", func() bool { return len(rdb.Clips()) == 3 && rep.Stats().LagBytes == 0 })
+	close(stop)
+	if low := <-minLag; low < 0 {
+		t.Fatalf("replica lag read %d across the flush, want always known", low)
+	}
+	if b := rep.Stats().Bootstraps; b != 1 {
+		t.Fatalf("replica bootstrapped %d times across the flush, want 1", b)
+	}
+	if err := sameRecords(db, rdb); err != nil {
+		t.Fatal(err)
+	}
+	eligible("after the flush")
 }

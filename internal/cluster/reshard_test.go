@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -530,4 +531,95 @@ func TestReshardCutoverDelta(t *testing.T) {
 	}
 	assertPlacement(t, oracleDB, append(append([]*core.Database{}, tc.shardDBs...), destDB))
 	assertEquivalence(t, tc.front.URL, oracle.URL, oracleDB, "after a cutover delta")
+}
+
+// TestReshardShrinkReplicaSeesImports: a reshard's imports are writes
+// acknowledged through the coordinator, so their journal positions
+// bind the staleness bound like any other write's. After a 2→1 shrink,
+// shard 0's replica — caught up at its last probe, then polling hourly,
+// so it never applies the imports — must serve no read at bound 0:
+// every answer holds every moved clip.
+func TestReshardShrinkReplicaSeesImports(t *testing.T) {
+	clips := makeClips(t, 8)
+	ring := NewRing(2, 0)
+	db0, _, p0 := newPrimary(t)
+	db1, _, p1 := newPrimary(t)
+	var moved []string
+	for _, clip := range clips {
+		db := db0
+		if ring.Owner(clip.Name) == 1 {
+			db = db1
+			moved = append(moved, clip.Name)
+		}
+		if _, err := db.Ingest(clip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(moved) == 0 || len(moved) == len(clips) {
+		t.Fatalf("fixture: %d of %d clips on shard 1", len(moved), len(clips))
+	}
+	rdb := newDB(t)
+	rep := StartReplica(rdb, p0.URL, WithReplicaInterval(time.Hour))
+	defer rep.Close()
+	rts := httptest.NewServer(server.New(rdb, server.WithReplica(rep)).Handler())
+	t.Cleanup(rts.Close)
+	waitFor(t, "replica bootstrap", func() bool {
+		return rep.Stats().LagBytes == 0 && len(rdb.Clips()) == len(clips)-len(moved)
+	})
+
+	c, err := New(Config{
+		Shards: []ShardConfig{
+			{Primary: p0.URL, Replicas: []string{rts.URL}},
+			{Primary: p1.URL},
+		},
+		ReplicaReads:   true,
+		StalenessBound: 0,
+		ProbeInterval:  time.Hour,
+		Timeout:        5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	front := httptest.NewServer(c.Handler())
+	t.Cleanup(front.Close)
+	c.probeAll(testContext(t))
+	if sh := c.topo.Load().shards[0]; !sh.eligibleForRead(sh.nodes[1], 0) {
+		t.Fatal("fixture: the caught-up replica is not eligible before the reshard")
+	}
+
+	if rp, err := c.Reshard(testContext(t), ReshardRequest{Remove: 1}); err != nil || rp.MovedClips != len(moved) {
+		t.Fatalf("reshard: %+v, %v; want %d moved clips", rp, err, len(moved))
+	}
+	// Round-robin hands every other eligible read to the replica, so
+	// eight reads of each kind reach it if it is eligible.
+	for i := 0; i < 8; i++ {
+		var listing []server.ClipSummary
+		if code, _ := getJSON(t, front.URL+"/api/clips", &listing); code != http.StatusOK {
+			t.Fatalf("listing %d: status %d", i, code)
+		}
+		have := make(map[string]bool, len(listing))
+		for _, cl := range listing {
+			have[cl.Name] = true
+		}
+		for _, name := range moved {
+			if !have[name] {
+				t.Fatalf("listing %d after the reshard lacks moved clip %q (%d clips listed)", i, name, len(listing))
+			}
+		}
+	}
+	for _, name := range moved {
+		rec, _ := db1.Clip(name)
+		f := rec.Shots[0].Feature
+		for i := 0; i < 8; i++ {
+			var got server.QueryResponseJSON
+			q := fmt.Sprintf("/api/query?varba=%g&varoa=%g", f.VarBA, f.VarOA)
+			if code, _ := getJSON(t, front.URL+q, &got); code != http.StatusOK {
+				t.Fatalf("query %s: status %d", q, code)
+			}
+			if !slices.ContainsFunc(got.Matches, func(m server.MatchJSON) bool { return m.Clip == name }) {
+				t.Fatalf("query %d at moved clip %q's first shot lacks it after the reshard", i, name)
+			}
+		}
+	}
 }

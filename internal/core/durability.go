@@ -32,7 +32,7 @@ type Journal interface {
 	LogIngest(rec *ClipRecord) error
 	// LogDelete records a removal about to apply.
 	LogDelete(name string) error
-	// Size reports the journal's current end offset. Read under the
+	// Size reports the journal's current end position. Read under the
 	// database lock — which serializes all journal appends — it is the
 	// cut point BeginFlush and BeginSnapshot capture: the exact boundary
 	// between records a capture holds and records it does not, so

@@ -206,7 +206,7 @@ func Compaction(run []*segment.Reader, hasOlder bool) *PendingFlush {
 	return &PendingFlush{refs: refs, tombs: tombs}
 }
 
-// JournalCut returns the WAL offset captured with the state, and
+// JournalCut returns the WAL position captured with the state, and
 // whether one was available.
 func (pf *PendingFlush) JournalCut() (int64, bool) { return pf.cut, pf.hasCut }
 

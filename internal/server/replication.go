@@ -21,22 +21,18 @@ import (
 	"videodb/internal/wal"
 )
 
-// Replication protocol headers. Cut points and generations travel as
-// headers so the body stays raw bytes (snapshot segment or WAL records).
+// Replication protocol headers. Journal positions and generations
+// travel as headers so the body stays raw bytes (snapshot segment or
+// WAL records).
 const (
-	// HeaderWalCut carries the journal offset a snapshot was captured
+	// HeaderWalCut carries the journal position a snapshot was captured
 	// at: the `from` the replica's first WAL poll must use.
 	HeaderWalCut = "X-Videodb-Wal-Cut"
-	// HeaderWalGen carries the journal generation a cut point belongs
-	// to; cuts from different generations are not comparable.
+	// HeaderWalGen carries the journal generation a position belongs
+	// to; positions from different generations are not comparable.
 	HeaderWalGen = "X-Videodb-Wal-Gen"
-	// HeaderWalFrom echoes the offset a WAL chunk starts at.
-	HeaderWalFrom = "X-Videodb-Wal-From"
-	// HeaderWalNext is the offset the next poll should start from
-	// (From plus the returned chunk length).
-	HeaderWalNext = "X-Videodb-Wal-Next"
-	// HeaderWalSize is the journal's current size: Size − Next is the
-	// replica's byte lag after applying the chunk.
+	// HeaderWalSize is the journal's current position: its distance
+	// past a replica's cut is the replica's byte lag.
 	HeaderWalSize = "X-Videodb-Wal-Size"
 )
 
@@ -59,7 +55,7 @@ type ReplicationStatus struct {
 	// Bootstraps counts full snapshot bootstraps; 1 is the clean
 	// start, more means the stream had to re-converge.
 	Bootstraps int64 `json:"replicationBootstraps"`
-	// Cut is the next journal offset the replica will request; every
+	// Cut is the next journal position the replica will request; every
 	// record before it has been applied.
 	Cut int64 `json:"replicationCut"`
 	// LastError is the most recent replication error ("" when the last
@@ -166,45 +162,35 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // send the segment of every live clip a replica bootstraps from, with
 // the journal cut point and generation it corresponds to in the response
 // headers. State and cut are captured under one lock hold
-// (core.Database.BeginSnapshot); the generation is read before and
-// after the capture and the capture retried if a rotation moved it,
-// so the (cut, gen) pair always names a real journal offset. The body is
-// encoded before any header goes out: an encode failure is a 500, and
-// Content-Length lets the replica tell a truncated transfer from a
-// complete one.
+// (core.Database.BeginSnapshot); the generation is fixed for the
+// journal writer's life, so the (cut, gen) pair names a real journal
+// position. The body is encoded before any header goes out: an encode
+// failure is a 500, and Content-Length lets the replica tell a
+// truncated transfer from a complete one.
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.journal == nil {
 		WriteError(w, http.StatusNotImplemented,
 			fmt.Errorf("replication needs a write-ahead journal (vdbserver -data)"))
 		return
 	}
-	for attempt := 0; attempt < 5; attempt++ {
-		gen := s.journal.Gen()
-		snap := s.db.BeginSnapshot()
-		if s.journal.Gen() != gen {
-			continue // a rotation landed mid-capture; the cut moved
-		}
-		cut, ok := snap.JournalCut()
-		if !ok {
-			WriteError(w, http.StatusNotImplemented,
-				fmt.Errorf("journal not installed on the database"))
-			return
-		}
-		var body bytes.Buffer
-		if err := snap.WriteSegment(&body, 0); err != nil {
-			WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding replication snapshot: %w", err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-		w.Header().Set(HeaderWalCut, strconv.FormatInt(cut, 10))
-		w.Header().Set(HeaderWalGen, gen)
-		_, _ = w.Write(body.Bytes())
-		s.metrics.replSnapshots.Add(1)
+	snap := s.db.BeginSnapshot()
+	cut, ok := snap.JournalCut()
+	if !ok {
+		WriteError(w, http.StatusNotImplemented,
+			fmt.Errorf("journal not installed on the database"))
 		return
 	}
-	WriteError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("journal rotating continuously; retry"))
+	var body bytes.Buffer
+	if err := snap.WriteSegment(&body, 0); err != nil {
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding replication snapshot: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Header().Set(HeaderWalCut, strconv.FormatInt(cut, 10))
+	w.Header().Set(HeaderWalGen, s.journal.Gen())
+	_, _ = w.Write(body.Bytes())
+	s.metrics.replSnapshots.Add(1)
 }
 
 // maxClipRecord caps what the import endpoint will read for one clip's
@@ -241,7 +227,8 @@ func (s *Server) handleReplicationClipGet(w http.ResponseWriter, r *http.Request
 
 // handleReplicationClipPut implements POST /api/replication/clip:
 // import one exported clip record as a first-class durable write (it
-// goes through this node's journal, unlike replica replay). Idempotent:
+// goes through this node's journal, unlike replica replay, and the
+// answer carries the journal position like any write's). Idempotent:
 // re-importing replaces the same-named clip wholesale, so a migration
 // retry after a torn copy converges instead of erroring. Refused on
 // read replicas — their state is owned by the replication stream.
@@ -261,17 +248,18 @@ func (s *Server) handleReplicationClipPut(w http.ResponseWriter, r *http.Request
 	}
 	s.metrics.migrImports.Add(1)
 	s.metrics.migrImportBytes.Add(int64(len(payload)))
+	s.setWalPosition(w.Header())
 	WriteJSON(w, map[string]string{"imported": name})
 }
 
 // handleReplicationWAL implements GET /api/replication/wal?from=&gen=:
 // serve the journal bytes in [from, size) — whole records, capped at
-// walChunkLimit per response — for a replica to replay. The chunk and
-// the generation are read under one journal lock hold, so a response
-// can never mix offsets of two generations: if the replica's gen does
-// not match (the journal rotated or the primary restarted since the
-// cut was issued), the answer is 409 and the replica must re-bootstrap
-// from a fresh snapshot. An out-of-range from is the same 409.
+// walChunkLimit per response — for a replica to replay. Positions only
+// grow for the life of a journal writer, so a rotation leaves them
+// valid. If the replica's gen does not match (the primary restarted
+// since the cut was issued), or from lies in a prefix a flush already
+// rotated away, the answer is 409 and the replica must re-bootstrap
+// from a fresh snapshot.
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
 		WriteError(w, http.StatusNotImplemented,
@@ -288,27 +276,24 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("parameter gen is required"))
 		return
 	}
-	data, size, gen, err := s.journal.TailFrom(from, walChunkLimit)
-	if gen != "" && gen != wantGen {
-		w.Header().Set(HeaderWalGen, gen)
+	gen := s.journal.Gen()
+	w.Header().Set(HeaderWalGen, gen)
+	if gen != wantGen {
 		WriteError(w, http.StatusConflict,
 			fmt.Errorf("journal generation is %s, not %s: re-bootstrap from a fresh snapshot", gen, wantGen))
 		return
 	}
+	data, size, err := s.journal.TailFrom(from, walChunkLimit)
 	if err != nil {
+		code := http.StatusInternalServerError
 		if errors.Is(err, wal.ErrBadCut) {
-			w.Header().Set(HeaderWalGen, gen)
-			WriteError(w, http.StatusConflict, err)
-			return
+			code = http.StatusConflict
 		}
-		WriteError(w, http.StatusInternalServerError, err)
+		WriteError(w, code, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderWalFrom, strconv.FormatInt(from, 10))
-	w.Header().Set(HeaderWalNext, strconv.FormatInt(from+int64(len(data)), 10))
 	w.Header().Set(HeaderWalSize, strconv.FormatInt(size, 10))
-	w.Header().Set(HeaderWalGen, gen)
 	if len(data) > 0 {
 		_, _ = w.Write(data)
 	}

@@ -115,22 +115,15 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, map[string]string{"removed": name})
 }
 
-// setWalPosition puts the journal's generation and size on a write's
-// answer, so a coordinator knows how far a replica must have read
-// before it can serve the write. The size is read between two readings
-// of the generation; if a rotation moved it, the pair would mix two
-// generations, and neither header is set.
+// setWalPosition puts the journal's generation and position on a
+// write's answer, so a coordinator knows how far a replica must have
+// read before it can serve the write.
 func (s *Server) setWalPosition(h http.Header) {
 	if s.journal == nil {
 		return
 	}
-	gen := s.journal.Gen()
-	size := s.journal.Size()
-	if s.journal.Gen() != gen {
-		return
-	}
-	h.Set(HeaderWalGen, gen)
-	h.Set(HeaderWalSize, strconv.FormatInt(size, 10))
+	h.Set(HeaderWalGen, s.journal.Gen())
+	h.Set(HeaderWalSize, strconv.FormatInt(s.journal.Size(), 10))
 }
 
 // handleSnapshot implements POST /api/snapshot: flush the memtable into

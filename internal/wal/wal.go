@@ -143,7 +143,7 @@ type File interface {
 type Stats struct {
 	// Records is the number of records appended by this writer.
 	Records int64
-	// Bytes is the journal's current size, header included.
+	// Bytes is the journal file's current length, header included.
 	Bytes int64
 	// Fsyncs is the number of successful fsyncs.
 	Fsyncs int64
@@ -160,8 +160,9 @@ type Writer struct {
 	mu      sync.Mutex
 	f       File
 	path    string // backing file path; "" for NewWriter-wrapped test files
-	size    int64
-	boot    int64 // generation base: unique per writer open, see Gen
+	size    int64  // file length
+	base    int64  // position of file offset 0: bytes rotated away since open
+	gen     string // fixed at open, see Gen
 	dirty   bool
 	err     error // sticky: after a failed append the tail is suspect
 	stats   Stats
@@ -223,12 +224,9 @@ func NewWriter(f File, size int64, policy Policy, interval time.Duration) (*Writ
 }
 
 func newWriter(f File, path string, size int64, policy Policy, interval time.Duration) (*Writer, error) {
-	w := &Writer{f: f, path: path, size: size, policy: policy, boot: time.Now().UnixNano()}
+	w := &Writer{f: f, path: path, size: size, policy: policy, gen: fmt.Sprintf("%x", time.Now().UnixNano())}
 	if size == 0 {
-		hdr := make([]byte, 0, headerSize)
-		hdr = append(hdr, Magic...)
-		hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-		if err := w.writeLocked(hdr); err != nil {
+		if err := w.writeLocked(binary.LittleEndian.AppendUint16([]byte(Magic), Version)); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -346,47 +344,40 @@ func (w *Writer) Sync() error {
 	return w.syncLocked()
 }
 
-// Size returns the journal's current length in bytes, header included.
-// Read it at the same instant a flush's state is captured (under the
-// database lock that serializes appends) and it is a cut point for
-// RotateTo: every record at or below it is in that capture, every
-// record above it is not.
+// Size returns the journal's current position: the bytes this writer
+// has rotated away plus the file's length, header included. A position
+// only grows for the life of the writer, so it stays valid across
+// RotateTo. Read it at the same instant a flush's state is captured
+// (under the database lock that serializes appends) and it is a cut
+// point for RotateTo: every record below it is in that capture, every
+// record at or above it is not.
 func (w *Writer) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.base + w.size
 }
 
-// ErrBadCut reports a TailFrom offset that is not a valid cut point of
-// the current journal generation — below the file header or beyond the
-// journal's end. A streaming replica receiving it must re-bootstrap
-// from a fresh snapshot; match it with errors.Is.
-var ErrBadCut = errors.New("wal: offset is not a cut point of this journal generation")
+// ErrBadCut reports a TailFrom position that is not a record boundary
+// this writer still holds — inside a prefix already rotated away, or
+// beyond the journal's end. A streaming replica receiving it must
+// re-bootstrap from a fresh snapshot; match it with errors.Is.
+var ErrBadCut = errors.New("wal: position is not a cut point of this journal")
 
-// Gen identifies the journal's current generation: it changes on every
-// rotation and on every writer (re)open, and two equal Gen values name
-// the same byte layout. A cut point is only meaningful within one
-// generation — rotation rewrites the file as header+tail, shifting
-// every offset — so the WAL-shipping protocol pairs each cut with the
-// Gen it was read under and rejects streams whose generation moved.
-func (w *Writer) Gen() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.genLocked()
-}
+// Gen identifies the writer: a token fixed when it opens, so two equal
+// Gen values name the same position space. Positions of two writers —
+// the primary restarted — are not comparable, so the WAL-shipping
+// protocol pairs each position with the Gen it was read under and
+// rejects streams whose generation differs.
+func (w *Writer) Gen() string { return w.gen }
 
-func (w *Writer) genLocked() string {
-	return fmt.Sprintf("%x-%d", w.boot, w.stats.Rotations)
-}
-
-// TailFrom reads up to max bytes of the journal starting at offset
-// from, returning the chunk, the journal's current size and generation.
-// from must lie on a record boundary of the current generation — any
-// Size() value observed since the last rotation qualifies,
-// as does headerSize for "every record". A caught-up reader (from ==
-// size) gets an empty chunk. Serving reads under the writer lock means
-// a chunk never ends mid-append, so every returned byte range is a
-// whole number of records.
+// TailFrom reads up to max bytes of the journal starting at position
+// from, returning the chunk and the journal's current position. from
+// must lie on a record boundary the file still holds — any Size() value
+// observed since the last RotateTo qualifies, as does the cut of that
+// rotation; headerSize is "every record" until the first rotation. A
+// caught-up reader (from == Size()) gets an empty chunk. Serving reads
+// under the writer lock means a chunk never ends mid-append, so every
+// returned byte range is a whole number of records.
 //
 // This is the primary side of WAL shipping: a replica polls TailFrom
 // (over GET /api/replication/wal) and replays the chunks through
@@ -394,126 +385,112 @@ func (w *Writer) genLocked() string {
 // bytes regardless of whether they have been fsynced, so under
 // PolicyInterval/PolicyNone a replica can briefly hold records a
 // primary power-loss then forgets (see docs/CLUSTER.md).
-func (w *Writer) TailFrom(from int64, max int) (data []byte, size int64, gen string, err error) {
+func (w *Writer) TailFrom(from int64, max int) (data []byte, size int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return nil, 0, "", w.err
+		return nil, 0, w.err
 	}
-	gen = w.genLocked()
-	if from < headerSize || from > w.size {
-		return nil, w.size, gen, fmt.Errorf("%w: from=%d size=%d", ErrBadCut, from, w.size)
+	size = w.base + w.size
+	off := from - w.base
+	if off < headerSize || off > w.size {
+		return nil, size, fmt.Errorf("%w: from=%d, held %d..%d", ErrBadCut, from, w.base+headerSize, size)
 	}
-	n := w.size - from
-	if n > int64(max) {
-		n = int64(max)
-	}
+	n := min(w.size-off, int64(max))
 	if n == 0 {
-		return nil, w.size, gen, nil
+		return nil, size, nil
 	}
 	data = make([]byte, n)
-	if _, err := w.f.ReadAt(data, from); err != nil {
-		return nil, w.size, gen, fmt.Errorf("wal: reading tail at %d: %w", from, err)
+	if _, err := w.f.ReadAt(data, off); err != nil {
+		return nil, size, fmt.Errorf("wal: reading tail at %d: %w", from, err)
 	}
-	return data, w.size, gen, nil
+	return data, size, nil
 }
 
 // RotateTo discards exactly the journal prefix a flush captured — cut
 // is the Size() observed at capture time — while keeping every record
-// appended after it. With no tail the file shrinks back to a bare
-// header; with a tail the journal is rewritten as header + tail through
-// an atomic replace (temp file, fsync, rename, directory fsync), so a
-// crash at any instant leaves either the old complete journal (replay
-// re-applies records the segment already holds — idempotent) or the new
-// one, never a torn mix.
+// appended after it; positions are unchanged. With no tail the file
+// is truncated back to a bare header in place; with a tail it is
+// rewritten as header + tail through an atomic replace (temp file,
+// fsync, rename, directory fsync), so a crash at any instant leaves
+// either the old complete journal (replay re-applies records the
+// segment already holds — idempotent) or the new one, never a torn mix.
+// A pathless writer (NewWriter) can only rotate an empty tail.
 func (w *Writer) RotateTo(cut int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.rotateToLocked(cut)
-}
-
-func (w *Writer) rotateToLocked(cut int64) error {
 	if w.err != nil {
 		return w.err
 	}
-	if cut > w.size {
-		return fmt.Errorf("wal: rotate cut %d beyond journal size %d", cut, w.size)
+	off := cut - w.base
+	if off > w.size {
+		return fmt.Errorf("wal: rotate cut %d beyond journal position %d", cut, w.base+w.size)
 	}
-	if cut < headerSize {
-		// A cut inside (or before) the header can only mean "nothing was
-		// captured"; keep every record.
-		cut = headerSize
+	if off < headerSize {
+		// A cut inside the header or an already rotated prefix can only
+		// mean "nothing more was captured"; keep every record.
+		off = headerSize
 	}
-	var tail []byte
-	if n := w.size - cut; n > 0 {
-		tail = make([]byte, n)
-		if _, err := w.f.ReadAt(tail, cut); err != nil {
+	if off == w.size {
+		_, err := w.f.Seek(headerSize, io.SeekStart)
+		if err == nil {
+			err = w.f.Truncate(headerSize)
+		}
+		if err != nil {
+			w.err = fmt.Errorf("wal: rotate failed: %w", err)
+			return w.err
+		}
+		w.dirty = true
+		if err := w.syncLocked(); err != nil {
+			return err
+		}
+	} else {
+		if w.path == "" {
+			return fmt.Errorf("wal: rotate: a pathless writer cannot keep a %d-byte tail", w.size-off)
+		}
+		tail := make([]byte, w.size-off)
+		if _, err := w.f.ReadAt(tail, off); err != nil {
 			// Nothing was modified; the journal is intact and rotation
 			// simply did not happen.
 			return fmt.Errorf("wal: rotate: reading post-snapshot tail: %w", err)
 		}
-	}
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, Magic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-
-	if len(tail) > 0 && w.path != "" {
-		// Atomic replace, then point the writer at the new inode. Any
-		// failure past the rename would leave the fd diverging from the
-		// path a recovery will read, so every error here is sticky.
-		if _, err := fsx.AtomicWrite(w.path, func(out io.Writer) error {
-			if _, err := out.Write(hdr); err != nil {
-				return err
-			}
-			_, err := out.Write(tail)
-			return err
-		}); err != nil {
+		if err := w.replaceLocked(tail); err != nil {
 			w.err = fmt.Errorf("wal: rotate failed: %w", err)
 			return w.err
 		}
-		nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-		if err != nil {
-			w.err = fmt.Errorf("wal: reopening rotated journal: %w", err)
-			return w.err
-		}
-		if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-			nf.Close()
-			w.err = fmt.Errorf("wal: reopening rotated journal: %w", err)
-			return w.err
-		}
-		w.f.Close() // old inode, already renamed away
-		w.f = nf
-		w.size = int64(headerSize + len(tail))
-		w.dirty = false
-		w.stats.Rotations++
-		return nil
 	}
+	w.base += off - headerSize
+	w.size -= off - headerSize
+	w.stats.Rotations++
+	return nil
+}
 
-	// No tail to preserve (or a pathless test writer, which cannot do
-	// the rename dance): rewrite in place. With an empty tail this is
-	// crash-safe — the segment holds everything, so a torn header only
-	// costs an already-captured journal.
-	if err := w.f.Truncate(0); err != nil {
-		w.err = fmt.Errorf("wal: rotate failed: %w", err)
-		return w.err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		w.err = fmt.Errorf("wal: rotate failed: %w", err)
-		return w.err
-	}
-	w.size = 0
-	if err := w.writeLocked(hdr); err != nil {
-		return err
-	}
-	if len(tail) > 0 {
-		if err := w.writeLocked(tail); err != nil {
+// replaceLocked atomically replaces the journal file with header +
+// tail and points the writer at the new inode. Any failure past the
+// rename would leave the fd diverging from the path a recovery will
+// read, so the caller makes every error sticky.
+func (w *Writer) replaceLocked(tail []byte) error {
+	if _, err := fsx.AtomicWrite(w.path, func(out io.Writer) error {
+		hdr := binary.LittleEndian.AppendUint16([]byte(Magic), Version)
+		if _, err := out.Write(hdr); err != nil {
 			return err
 		}
-	}
-	if err := w.syncLocked(); err != nil {
+		_, err := out.Write(tail)
+		return err
+	}); err != nil {
 		return err
 	}
-	w.stats.Rotations++
+	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
+		nf.Close()
+		return err
+	}
+	w.f.Close() // old inode, already renamed away
+	w.f = nf
+	w.dirty = false
 	return nil
 }
 

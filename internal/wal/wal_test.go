@@ -200,9 +200,179 @@ func TestRotateToPreservesTail(t *testing.T) {
 	}
 }
 
-// RotateTo on a pathless writer takes the in-place fallback; the tail
-// must still survive.
-func TestRotateToPreservesTailPathless(t *testing.T) {
+// tailsAt reads, for every position in ps, the journal bytes from it
+// to the end.
+func tailsAt(t *testing.T, w *Writer, ps []int64) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(ps))
+	for i, p := range ps {
+		data, _, err := w.TailFrom(p, 1<<20)
+		if err != nil {
+			t.Fatalf("TailFrom(%d): %v", p, err)
+		}
+		out[i] = data
+	}
+	return out
+}
+
+// A position only grows for the life of a writer: RotateTo moves no
+// position, in either of its branches, and TailFrom serves every
+// record boundary at or above the cut with exactly the bytes it held
+// before; a boundary below the cut was flushed away and is ErrBadCut.
+// Each case rotates twice, so the second cut lies past a prefix the
+// first already discarded.
+func TestRotateKeepsPositions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keep int // records appended after each cut
+	}{{"empty tail", 0}, {"tail", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := OpenWriter(journalPath(t), PolicyAlways, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			bounds := []int64{w.Size()}
+			appendOne := func(i int) {
+				t.Helper()
+				if err := w.Append(OpIngest, testPayload(i)); err != nil {
+					t.Fatal(err)
+				}
+				if got, last := w.Size(), bounds[len(bounds)-1]; got <= last {
+					t.Fatalf("Size %d after an append, was %d", got, last)
+				}
+				bounds = append(bounds, w.Size())
+			}
+			next := 0
+			for round := 0; round < 2; round++ {
+				for i := 0; i < 3; i++ {
+					appendOne(next)
+					next++
+				}
+				cut := w.Size()
+				for i := 0; i < tc.keep; i++ {
+					appendOne(next)
+					next++
+				}
+				size := w.Size()
+				var kept []int64
+				for _, p := range bounds {
+					if p >= cut {
+						kept = append(kept, p)
+					}
+				}
+				before := tailsAt(t, w, kept)
+				if err := w.RotateTo(cut); err != nil {
+					t.Fatal(err)
+				}
+				if got := w.Size(); got != size {
+					t.Fatalf("round %d: Size %d after RotateTo, was %d", round, got, size)
+				}
+				if st := w.Stats(); st.Bytes != headerSize+size-cut {
+					t.Fatalf("round %d: Stats.Bytes %d, want the file length %d", round, st.Bytes, headerSize+size-cut)
+				}
+				after := tailsAt(t, w, kept)
+				for i, p := range kept {
+					if !bytes.Equal(after[i], before[i]) {
+						t.Fatalf("round %d: TailFrom(%d) changed across RotateTo(%d)", round, p, cut)
+					}
+				}
+				for _, p := range bounds {
+					if p >= cut {
+						continue
+					}
+					if _, got, err := w.TailFrom(p, 1<<20); !errors.Is(err, ErrBadCut) || got != size {
+						t.Fatalf("round %d: TailFrom(%d) below cut %d = (size %d, %v), want ErrBadCut at %d",
+							round, p, cut, got, err, size)
+					}
+				}
+			}
+			if _, _, err := w.TailFrom(w.Size()+1, 1<<20); !errors.Is(err, ErrBadCut) {
+				t.Fatalf("TailFrom past the end: %v, want ErrBadCut", err)
+			}
+		})
+	}
+}
+
+// A cut below what a writer already rotated away is stale — an older
+// capture that lost a race to a newer flush — and RotateTo keeps every
+// record it still holds.
+func TestRotateStaleCutKeepsRecords(t *testing.T) {
+	path := journalPath(t)
+	w, err := OpenWriter(path, PolicyAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(OpIngest, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	stale := w.Size()
+	if err := w.Append(OpIngest, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	cut := w.Size()
+	if err := w.Append(OpIngest, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RotateTo(cut); err != nil {
+		t.Fatal(err)
+	}
+	size := w.Size()
+	want, _, err := w.TailFrom(cut, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RotateTo(stale); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := w.TailFrom(cut, 1<<20)
+	if err != nil || !bytes.Equal(got, want) || w.Size() != size {
+		t.Fatalf("after a stale RotateTo: TailFrom(%d) = %q, %v; Size %d, want %d", cut, got, err, w.Size(), size)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, res := collect(t, path)
+	if res.Damaged || len(recs) != 1 || string(recs[0].Data) != "c" {
+		t.Fatalf("after a stale RotateTo: %d records, damaged=%v", len(recs), res.Damaged)
+	}
+}
+
+// Gen names one writer's position space: a rotation keeps it, a
+// reopen — a restarted primary — changes it.
+func TestRotateKeepsGen(t *testing.T) {
+	path := journalPath(t)
+	w, err := OpenWriter(path, PolicyAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := w.Gen()
+	if err := w.Append(OpIngest, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RotateTo(w.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Gen(); got != gen {
+		t.Fatalf("Gen %q after RotateTo, was %q", got, gen)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenWriter(path, PolicyAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Gen() == gen {
+		t.Fatalf("reopened writer kept Gen %q", gen)
+	}
+}
+
+// A pathless writer cannot replace its file, so RotateTo rotates it
+// only with no tail to keep; with a tail it refuses without touching
+// the journal or going sticky.
+func TestRotateToPathlessRefusesTail(t *testing.T) {
 	path := journalPath(t)
 	f, err := os.Create(path)
 	if err != nil {
@@ -219,14 +389,23 @@ func TestRotateToPreservesTailPathless(t *testing.T) {
 	if err := w.Append(OpIngest, []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.RotateTo(cut); err != nil {
+	if err := w.RotateTo(cut); err == nil {
+		t.Fatal("pathless RotateTo kept a tail")
+	}
+	if w.Err() != nil {
+		t.Fatalf("refused rotation went sticky: %v", w.Err())
+	}
+	if err := w.RotateTo(w.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(OpDelete, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, res := collect(t, path)
-	if res.Damaged || len(recs) != 1 || string(recs[0].Data) != "kept" {
+	if res.Damaged || len(recs) != 1 || string(recs[0].Data) != "fresh" {
 		t.Fatalf("after pathless RotateTo: %d records, damaged=%v", len(recs), res.Damaged)
 	}
 }
