@@ -34,14 +34,15 @@ test-race:
 # flake-hunting profile CI runs on every push (see docs/QUERYPATH.md)
 # — then the node edge's timeout, inflight-cap, hangup and panic
 # suites, then the coordinator's probe and staleness suites beside the
-# replica server's wiring and the metrics exposition contract, then
-# the reshard suites twenty times with and without the race detector,
-# then the journal's recovery, replay and rotation suites: their bugs
-# are schedule-dependent, and one green run proves nothing.
+# replica server's wiring, the metrics exposition contract and the
+# replica's tail-through-rotation suites, then the reshard suites
+# twenty times with and without the race detector, then the journal's
+# recovery, replay and rotation suites: their bugs are
+# schedule-dependent, and one green run proves nothing.
 stress:
 	$(GO) test -race -run 'Concurrent|Cache|Equivalence|Pinned|Flush|Swap|Catalog|Stack|Retention' -count=5 -timeout 30m ./internal/core/ ./internal/varindex/
 	$(GO) test -race -run 'Timeout|TimedOut|Inflight|Hangup|Panic' -count=20 -timeout 30m ./internal/server/
-	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition' -count=20 -timeout 30m ./internal/cluster/
+	$(GO) test -race -run 'Probe|Generation|ReplicaLag|Staleness|ReplicaReads|ReplicaServer|Exposition|ReplicaCatchUp|ReplicaSurvivesRotation|ReplicaOfSegmentStorePrimary|ReplicaFlush' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -run 'Reshard' -count=20 -timeout 30m ./internal/cluster/
 	$(GO) test -race -run 'Reshard' -count=20 -timeout 60m ./internal/cluster/
 	$(GO) test -race -run 'Journal|Recover|Replay|Rotate' -count=20 -timeout 30m ./internal/wal/
